@@ -75,12 +75,14 @@ def optimal_q(
     if branch is Branch.LOW:
         q1, q2 = 1.0, o2
     elif branch is Branch.HIGH:
-        q1 = block.overlap if printed_high_branch else o2
-        q2 = o2 / q1
+        # q1 q2 = O_k^2 without a division: O_k^2 underflows to 0.0 at a
+        # few hundred copies
+        q1, q2 = o2, 1.0
+        if printed_high_branch:
+            q1, q2 = block.overlap, o2 / block.overlap
     else:
-        ratio = cfg.eta2 * spectrum.d1 / (cfg.eta1 * spectrum.d2)
-        q1 = math.sqrt(ratio) * block.overlap
-        q2 = o2 / q1
+        root = math.sqrt(cfg.eta2 * spectrum.d1 / (cfg.eta1 * spectrum.d2))
+        q1, q2 = root * block.overlap, block.overlap / root
     return branch, q1, q2
 
 
@@ -95,7 +97,8 @@ def block_failure(k: int, spectrum: JordanSpectrum, cfg: ProblemConfig) -> float
         return cfg.eta1 / d1 + cfg.eta2 * o2 / d2
     if branch is Branch.HIGH:
         return cfg.eta1 * o2 / d1 + cfg.eta2 / d2
-    return 2.0 * math.sqrt(cfg.eta1 * cfg.eta2 / (d1 * d2)) * block.overlap
+    # one root per register: d1*d2 can pass the float range where d1, d2 do not
+    return 2.0 * math.sqrt(cfg.eta1 / d1) * math.sqrt(cfg.eta2 / d2) * block.overlap
 
 
 @dataclass(frozen=True)

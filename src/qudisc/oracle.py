@@ -8,6 +8,13 @@ from an SVD, the Helstrom value from diagonalizing the weighted
 difference operator, and the unambiguous POVM is assembled vector by
 vector from the Jordan pairs.
 
+The Haar-averaged states are real symmetric: the symmetrizer is a mean
+of permutation matrices.  The whole dense geometry (supports, angles,
+the weighted difference operator and the POVM) therefore runs in
+float64 with real-symmetric ``eigh`` and real SVDs.  Only the Haar
+sampler works with complex vectors, because random pure states are
+complex; ``hermitian_eig`` accepts either kind of input.
+
 Two certified eigen-routes are used.  ``hermitian_eig`` wraps numpy's
 ``eigh`` in explicit residual and unitarity checks.  For the mean states
 — whose supports are tensor products of symmetric subspaces — a candidate
@@ -19,11 +26,9 @@ candidate span).  Nothing downstream trusts either route silently.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -82,32 +87,47 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _sym_basis(m: int, n: int) -> np.ndarray:
     """Orthonormal columns spanning the fully symmetric subspace of m
-    copies of C^n: one normalized vector per multiset of site labels."""
-    dim = n**m
-    weights = n ** np.arange(m - 1, -1, -1)
-    columns = []
-    for multiset in combinations_with_replacement(range(n), m):
-        indices = sorted({int(np.dot(p, weights)) for p in permutations(multiset)})
-        v = np.zeros(dim)
-        v[indices] = 1.0 / math.sqrt(len(indices))
-        columns.append(v)
-    return np.array(columns).T
+    copies of C^n: one normalized vector per multiset of site labels,
+    in ``combinations_with_replacement`` order.
+
+    Each of the n^m site-label strings is sorted into its multiset key
+    (read as a base-n number, keys order like the multisets); the
+    strings sharing a key are that column's support.  O(m * n^m)."""
+    digits = np.sort(np.indices((n,) * m).reshape(m, -1), axis=0)
+    keys = n ** np.arange(m - 1, -1, -1) @ digits
+    _, column, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    basis = np.zeros((n**m, len(counts)))
+    basis[np.arange(n**m), column] = 1.0 / np.sqrt(counts[column])
+    return basis
 
 
 def symmetrizer(m: int, n: int, cap: int | None = None) -> np.ndarray:
-    """Projector onto the fully symmetric subspace of m copies of C^n."""
+    """Projector onto the fully symmetric subspace of m copies of C^n
+    (real: the mean of the m! site permutations)."""
     _check_cap(n**m, cap)
     basis = _sym_basis(m, n)
-    return (basis @ basis.T).astype(complex)
+    return basis @ basis.T
 
 
-def mean_states(cfg: ProblemConfig, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _register_bases(cfg: ProblemConfig) -> tuple[np.ndarray, ...]:
+    """Symmetric bases of the registers AB, C, A and BC, in that order."""
+    return tuple(_sym_basis(m, cfg.n) for m in (cfg.n1, cfg.n_c, cfg.n_a, cfg.n2))
+
+
+def mean_states(
+    cfg: ProblemConfig,
+    cap: int | None = None,
+    bases: tuple[np.ndarray, ...] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """The two Haar-averaged inputs as dense density matrices: maximally
-    mixed on sym(AB) x sym(C) and on sym(A) x sym(BC)."""
+    mixed on sym(AB) x sym(C) and on sym(A) x sym(BC).  ``bases`` passes
+    in the register bases of ``_register_bases`` when the caller has
+    them already."""
     dim = cfg.n ** cfg.total_copies
     _check_cap(dim, cap)
-    rho1 = _kron(symmetrizer(cfg.n1, cfg.n, cap), symmetrizer(cfg.n_c, cfg.n, cap)) / cfg.d1
-    rho2 = _kron(symmetrizer(cfg.n_a, cfg.n, cap), symmetrizer(cfg.n2, cfg.n, cap)) / cfg.d2
+    ab, c, a, bc = (basis @ basis.T for basis in bases or _register_bases(cfg))
+    rho1 = _kron(ab, c) / cfg.d1
+    rho2 = _kron(a, bc) / cfg.d2
     for rho in (rho1, rho2):
         if abs(float(np.trace(rho).real) - 1.0) > 1e-12:
             raise OracleError("mean state trace deviates from one")
@@ -115,27 +135,45 @@ def mean_states(cfg: ProblemConfig, cap: int | None = None) -> tuple[np.ndarray,
 
 
 def haar_average(
-    m: int, n: int, samples: int, seed: int, cap: int | None = None
-) -> np.ndarray:
+    m: int,
+    n: int,
+    samples: int,
+    seed: int,
+    cap: int | None = None,
+    *,
+    prefix: int | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Empirical mean of the m-fold tensor power projector over Haar-random
-    pure states; deterministic for a fixed (seed, m, n, samples)."""
+    pure states; deterministic for a fixed (seed, m, n, samples).
+
+    With ``prefix`` (1 <= prefix <= samples) the one stream yields the pair
+    (mean of its first ``prefix`` draws, mean of all its draws).  Chunks
+    break at ``prefix``, so the first mean is bitwise the mean of a
+    ``prefix``-sample call; the second is bitwise the plain call's when
+    ``prefix`` is a multiple of the chunk size."""
     dim = n**m
     _check_cap(dim, cap)
     if samples < 1:
         raise ValueError("need at least one sample")
+    if prefix is not None and not 1 <= prefix <= samples:
+        raise ValueError(f"prefix must lie in 1..{samples}, got {prefix}")
     rng = np.random.default_rng((seed, m, n))
     acc = np.zeros((dim, dim), dtype=complex)
-    remaining = samples
-    while remaining > 0:
-        count = min(_HAAR_CHUNK, remaining)
+    head = None
+    drawn = 0
+    while drawn < samples:
+        stop = prefix if prefix is not None and drawn < prefix else samples
+        count = min(_HAAR_CHUNK, stop - drawn)
         psi = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         rows = psi
         for _ in range(m - 1):
             rows = (rows[:, :, None] * psi[:, None, :]).reshape(count, -1)
         acc += rows.T @ rows.conj()
-        remaining -= count
-    return acc / samples
+        drawn += count
+        if drawn == prefix:
+            head = acc / prefix
+    return acc / samples if prefix is None else (head, acc / samples)
 
 
 def support_basis(rho: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
@@ -221,9 +259,10 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
     dim = n ** cfg.total_copies
     _check_cap(dim, cap)
-    rho1, rho2 = mean_states(cfg, cap)
-    b1 = _certified_support(rho1, _kron(_sym_basis(cfg.n1, n), _sym_basis(cfg.n_c, n)))
-    b2 = _certified_support(rho2, _kron(_sym_basis(cfg.n_a, n), _sym_basis(cfg.n2, n)))
+    ab, c, a, bc = bases = _register_bases(cfg)
+    rho1, rho2 = mean_states(cfg, cap, bases)
+    b1 = _certified_support(rho1, _kron(ab, c))
+    b2 = _certified_support(rho2, _kron(a, bc))
 
     u_span, stacked_sv, _ = np.linalg.svd(np.hstack([b1, b2]), full_matrices=False)
     w = u_span[:, stacked_sv > 1e-6]

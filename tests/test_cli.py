@@ -68,6 +68,31 @@ class TestUnambiguous:
         assert code == 0
         assert f"Q_opt = {5 / 6:.12g}" in out
 
+    @pytest.mark.parametrize("n,copies", [
+        (2, "300"),  # O_k^2 underflows to 0.0
+        (2000, "30"),  # d1*d2 passes the float range
+    ])
+    def test_extreme_configs_give_finite_floats(self, capsys, n, copies):
+        argv = ["unambiguous", "-n", str(n), "--na", copies, "--nb", copies, "--nc", copies]
+        code, out, err = run(argv + ["--json"], capsys)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert 0.0 < payload["total"] < 1.0
+        assert all(
+            math.isfinite(b[key]) for b in payload["blocks"] for key in ("q1", "q2", "q_block")
+        )
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert math.isfinite(float(out.split("Q_opt = ")[1].split()[0]))
+
+    def test_nan_prior_exits_2(self, capsys):
+        code, _, err = run(
+            ["unambiguous", "-n", "2", "--na", "1", "--nb", "1", "--nc", "1", "--eta1", "nan"],
+            capsys,
+        )
+        assert code == 2
+        assert "priors must be finite" in err
+
 
 class TestMinError:
     def test_json_round_trip(self, capsys):

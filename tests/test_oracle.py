@@ -1,9 +1,12 @@
 """Dense-matrix oracle: states, supports, angles, spectra, POVM assembly."""
 
 import math
+import time
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from sympy.utilities.iterables import multiset_permutations
 
 from qudisc import oracle
 from qudisc.errors import OracleError
@@ -32,6 +35,41 @@ class TestSymmetrizer:
     def test_cap_enforced(self):
         with pytest.raises(OracleError):
             oracle.symmetrizer(5, 4, cap=1000)
+
+
+def _sym_basis_by_permutations(m, n):
+    """The construction the vectorized basis replaced: one column per
+    multiset, spread evenly over the multiset's distinct permutations."""
+    weights = n ** np.arange(m - 1, -1, -1)
+    columns = []
+    for multiset in combinations_with_replacement(range(n), m):
+        indices = sorted(int(np.dot(p, weights)) for p in multiset_permutations(list(multiset)))
+        v = np.zeros(n**m)
+        v[indices] = 1.0 / math.sqrt(len(indices))
+        columns.append(v)
+    return np.array(columns).T
+
+
+class TestSymBasis:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_equals_permutation_construction(self, m):
+        # every n >= 2 with n^m <= 1024, except single copies above n = 32,
+        # which test_single_copy_is_identity covers
+        for n in range(2, 33):
+            if n**m > 1024:
+                break
+            assert np.array_equal(oracle._sym_basis(m, n), _sym_basis_by_permutations(m, n))
+
+    def test_single_copy_is_identity(self):
+        assert np.array_equal(oracle._sym_basis(1, 1024), np.eye(1024))
+
+    def test_twelve_qubit_copies_are_fast(self):
+        start = time.perf_counter()
+        basis = oracle._sym_basis(12, 2)
+        elapsed = time.perf_counter() - start
+        assert basis.shape == (4096, 13)
+        assert np.abs(basis.T @ basis - np.eye(13)).max() < 1e-12
+        assert elapsed < 1.0
 
 
 class TestMeanStates:
@@ -66,6 +104,68 @@ class TestHaarAverage:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             oracle.haar_average(2, 2, 0, seed=1)
+
+
+class TestHaarPrefix:
+    def test_chunk_multiple_matches_separate_calls(self):
+        chunk = oracle._HAAR_CHUNK
+        head, full = oracle.haar_average(2, 2, 4 * chunk, seed=3, prefix=chunk)
+        assert np.array_equal(head, oracle.haar_average(2, 2, chunk, seed=3))
+        assert np.array_equal(full, oracle.haar_average(2, 2, 4 * chunk, seed=3))
+
+    def test_other_prefix_matches_separate_call(self):
+        head, full = oracle.haar_average(2, 3, 8000, seed=5, prefix=2000)
+        assert np.array_equal(head, oracle.haar_average(2, 3, 2000, seed=5))
+        # the chunks after the prefix differ from a plain call's, so the
+        # full mean is another (equally valid) draw of the estimate
+        assert np.allclose(full, full.conj().T, atol=1e-15)
+        assert full.trace().real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("prefix", [0, 501])
+    def test_prefix_validated(self, prefix):
+        with pytest.raises(ValueError):
+            oracle.haar_average(2, 2, 500, seed=1, prefix=prefix)
+
+
+class TestRealOracle:
+    CONFIGS = [
+        ProblemConfig(2, 2, 1, 1, 0.3),
+        ProblemConfig(3, 1, 2, 1, 0.7),
+        ProblemConfig(2, 1, 2, 3, 0.5),  # certified in the swapped orientation
+    ]
+
+    @staticmethod
+    def _dense_numbers(cfg):
+        oracle._jordan_geometry.cache_clear()
+        geometry = oracle._jordan_geometry(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, None)
+        return (
+            geometry.r1.dtype,
+            oracle.lambda_spectrum(cfg),
+            oracle.certify_povm(cfg).min_eigenvalue,
+        )
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_agrees_with_complex_arithmetic(self, cfg, monkeypatch):
+        rho1, rho2 = oracle.mean_states(cfg)
+        assert rho1.dtype == rho2.dtype == np.float64
+        real_angles = oracle.principal_angles(rho1, rho2)
+        complex_angles = oracle.principal_angles(rho1.astype(complex), rho2.astype(complex))
+        assert [m for _, m in real_angles] == [m for _, m in complex_angles]
+        for (c_real, _), (c_complex, _) in zip(real_angles, complex_angles):
+            assert abs(c_real - c_complex) <= 1e-12
+
+        real_dtype, real_spectrum, real_min = self._dense_numbers(cfg)
+        real_basis = oracle._sym_basis
+        monkeypatch.setattr(
+            oracle, "_sym_basis", lambda m, n: real_basis(m, n).astype(complex)
+        )
+        try:
+            complex_dtype, complex_spectrum, complex_min = self._dense_numbers(cfg)
+        finally:
+            oracle._jordan_geometry.cache_clear()
+        assert (real_dtype, complex_dtype) == (np.float64, np.complex128)
+        assert np.abs(real_spectrum - complex_spectrum).max() <= 1e-12
+        assert abs(real_min - complex_min) <= 1e-12
 
 
 class TestEigensolver:

@@ -1,5 +1,6 @@
 """Jordan-block spectrum: overlaps, multiplicities, priors, 6j symbols."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -40,6 +41,13 @@ class TestProblemConfig:
             ProblemConfig(2, 1, 1, 1, 0.7, 0.4)  # priors do not sum to 1
         with pytest.raises(ValueError):
             ProblemConfig(2, 1, 1, 1, -0.1)
+
+    @pytest.mark.parametrize("eta1,eta2", [
+        (math.nan, None), (math.inf, None), (0.5, math.nan), (-math.inf, math.inf),
+    ])
+    def test_non_finite_priors_rejected(self, eta1, eta2):
+        with pytest.raises(ValueError, match="priors must be finite"):
+            ProblemConfig(2, 1, 1, 1, eta1, eta2)
 
     def test_explicit_eta2(self):
         cfg = ProblemConfig(2, 1, 1, 1, 0.25, 0.75)
