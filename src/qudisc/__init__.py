@@ -20,23 +20,16 @@ from .discrimination import (
     MinErrorResult,
     UnambiguousResult,
     asymptotic_bounds,
-    block_failure,
     bound_p0,
     bound_q0,
-    boundaries,
-    equal_copies_failure,
-    minerror_eigenvalues,
     minerror_probability,
-    optimal_q,
     total_failure,
 )
 from .errors import OracleError, PreconditionError, QudiscError
 from .spectrum import (
-    BlockPriors,
     JordanBlock,
     JordanSpectrum,
     ProblemConfig,
-    block_priors,
     canonicalize,
     jordan_spectrum,
     multiplicity,
@@ -48,13 +41,11 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticBounds", "BlockPriors", "Branch", "JordanBlock", "JordanSpectrum",
+    "AsymptoticBounds", "Branch", "JordanBlock", "JordanSpectrum",
     "MinErrorResult", "OracleError", "Partition", "PreconditionError",
     "ProblemConfig", "QudiscError", "UnambiguousResult", "asymptotic_bounds",
-    "binomial", "block_failure", "block_priors", "bound_p0", "bound_q0",
-    "boundaries", "canonicalize", "equal_copies_failure", "hook_lengths",
-    "jordan_spectrum", "log_gamma_half", "minerror_eigenvalues",
-    "minerror_probability", "multiplicity", "optimal_q", "overlap",
-    "overlap_via_6j", "partitions", "sym_group_dim", "total_failure",
+    "binomial", "bound_p0", "bound_q0", "canonicalize", "hook_lengths",
+    "jordan_spectrum", "log_gamma_half", "minerror_probability", "multiplicity",
+    "overlap", "overlap_via_6j", "partitions", "sym_group_dim", "total_failure",
     "unitary_dim", "wigner_6j",
 ]

@@ -13,13 +13,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 
-from .discrimination import (
-    asymptotic_bounds,
-    bound_p0,
-    bound_q0,
-    minerror_probability,
-    total_failure,
-)
+from .discrimination import asymptotic_bounds, minerror_probability, total_failure
 from .errors import PreconditionError
 from .spectrum import ProblemConfig, canonicalize, jordan_spectrum
 from . import verify as verify_mod
@@ -137,18 +131,16 @@ def cmd_minerror(args, out) -> int:
 
 
 def cmd_bounds(args, out) -> int:
-    cfg = ProblemConfig(args.dim, args.na, args.nb, args.nc, args.eta1)
-    p0 = bound_p0(cfg)
-    equal_programs = cfg.n_a == cfg.n_c
-    q0 = bound_q0(cfg) if equal_programs else None
-    payload = {"config": _config_dict(cfg), "q0": q0, "p0": p0}
-    lines = [f"P0 = {_fmt(p0)}"]
-    if equal_programs:
-        lines.insert(0, f"Q0 = {_fmt(q0)}")
-    else:
+    cfg = _config_from_args(args)
+    bounds = asymptotic_bounds(cfg)
+    payload = {"config": _config_dict(cfg), "q0": bounds.q0, "p0": bounds.p0}
+    lines = [f"P0 = {_fmt(bounds.p0)}"]
+    if bounds.q0 is None:
         lines.append("Q0 undefined: requires n_a = n_c")
+    else:
+        lines.insert(0, f"Q0 = {_fmt(bounds.q0)}")
     _emit(out, payload, args.json, lines)
-    if not equal_programs:
+    if bounds.q0 is None:
         print("error: Q0 requires n_a = n_c", file=sys.stderr)
         return EXIT_PRECONDITION
     return EXIT_OK
@@ -184,18 +176,18 @@ class SweepRequest:
 
 
 def _sweep_rows(req: SweepRequest) -> list[dict]:
-    equal_programs = req.n_a == req.n_c
     rows = []
     for n in range(req.dim_min, req.dim_max + 1):
         cfg = ProblemConfig(n, req.n_a, req.n_b, req.n_c, req.eta1)
+        spectrum = jordan_spectrum(canonicalize(cfg)[0])
         bounds = asymptotic_bounds(cfg)
         rows.append(
             {
                 "n": n, "n_A": req.n_a, "n_B": req.n_b, "n_C": req.n_c,
                 "eta1": req.eta1,
-                "Q_opt": total_failure(cfg).q_total,
-                "P_ME": minerror_probability(cfg).p_me,
-                "Q0": bounds.q0 if equal_programs else None,
+                "Q_opt": total_failure(cfg, spectrum).q_total,
+                "P_ME": minerror_probability(cfg, spectrum).p_me,
+                "Q0": bounds.q0,
                 "P0": bounds.p0,
             }
         )
@@ -253,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
-    p = sub.add_parser("bounds", help="large-dimension bounds Q0 and P0")
-    _add_config_flags(p, dim_default=2)
+    p = sub.add_parser("bounds", help="large-dimension bounds Q0 and P0 (even priors)")
+    _add_config_flags(p, dim_default=2, with_eta=False)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write output to this path instead of stdout")
 

@@ -1,10 +1,15 @@
 """Closed-form optimal discrimination between the two mean input states.
 
-Per Jordan block the problem is a two-pure-state one: unambiguous
-discrimination with a three-branch optimum in the prior, and a 2x2
-Helstrom eigenvalue problem for minimum error.  Large ratios of exact
-integers are kept as Fractions until the final float conversion so the
-totals hold up to the 1e-9/1e-12 tolerances downstream.
+Per Jordan block the problem is a two-pure-state one with cosine O_k,
+multiplicity d^k and block priors A_k = eta1 d^k/d1, B_k = eta2 d^k/d2:
+unambiguous discrimination with a three-branch optimum in the prior, and
+a 2x2 Helstrom eigenvalue problem for minimum error.  One loop,
+``_solve_blocks``, solves every block for both.  The branch test is exact
+(rational thresholds against the prior); the block priors are floats
+formed by correctly rounded integer division, so no rank is ever
+converted to a float on its own, and every sum is cancellation-free
+(no ``(1 - sum)/2`` differences), so tiny optima keep their relative
+accuracy.
 
 Known erratum handled here: the source table's third unambiguous branch
 prints q1 = O_k, which is inconsistent with its own failure probability
@@ -47,58 +52,94 @@ def boundaries(k: int, spectrum: JordanSpectrum, cfg: ProblemConfig) -> tuple[Fr
     return c_k, d_k
 
 
-def _select_branch(eta1: float, c_k: Fraction, d_k: Fraction) -> Branch:
-    if eta1 < c_k:
-        return Branch.LOW
-    if eta1 > d_k:
-        return Branch.HIGH
-    return Branch.MIDDLE
+def _helstrom_error(a: float, b: float, o2: float, sin2: float) -> float:
+    """Minimum error of two pure states with weights a, b and squared
+    overlap o2 = 1 - sin2, in the form free of the 1 - sqrt(...) difference.
+    No product a*b is formed, so weights near the bottom of the float range
+    keep their term; weights that are both 0.0 give 0.0."""
+    denom = a + b + math.hypot(a - b, 2.0 * math.sqrt(a * sin2) * math.sqrt(b))
+    return 2.0 * a * (b / denom) * o2 if denom else 0.0
 
 
-def optimal_q(
-    k: int,
+@dataclass(frozen=True)
+class _SolvedBlock:
+    """One Jordan block in the canonical labeling.  ``q_block`` and the
+    eigenvalues are per Jordan pair; ``q_term`` and ``p_term`` are the
+    block's share of Q_opt and P_ME."""
+
+    k: int
+    multiplicity: int
+    branch: Branch
+    c_k: Fraction
+    d_k: Fraction
+    q1: float
+    q2: float
+    q_block: float
+    q_term: float
+    lambda_plus: float
+    lambda_minus: float
+    p_term: float
+
+
+def _solve_blocks(
+    canonical: ProblemConfig,
     spectrum: JordanSpectrum,
-    cfg: ProblemConfig,
-    *,
     printed_high_branch: bool = False,
-) -> tuple[Branch, float, float]:
-    """Optimal failure parameters (q1, q2) of block k, plus which branch of
-    the piecewise optimum applies at the configured prior.
+) -> list[_SolvedBlock]:
+    """Both optima, block by block.
 
     ``printed_high_branch`` substitutes the erratum value q1 = O_k in the
     HIGH branch; only the verifier's negative control should set it.
     """
-    block = spectrum.blocks[k]
-    c_k, d_k = boundaries(k, spectrum, cfg)
-    branch = _select_branch(cfg.eta1, c_k, d_k)
-    o2 = float(block.overlap_sq)
-    if branch is Branch.LOW:
-        q1, q2 = 1.0, o2
-    elif branch is Branch.HIGH:
-        # q1 q2 = O_k^2 without a division: O_k^2 underflows to 0.0 at a
-        # few hundred copies
-        q1, q2 = o2, 1.0
-        if printed_high_branch:
-            q1, q2 = block.overlap, o2 / block.overlap
-    else:
-        root = math.sqrt(cfg.eta2 * spectrum.d1 / (cfg.eta1 * spectrum.d2))
-        q1, q2 = root * block.overlap, block.overlap / root
-    return branch, q1, q2
-
-
-def block_failure(k: int, spectrum: JordanSpectrum, cfg: ProblemConfig) -> float:
-    """Per-vector inconclusive probability of block k at its optimum."""
-    block = spectrum.blocks[k]
-    c_k, d_k = boundaries(k, spectrum, cfg)
-    branch = _select_branch(cfg.eta1, c_k, d_k)
+    eta1, eta2 = canonical.eta1, canonical.eta2
     d1, d2 = spectrum.d1, spectrum.d2
-    o2 = float(block.overlap_sq)
-    if branch is Branch.LOW:
-        return cfg.eta1 / d1 + cfg.eta2 * o2 / d2
-    if branch is Branch.HIGH:
-        return cfg.eta1 * o2 / d1 + cfg.eta2 / d2
-    # one root per register: d1*d2 can pass the float range where d1, d2 do not
-    return 2.0 * math.sqrt(cfg.eta1 / d1) * math.sqrt(cfg.eta2 / d2) * block.overlap
+    # per-pair weights; 1/d underflows to 0.0 where d itself has no float
+    a, b = eta1 * (1 / d1), eta2 * (1 / d2)
+    # trace of each pair's 2x2 Helstrom block, exact: b - a cancels
+    c_minus = float(Fraction(eta2) / d2 - Fraction(eta1) / d1)
+    solved = []
+    for block in spectrum.blocks:
+        o = block.overlap
+        o2 = float(block.overlap_sq)
+        sin2 = float(1 - block.overlap_sq)
+        weight_a = eta1 * (block.multiplicity / d1)
+        weight_b = eta2 * (block.multiplicity / d2)
+        c_k, d_k = boundaries(block.k, spectrum, canonical)
+        if eta1 < c_k:
+            branch, q1, q2 = Branch.LOW, 1.0, o2
+        elif eta1 > d_k:
+            # q1 q2 = O_k^2 without a division: O_k^2 underflows to 0.0 at a
+            # few hundred copies
+            branch, q1, q2 = Branch.HIGH, o2, 1.0
+            if printed_high_branch:
+                q1, q2 = o, o2 / o
+        else:
+            branch = Branch.MIDDLE
+            scale = math.sqrt(eta2 / eta1 * (d1 / d2))
+            q1, q2 = scale * o, o / scale
+        if branch is Branch.MIDDLE:
+            q_block = 2.0 * math.sqrt(a) * math.sqrt(b) * o
+            q_term = 2.0 * math.sqrt(weight_a) * math.sqrt(weight_b) * o
+        else:
+            q_block = a * q1 + b * q2
+            q_term = weight_a * q1 + weight_b * q2
+
+        # lambda_plus + lambda_minus = b - a and lambda_plus * lambda_minus
+        # = -a b (1 - O^2): the larger magnitude from the root, the smaller
+        # from the product, so neither is a difference of near-equal terms;
+        # hypot keeps the root where a*b underflows
+        root = math.hypot(c_minus, 2.0 * math.sqrt(a * sin2) * math.sqrt(b))
+        big = (abs(c_minus) + root) / 2.0
+        small = a * (b / big) * sin2 if big else 0.0
+        if c_minus >= 0:
+            lam_plus, lam_minus = big, 0.0 - small  # 0.0 - x never gives -0.0
+        else:
+            lam_plus, lam_minus = small, -big
+        solved.append(_SolvedBlock(
+            block.k, block.multiplicity, branch, c_k, d_k, q1, q2, q_block, q_term,
+            lam_plus, lam_minus, _helstrom_error(weight_a, weight_b, o2, sin2),
+        ))
+    return solved
 
 
 @dataclass(frozen=True)
@@ -125,18 +166,6 @@ class UnambiguousResult:
     swapped: bool
 
 
-def _block_contribution(
-    branch: Branch, q1: float, q2: float, block, spectrum, cfg
-) -> float:
-    """d^k * Q_k, computed through d^k/d1 and d^k/d2 ratios so huge integer
-    dimensions never lose precision in intermediate floats."""
-    ratio1 = float(Fraction(block.multiplicity, spectrum.d1))
-    ratio2 = float(Fraction(block.multiplicity, spectrum.d2))
-    if branch is Branch.MIDDLE:
-        return 2.0 * math.sqrt(cfg.eta1 * cfg.eta2 * ratio1 * ratio2) * block.overlap
-    return cfg.eta1 * q1 * ratio1 + cfg.eta2 * q2 * ratio2
-
-
 def total_failure(
     cfg: ProblemConfig,
     spectrum: JordanSpectrum | None = None,
@@ -146,76 +175,42 @@ def total_failure(
     """Optimal total inconclusive probability Q and the per-block strategy.
 
     Accepts any config; canonicalizes internally and maps the report back
-    to the caller's labeling.
+    to the caller's labeling.  A given ``spectrum`` must be that of the
+    canonical config.  ``printed_high_branch`` builds the strategy from
+    the erratum q1 = O_k (negative control only).
     """
     canonical, swapped = canonicalize(cfg)
     if spectrum is None:
         spectrum = jordan_spectrum(canonical)
+    solved = _solve_blocks(canonical, spectrum, printed_high_branch)
     blocks = []
-    q_total = 0.0
-    for block in spectrum.blocks:
-        c_k, d_k = boundaries(block.k, spectrum, canonical)
-        branch, q1, q2 = optimal_q(
-            block.k, spectrum, canonical, printed_high_branch=printed_high_branch
-        )
-        q_total += _block_contribution(branch, q1, q2, block, spectrum, canonical)
-        q_block = block_failure(block.k, spectrum, canonical)
+    for s in solved:
+        branch, q1, q2, c_k, d_k = s.branch, s.q1, s.q2, s.c_k, s.d_k
         if swapped:
-            q1, q2 = q2, q1
             branch = {Branch.LOW: Branch.HIGH, Branch.HIGH: Branch.LOW}.get(branch, branch)
+            q1, q2 = q2, q1
             c_k, d_k = 1 - d_k, 1 - c_k
         blocks.append(
             UnambiguousBlock(
-                k=block.k,
+                k=s.k,
                 branch=branch,
                 q1=q1,
                 q2=q2,
                 c_k=float(c_k),
                 d_k=float(d_k),
-                q_block=q_block,
-                multiplicity=block.multiplicity,
+                q_block=s.q_block,
+                multiplicity=s.multiplicity,
             )
         )
     return UnambiguousResult(
-        config=cfg, blocks=tuple(blocks), q_total=q_total, swapped=swapped
-    )
-
-
-def equal_copies_failure(cfg: ProblemConfig, spectrum: JordanSpectrum | None = None) -> float:
-    """Reduced form of the optimum for n_a = n_c at even priors:
-    Q = (1/d1) sum_k d^k O_k."""
-    if cfg.n_a != cfg.n_c:
-        raise PreconditionError("equal-copies formula needs n_a == n_c")
-    if abs(cfg.eta1 - 0.5) > 1e-12:
-        raise PreconditionError("equal-copies formula needs eta1 = eta2 = 1/2")
-    if spectrum is None:
-        spectrum = jordan_spectrum(cfg)
-    return sum(
-        float(Fraction(b.multiplicity, spectrum.d1)) * b.overlap for b in spectrum.blocks
+        config=cfg,
+        blocks=tuple(blocks),
+        q_total=sum(s.q_term for s in solved),
+        swapped=swapped,
     )
 
 
 # --- minimum error ----------------------------------------------------------
-
-def _c_plus_minus(spectrum: JordanSpectrum, cfg: ProblemConfig) -> tuple[Fraction, Fraction]:
-    e1 = Fraction(cfg.eta1) / spectrum.d1
-    e2 = Fraction(cfg.eta2) / spectrum.d2
-    return e2 + e1, e2 - e1
-
-
-def minerror_eigenvalues(
-    k: int, spectrum: JordanSpectrum, cfg: ProblemConfig
-) -> tuple[float, float]:
-    """Eigenvalue pair of the 2x2 Helstrom block: one nonnegative, one
-    nonpositive, summing to the block trace."""
-    c_plus, c_minus = _c_plus_minus(spectrum, cfg)
-    o2 = spectrum.blocks[k].overlap_sq
-    radicand = c_plus**2 - (c_plus**2 - c_minus**2) * o2
-    root = math.sqrt(float(radicand))
-    lam_plus = (float(c_minus) + root) / 2.0
-    lam_minus = (float(c_minus) - root) / 2.0
-    return max(lam_plus, 0.0), min(lam_minus, 0.0)
-
 
 @dataclass(frozen=True)
 class MinErrorBlock:
@@ -242,33 +237,20 @@ class MinErrorResult:
 def minerror_probability(
     cfg: ProblemConfig, spectrum: JordanSpectrum | None = None
 ) -> MinErrorResult:
-    """Helstrom minimum-error probability between the two mean states."""
+    """Helstrom minimum-error probability between the two mean states.
+    A given ``spectrum`` must be that of the canonical config."""
     canonical, swapped = canonicalize(cfg)
     if spectrum is None:
         spectrum = jordan_spectrum(canonical)
-    c_plus, c_minus = _c_plus_minus(spectrum, canonical)
-    blocks = []
-    trace_norm_paired = 0.0
-    for block in spectrum.blocks:
-        lam_plus, lam_minus = minerror_eigenvalues(block.k, spectrum, canonical)
-        blocks.append(
-            MinErrorBlock(block.k, lam_plus, lam_minus, block.multiplicity)
-        )
-        # d^k * sqrt(radicand) as sqrt((d^k)^2 * radicand): exact under the root
-        radicand = c_plus**2 - (c_plus**2 - c_minus**2) * block.overlap_sq
-        trace_norm_paired += math.sqrt(float(block.multiplicity**2 * radicand))
-    p_me = (
-        canonical.eta1
-        + canonical.eta2 * float(Fraction(spectrum.d1, spectrum.d2))
-        - trace_norm_paired
-    ) / 2.0
-    p_me = min(max(p_me, 0.0), 0.5)
+    solved = _solve_blocks(canonical, spectrum)
     return MinErrorResult(
         config=cfg,
-        blocks=tuple(blocks),
-        residual_eigenvalue=canonical.eta2 / spectrum.d2,
+        blocks=tuple(
+            MinErrorBlock(s.k, s.lambda_plus, s.lambda_minus, s.multiplicity) for s in solved
+        ),
+        residual_eigenvalue=canonical.eta2 * (1 / spectrum.d2),
         residual_multiplicity=spectrum.d2 - spectrum.d1,
-        p_me=p_me,
+        p_me=sum(s.p_term for s in solved),
         swapped=swapped,
     )
 
@@ -290,7 +272,8 @@ def bound_q0(cfg: ProblemConfig) -> float:
 
 def bound_p0(cfg: ProblemConfig) -> float:
     """n -> infinity limit of the minimum-error optimum (even priors):
-    the per-block multiplicity fractions go to an exact factorial ratio."""
+    the per-block multiplicity fractions go to an exact factorial ratio,
+    and each block is a Helstrom problem with both priors at half of it."""
     canonical, _ = canonicalize(cfg)
     total = canonical.total_copies
     fac = math.factorial
@@ -301,8 +284,9 @@ def bound_p0(cfg: ProblemConfig) -> float:
             (total - 2 * k + 1) * fac(canonical.n1) * fac(canonical.n_c),
             (total - k + 1) * fac(k) * fac(total - k),
         )
-        acc += float(coeff) * math.sqrt(1.0 - float(o2))
-    return (1.0 - acc) / 2.0
+        half = float(coeff) / 2
+        acc += _helstrom_error(half, half, float(o2), float(1 - o2))
+    return acc
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .combinatorics import Partition, binomial, unitary_dim
+from .combinatorics import binomial
 from .errors import PreconditionError
 
 PRIOR_TOL = 1e-12
@@ -165,27 +165,6 @@ def jordan_spectrum(cfg: ProblemConfig) -> JordanSpectrum:
     return JordanSpectrum(blocks=blocks, d1=cfg.d1, d2=cfg.d2, k_max=cfg.k_max)
 
 
-@dataclass(frozen=True)
-class BlockPriors:
-    """Occurrence probability of one Jordan pair and the conditional priors
-    of the two hypotheses inside it."""
-
-    p_block: float
-    eta_block_1: float
-    eta_block_2: float
-
-
-def block_priors(cfg: ProblemConfig) -> BlockPriors:
-    p1 = Fraction(cfg.eta1) / cfg.d1
-    p2 = Fraction(cfg.eta2) / cfg.d2
-    p = p1 + p2
-    return BlockPriors(
-        p_block=float(p),
-        eta_block_1=float(p1 / p),
-        eta_block_2=float(p2 / p),
-    )
-
-
 # --- Racah 6j evaluation (exact rational internals) ------------------------
 
 def _as_twice(j) -> int:
@@ -248,8 +227,3 @@ def overlap_via_6j(k: int, cfg: ProblemConfig) -> float:
     prefactor = math.sqrt((cfg.n1 + 1) * (cfg.n2 + 1))
     return sign * prefactor * wigner_6j(j_a, j_b, j_ab, j_c, J, j_bc)
 
-
-def closed_form_matches_robinson(k: int, cfg: ProblemConfig) -> bool:
-    """Cross-check hook: table multiplicity vs the Robinson formula."""
-    shape = Partition.two_row(cfg.total_copies, k)
-    return multiplicity(k, cfg) == unitary_dim(shape, cfg.n)

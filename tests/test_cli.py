@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from qudisc import cli
+from qudisc import cli, discrimination
 from qudisc.discrimination import minerror_probability, total_failure
-from qudisc.spectrum import ProblemConfig
+from qudisc.spectrum import ProblemConfig, jordan_spectrum
 
 
 def run(argv, capsys):
@@ -128,6 +128,12 @@ class TestBounds:
         assert code == 3
         assert json.loads(out)["q0"] is None
 
+    def test_prior_flag_rejected(self):
+        # the bounds are even-prior limits: a prior flag would be ignored
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["bounds", "--na", "1", "--nb", "1", "--nc", "1", "--eta1", "0.3"])
+        assert excinfo.value.code == 2
+
 
 class TestVerify:
     ARGS = ["verify", "--max-total-dim", "64", "--samples", "4000"]
@@ -172,6 +178,21 @@ class TestSweep:
         first = run(argv, capsys)
         second = run(argv, capsys)
         assert first == second
+
+    def test_one_spectrum_per_row(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.n)
+            return jordan_spectrum(cfg)
+
+        monkeypatch.setattr(cli, "jordan_spectrum", counting)
+        monkeypatch.setattr(discrimination, "jordan_spectrum", counting)
+        code, _, _ = run(
+            ["sweep", "--dim-max", "5", "--na", "1", "--nb", "2", "--nc", "3"], capsys
+        )
+        assert code == 0
+        assert calls == [2, 3, 4, 5]
 
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"

@@ -8,14 +8,10 @@ import pytest
 
 from qudisc.discrimination import (
     Branch,
-    block_failure,
     bound_p0,
     bound_q0,
     boundaries,
-    equal_copies_failure,
-    minerror_eigenvalues,
     minerror_probability,
-    optimal_q,
     total_failure,
 )
 from qudisc.errors import PreconditionError
@@ -55,37 +51,34 @@ class TestBoundaries:
 
 class TestOptimalQ:
     def test_even_priors_equal_ranks_is_middle(self):
-        cfg, spec = spectrum_of(ALL_ONES)
-        branch, q1, q2 = optimal_q(1, spec, cfg)
-        assert branch is Branch.MIDDLE
-        assert q1 == pytest.approx(0.5, abs=1e-15)
-        assert q2 == pytest.approx(0.5, abs=1e-15)
+        block = total_failure(ALL_ONES).blocks[1]
+        assert block.branch is Branch.MIDDLE
+        assert block.q1 == pytest.approx(0.5, abs=1e-15)
+        assert block.q2 == pytest.approx(0.5, abs=1e-15)
 
     def test_high_prior_branch(self):
-        cfg, spec = spectrum_of(ProblemConfig(2, 1, 1, 1, 0.9))
-        branch, q1, q2 = optimal_q(1, spec, cfg)
-        assert branch is Branch.HIGH
-        assert (q1, q2) == (pytest.approx(0.25), pytest.approx(1.0))
+        block = total_failure(ProblemConfig(2, 1, 1, 1, 0.9)).blocks[1]
+        assert block.branch is Branch.HIGH
+        assert (block.q1, block.q2) == (pytest.approx(0.25), pytest.approx(1.0))
 
     def test_low_prior_branch_mirrors_high(self):
-        cfg, spec = spectrum_of(ProblemConfig(2, 1, 1, 1, 0.1))
-        branch, q1, q2 = optimal_q(1, spec, cfg)
-        assert branch is Branch.LOW
-        assert (q1, q2) == (pytest.approx(1.0), pytest.approx(0.25))
+        block = total_failure(ProblemConfig(2, 1, 1, 1, 0.1)).blocks[1]
+        assert block.branch is Branch.LOW
+        assert (block.q1, block.q2) == (pytest.approx(1.0), pytest.approx(0.25))
 
     def test_printed_high_branch_is_different(self):
-        cfg, spec = spectrum_of(ProblemConfig(2, 1, 1, 1, 0.9))
-        _, q1, q2 = optimal_q(1, spec, cfg, printed_high_branch=True)
-        assert q1 == pytest.approx(0.5)  # the inconsistent table value
-        assert q2 == pytest.approx(0.5)
+        cfg = ProblemConfig(2, 1, 1, 1, 0.9)
+        block = total_failure(cfg, printed_high_branch=True).blocks[1]
+        assert block.q1 == pytest.approx(0.5)  # the inconsistent table value
+        assert block.q2 == pytest.approx(0.5)
 
     def test_product_invariant_over_grid_and_priors(self):
         for eta1 in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
             for copies in product((1, 2, 3), repeat=3):
                 cfg, spec = spectrum_of(ProblemConfig(3, *copies, eta1))
-                for k in range(cfg.k_max + 1):
-                    _, q1, q2 = optimal_q(k, spec, cfg)
-                    o2 = float(spec.blocks[k].overlap_sq)
+                for block in total_failure(cfg, spec).blocks:
+                    q1, q2 = block.q1, block.q2
+                    o2 = float(spec.blocks[block.k].overlap_sq)
                     assert q1 * q2 == pytest.approx(o2, abs=1e-12)
                     assert o2 - 1e-12 <= q1 <= 1 + 1e-12
                     assert o2 - 1e-12 <= q2 <= 1 + 1e-12
@@ -93,13 +86,12 @@ class TestOptimalQ:
 
 class TestBlockFailure:
     def test_middle_branch_value(self):
-        cfg, spec = spectrum_of(ALL_ONES)
-        assert block_failure(1, spec, cfg) == pytest.approx(1 / 12, abs=1e-15)
+        assert total_failure(ALL_ONES).blocks[1].q_block == pytest.approx(1 / 12, abs=1e-15)
 
     def test_degenerate_block_value(self):
-        cfg, spec = spectrum_of(ProblemConfig(2, 2, 1, 1, 0.5))
+        block = total_failure(ProblemConfig(2, 2, 1, 1, 0.5)).blocks[0]
         # O_0 = 1 sits past d_0 = 8/17 at eta1 = 1/2: HIGH branch formula
-        assert block_failure(0, spec, cfg) == pytest.approx(0.5 / 8 + 0.5 / 9, abs=1e-15)
+        assert block.q_block == pytest.approx(0.5 / 8 + 0.5 / 9, abs=1e-15)
 
     def test_continuity_at_branch_boundaries(self):
         for copies in product((1, 2, 3), repeat=3):
@@ -151,47 +143,53 @@ class TestTotalFailure:
             assert 0.0 < result.q_total <= 1.0
 
 
+def equal_copies_sum(cfg):
+    """Reduced form of the optimum for n_a = n_c at even priors:
+    Q = (1/d1) sum_k d^k O_k."""
+    _, spec = spectrum_of(cfg)
+    return sum(b.multiplicity / spec.d1 * b.overlap for b in spec.blocks)
+
+
 class TestEqualCopies:
     def test_matches_total_failure(self):
         for n, copies in product((2, 3, 4), ((1, 1, 1), (2, 1, 2), (3, 2, 3), (2, 3, 2))):
             cfg = ProblemConfig(n, *copies, 0.5)
-            assert equal_copies_failure(cfg) == pytest.approx(
+            assert equal_copies_sum(cfg) == pytest.approx(
                 total_failure(cfg).q_total, abs=1e-12
             )
 
     def test_all_ones_closed_form(self):
         for n in range(2, 30):
             cfg = ProblemConfig(n, 1, 1, 1, 0.5)
-            assert equal_copies_failure(cfg) == pytest.approx(
+            assert total_failure(cfg).q_total == pytest.approx(
                 (2 * n + 1) / (3 * n), abs=1e-12
             )
 
     def test_preconditions(self):
-        with pytest.raises(PreconditionError):
-            equal_copies_failure(ProblemConfig(2, 2, 1, 1, 0.5))
-        with pytest.raises(PreconditionError):
-            equal_copies_failure(ProblemConfig(2, 1, 1, 1, 0.4))
+        # the reduced form needs both n_a = n_c and even priors
+        for cfg in (ProblemConfig(2, 2, 1, 1, 0.5), ProblemConfig(2, 1, 1, 1, 0.4)):
+            assert abs(equal_copies_sum(cfg) - total_failure(cfg).q_total) > 1e-3
 
 
 class TestMinError:
     def test_all_ones_eigenvalues(self):
-        cfg, spec = spectrum_of(ALL_ONES)
-        lam_plus, lam_minus = minerror_eigenvalues(1, spec, cfg)
-        assert lam_plus == pytest.approx(math.sqrt(3) / 24, abs=1e-15)
-        assert lam_minus == pytest.approx(-math.sqrt(3) / 24, abs=1e-15)
+        block = minerror_probability(ALL_ONES).blocks[1]
+        assert block.lambda_plus == pytest.approx(math.sqrt(3) / 24, abs=1e-15)
+        assert block.lambda_minus == pytest.approx(-math.sqrt(3) / 24, abs=1e-15)
 
     def test_degenerate_block_eigenvalues(self):
-        cfg, spec = spectrum_of(ALL_ONES)
-        assert minerror_eigenvalues(0, spec, cfg) == (0.0, 0.0)
+        block = minerror_probability(ALL_ONES).blocks[0]
+        assert (block.lambda_plus, block.lambda_minus) == (0.0, 0.0)
 
     def test_sign_and_trace_over_grid(self):
         for copies, eta1 in product(product((1, 2, 3), repeat=3), (0.1, 0.5, 0.9)):
             cfg, spec = spectrum_of(ProblemConfig(3, *copies, eta1))
             c_minus = cfg.eta2 / spec.d2 - cfg.eta1 / spec.d1
-            for k in range(cfg.k_max + 1):
-                lam_plus, lam_minus = minerror_eigenvalues(k, spec, cfg)
-                assert lam_plus >= 0.0 >= lam_minus
-                assert lam_plus + lam_minus == pytest.approx(c_minus, abs=1e-12)
+            for block in minerror_probability(cfg, spec).blocks:
+                assert block.lambda_plus >= 0.0 >= block.lambda_minus
+                assert block.lambda_plus + block.lambda_minus == pytest.approx(
+                    c_minus, abs=1e-12
+                )
 
     def test_known_totals(self):
         assert minerror_probability(ALL_ONES).p_me == pytest.approx(

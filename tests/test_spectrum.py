@@ -1,4 +1,4 @@
-"""Jordan-block spectrum: overlaps, multiplicities, priors, 6j symbols."""
+"""Jordan-block spectrum: overlaps, multiplicities, 6j symbols."""
 
 import math
 from fractions import Fraction
@@ -12,7 +12,6 @@ from qudisc.combinatorics import Partition, unitary_dim
 from qudisc.errors import PreconditionError
 from qudisc.spectrum import (
     ProblemConfig,
-    block_priors,
     canonicalize,
     jordan_spectrum,
     multiplicity,
@@ -141,13 +140,6 @@ class TestJordanSpectrum:
     def test_requires_canonical_config(self):
         with pytest.raises(PreconditionError):
             jordan_spectrum(ProblemConfig(2, 1, 1, 2, 0.5))
-
-
-def test_block_priors_even_case():
-    priors = block_priors(ProblemConfig(2, 2, 1, 1, 0.5))
-    assert priors.p_block == pytest.approx(17 / 144, abs=1e-15)
-    assert priors.eta_block_1 == pytest.approx(9 / 17, abs=1e-15)
-    assert priors.eta_block_1 + priors.eta_block_2 == pytest.approx(1.0, abs=1e-15)
 
 
 class TestWigner6j:
