@@ -9,9 +9,6 @@ from .combinatorics import (
     Partition,
     binomial,
     hook_lengths,
-    log_gamma_half,
-    partitions,
-    sym_group_dim,
     unitary_dim,
 )
 from .discrimination import (
@@ -45,7 +42,6 @@ __all__ = [
     "MinErrorResult", "OracleError", "Partition", "PreconditionError",
     "ProblemConfig", "QudiscError", "UnambiguousResult", "asymptotic_bounds",
     "binomial", "bound_p0", "bound_q0", "canonicalize", "hook_lengths",
-    "jordan_spectrum", "log_gamma_half", "minerror_probability", "multiplicity",
-    "overlap", "overlap_via_6j", "partitions", "sym_group_dim", "total_failure",
-    "unitary_dim", "wigner_6j",
+    "jordan_spectrum", "minerror_probability", "multiplicity", "overlap",
+    "overlap_via_6j", "total_failure", "unitary_dim", "wigner_6j",
 ]

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from .discrimination import asymptotic_bounds, minerror_probability, total_failure
 from .errors import PreconditionError
@@ -25,15 +25,31 @@ EXIT_PRECONDITION = 3
 EXIT_IO_ERROR = 4
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _text(value) -> str:
+    """One value as printed in a text table, footer line or CSV cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
 
 
-def _config_dict(cfg: ProblemConfig) -> dict:
-    return {
-        "n": cfg.n, "n_a": cfg.n_a, "n_b": cfg.n_b, "n_c": cfg.n_c,
-        "eta1": cfg.eta1, "eta2": cfg.eta2,
-    }
+def _emit(out, as_json: bool, payload, columns=(), footer=()) -> None:
+    """Write ``payload`` as JSON, or as text: a table of ``payload["blocks"]``
+    under ``(header, key)`` columns, then one ``label = value`` line per
+    ``(label, value)`` footer item; a str footer item is a line as it stands."""
+    if as_json:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        return
+    lines = []
+    if columns:
+        lines.append(" ".join(header for header, _ in columns))
+        lines += [" ".join(_text(block[key]) for _, key in columns) for block in payload["blocks"]]
+    lines += [item if isinstance(item, str) else f"{item[0]} = {_text(item[1])}"
+              for item in footer]
+    out.write("\n".join(lines) + "\n")
 
 
 def _config_from_args(args: argparse.Namespace) -> ProblemConfig:
@@ -41,33 +57,20 @@ def _config_from_args(args: argparse.Namespace) -> ProblemConfig:
     return ProblemConfig(args.dim, args.na, args.nb, args.nc, eta1)
 
 
-def _emit(out, payload: dict, as_json: bool, text_lines: list[str]) -> None:
-    if as_json:
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write("\n".join(text_lines) + "\n")
-
-
 def cmd_spectrum(args, out) -> int:
     cfg = _config_from_args(args)
     canonical, swapped = canonicalize(cfg)
     spec = jordan_spectrum(canonical)
+    keys = ("k", "overlap", "multiplicity")  # the exact overlap_sq stays out
     payload = {
-        "config": _config_dict(cfg),
-        "blocks": [
-            {"k": b.k, "overlap": b.overlap, "multiplicity": b.multiplicity}
-            for b in spec.blocks
-        ],
+        "config": asdict(cfg),
+        "blocks": [{key: getattr(b, key) for key in keys} for b in spec.blocks],
         "d1": spec.d1, "d2": spec.d2, "gap": spec.d2 - spec.d1,
         "swapped": swapped,
     }
-    lines = ["k overlap multiplicity"]
-    lines += [f"{b.k} {_fmt(b.overlap)} {b.multiplicity}" for b in spec.blocks]
-    lines += [
-        f"d1 = {spec.d1}", f"d2 = {spec.d2}", f"d2 - d1 = {spec.d2 - spec.d1}",
-        f"swapped = {str(swapped).lower()}",
-    ]
-    _emit(out, payload, args.json, lines)
+    _emit(out, args.json, payload, [(key, key) for key in keys],
+          [("d1", spec.d1), ("d2", spec.d2), ("d2 - d1", payload["gap"]),
+           ("swapped", swapped)])
     return EXIT_OK
 
 
@@ -75,26 +78,15 @@ def cmd_unambiguous(args, out) -> int:
     cfg = _config_from_args(args)
     result = total_failure(cfg)
     payload = {
-        "config": _config_dict(cfg),
-        "blocks": [
-            {
-                "k": b.k, "branch": b.branch.value, "q1": b.q1, "q2": b.q2,
-                "c_k": b.c_k, "d_k": b.d_k, "q_block": b.q_block,
-                "multiplicity": b.multiplicity,
-            }
-            for b in result.blocks
-        ],
+        "config": asdict(cfg),
+        "blocks": [asdict(b) | {"branch": b.branch.value} for b in result.blocks],
         "total": result.q_total,
         "swapped": result.swapped,
     }
-    lines = ["k branch q1 q2 c_k d_k Q_k multiplicity"]
-    lines += [
-        f"{b.k} {b.branch.value} {_fmt(b.q1)} {_fmt(b.q2)} {_fmt(b.c_k)} "
-        f"{_fmt(b.d_k)} {_fmt(b.q_block)} {b.multiplicity}"
-        for b in result.blocks
-    ]
-    lines += [f"Q_opt = {_fmt(result.q_total)}", f"swapped = {str(result.swapped).lower()}"]
-    _emit(out, payload, args.json, lines)
+    columns = [(key, key) for key in ("k", "branch", "q1", "q2", "c_k", "d_k")]
+    _emit(out, args.json, payload,
+          columns + [("Q_k", "q_block"), ("multiplicity", "multiplicity")],
+          [("Q_opt", result.q_total), ("swapped", result.swapped)])
     return EXIT_OK
 
 
@@ -102,44 +94,31 @@ def cmd_minerror(args, out) -> int:
     cfg = _config_from_args(args)
     result = minerror_probability(cfg)
     payload = {
-        "config": _config_dict(cfg),
-        "blocks": [
-            {
-                "k": b.k, "lambda_plus": b.lambda_plus,
-                "lambda_minus": b.lambda_minus, "multiplicity": b.multiplicity,
-            }
-            for b in result.blocks
-        ],
+        "config": asdict(cfg),
+        "blocks": [asdict(b) for b in result.blocks],
         "residual_eigenvalue": result.residual_eigenvalue,
         "residual_multiplicity": result.residual_multiplicity,
         "total": result.p_me,
         "swapped": result.swapped,
     }
-    lines = ["k lambda_plus lambda_minus multiplicity"]
-    lines += [
-        f"{b.k} {_fmt(b.lambda_plus)} {_fmt(b.lambda_minus)} {b.multiplicity}"
-        for b in result.blocks
-    ]
-    lines += [
-        f"residual eigenvalue = {_fmt(result.residual_eigenvalue)} "
-        f"(multiplicity {result.residual_multiplicity})",
-        f"P_ME = {_fmt(result.p_me)}",
-        f"swapped = {str(result.swapped).lower()}",
-    ]
-    _emit(out, payload, args.json, lines)
+    residual = (f"{_text(result.residual_eigenvalue)} "
+                f"(multiplicity {result.residual_multiplicity})")
+    _emit(out, args.json, payload,
+          [(key, key) for key in ("k", "lambda_plus", "lambda_minus", "multiplicity")],
+          [("residual eigenvalue", residual), ("P_ME", result.p_me),
+           ("swapped", result.swapped)])
     return EXIT_OK
 
 
 def cmd_bounds(args, out) -> int:
     cfg = _config_from_args(args)
     bounds = asymptotic_bounds(cfg)
-    payload = {"config": _config_dict(cfg), "q0": bounds.q0, "p0": bounds.p0}
-    lines = [f"P0 = {_fmt(bounds.p0)}"]
+    payload = {"config": asdict(cfg), "q0": bounds.q0, "p0": bounds.p0}
     if bounds.q0 is None:
-        lines.append("Q0 undefined: requires n_a = n_c")
+        footer = [("P0", bounds.p0), "Q0 undefined: requires n_a = n_c"]
     else:
-        lines.insert(0, f"Q0 = {_fmt(bounds.q0)}")
-    _emit(out, payload, args.json, lines)
+        footer = [("Q0", bounds.q0), ("P0", bounds.p0)]
+    _emit(out, args.json, payload, footer=footer)
     if bounds.q0 is None:
         print("error: Q0 requires n_a = n_c", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -153,61 +132,30 @@ def cmd_verify(args, out) -> int:
         seed=args.seed,
         inject_q_fault=args.inject_q_fault,
     )
-    for result in results:
-        out.write(result.line() + "\n")
     failed = [r for r in results if r.gating and not r.passed]
-    out.write(("all checks passed" if not failed else f"{len(failed)} check(s) failed") + "\n")
+    summary = "all checks passed" if not failed else f"{len(failed)} check(s) failed"
+    _emit(out, False, {}, footer=[r.line() for r in results] + [summary])
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-@dataclass(frozen=True)
-class SweepRequest:
-    dim_min: int
-    dim_max: int
-    n_a: int
-    n_b: int
-    n_c: int
-    eta1: float
-    as_json: bool
-
-    def __post_init__(self) -> None:
-        if self.dim_min < 2 or self.dim_max < self.dim_min:
-            raise ValueError("need 2 <= dim-min <= dim-max")
-
-
-def _sweep_rows(req: SweepRequest) -> list[dict]:
-    rows = []
-    for n in range(req.dim_min, req.dim_max + 1):
-        cfg = ProblemConfig(n, req.n_a, req.n_b, req.n_c, req.eta1)
-        spectrum = jordan_spectrum(canonicalize(cfg)[0])
-        bounds = asymptotic_bounds(cfg)
-        rows.append(
-            {
-                "n": n, "n_A": req.n_a, "n_B": req.n_b, "n_C": req.n_c,
-                "eta1": req.eta1,
-                "Q_opt": total_failure(cfg, spectrum).q_total,
-                "P_ME": minerror_probability(cfg, spectrum).p_me,
-                "Q0": bounds.q0,
-                "P0": bounds.p0,
-            }
-        )
-    return rows
+_SWEEP_KEYS = ("n", "n_A", "n_B", "n_C", "eta1", "Q_opt", "P_ME", "Q0", "P0")
 
 
 def cmd_sweep(args, out) -> int:
-    req = SweepRequest(args.dim_min, args.dim_max, args.na, args.nb, args.nc,
-                       args.eta1, args.json)
-    rows = _sweep_rows(req)
-    if req.as_json:
-        out.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-    out.write("n,n_A,n_B,n_C,eta1,Q_opt,P_ME,Q0,P0\n")
-    for row in rows:
-        q0 = "" if row["Q0"] is None else _fmt(row["Q0"])
-        out.write(
-            f"{row['n']},{row['n_A']},{row['n_B']},{row['n_C']},{_fmt(row['eta1'])},"
-            f"{_fmt(row['Q_opt'])},{_fmt(row['P_ME'])},{q0},{_fmt(row['P0'])}\n"
-        )
+    if args.dim_min < 2 or args.dim_max < args.dim_min:
+        raise ValueError("need 2 <= dim-min <= dim-max")
+    rows = []
+    for n in range(args.dim_min, args.dim_max + 1):
+        cfg = ProblemConfig(n, args.na, args.nb, args.nc, args.eta1)
+        spectrum = jordan_spectrum(canonicalize(cfg)[0])
+        bounds = asymptotic_bounds(cfg)
+        values = (n, args.na, args.nb, args.nc, args.eta1,
+                  total_failure(cfg, spectrum).q_total,
+                  minerror_probability(cfg, spectrum).p_me, bounds.q0, bounds.p0)
+        rows.append(dict(zip(_SWEEP_KEYS, values)))
+    csv = [",".join(_SWEEP_KEYS)]
+    csv += [",".join(_text(row[key]) for key in _SWEEP_KEYS) for row in rows]
+    _emit(out, args.json, rows, footer=csv)
     return EXIT_OK
 
 
@@ -280,9 +228,11 @@ _HANDLERS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         sink = open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout)
     except OSError as exc:

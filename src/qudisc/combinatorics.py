@@ -1,15 +1,13 @@
-"""Exact partition combinatorics: hook lengths, dimension formulas, binomials.
+"""Exact partition combinatorics: hook lengths, the U(n) dimension formula,
+binomials.
 
-Everything here is computed in arbitrary-precision integer (or rational)
-arithmetic; floating point appears only at the log-gamma boundary.
+Everything here is computed in arbitrary-precision integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -56,18 +54,6 @@ def hook_lengths(p: Partition) -> list[list[int]]:
     return grid
 
 
-def sym_group_dim(p: Partition) -> int:
-    """Number of standard Young tableaux of shape ``p`` (hook-length
-    formula); equals the symmetric-group irrep dimension."""
-    hooks = 1
-    for row in hook_lengths(p):
-        for h in row:
-            hooks *= h
-    quotient, remainder = divmod(math.factorial(p.cells), hooks)
-    assert remainder == 0, f"hook product does not divide {p.cells}! for {p}"
-    return quotient
-
-
 def unitary_dim(p: Partition, n: int) -> int:
     """Number of Weyl tableaux of shape ``p`` with entries in 1..n (Robinson
     formula); equals the U(n) irrep dimension.  Zero when the diagram has
@@ -96,47 +82,3 @@ def binomial(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)
-
-
-def log_gamma_half(x) -> float:
-    """ln Gamma(x) for positive half-integer x, by exact recurrence from
-    Gamma(1) = 1 and Gamma(1/2) = sqrt(pi).
-
-    Accepts ints, Fractions, or floats representing an exact half-integer.
-    """
-    twice = Fraction(x) * 2
-    if twice.denominator != 1:
-        raise ValueError(f"argument must be a half-integer, got {x!r}")
-    twice = int(twice)
-    if twice <= 0:
-        raise ValueError(f"argument must be positive, got {x!r}")
-    if twice % 2 == 0:
-        # Gamma(m) = (m-1)!
-        return math.log(math.factorial(twice // 2 - 1)) if twice > 2 else 0.0
-    # Gamma(m + 1/2) = sqrt(pi) * (2m-1)!! / 2^m
-    m = twice // 2
-    double_factorial = 1
-    for odd in range(1, 2 * m, 2):
-        double_factorial *= odd
-    return 0.5 * math.log(math.pi) + math.log(double_factorial) - m * math.log(2.0)
-
-
-def partitions(total: int, max_rows: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``total`` (optionally with at most ``max_rows``
-    rows), largest first within each branch."""
-    if total < 1:
-        raise ValueError(f"need total >= 1, got {total}")
-    rows_cap = total if max_rows is None else max_rows
-
-    def rec(remaining: int, max_part: int, depth: int, prefix: list[int]):
-        if remaining == 0:
-            yield Partition(tuple(prefix))
-            return
-        if depth == rows_cap:
-            return
-        for part in range(min(max_part, remaining), 0, -1):
-            prefix.append(part)
-            yield from rec(remaining - part, part, depth + 1, prefix)
-            prefix.pop()
-
-    yield from rec(total, total, 0, [])

@@ -26,7 +26,6 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import PreconditionError
-from .combinatorics import log_gamma_half
 from .spectrum import (
     JordanSpectrum,
     ProblemConfig,
@@ -259,15 +258,13 @@ def minerror_probability(
 
 def bound_q0(cfg: ProblemConfig) -> float:
     """n -> infinity limit of the unambiguous optimum for n_a = n_c at even
-    priors: Gamma(n_a+1) Gamma(n_b/2+1) / Gamma(n_a+n_b/2+1)."""
+    priors: Gamma(n_a+1) Gamma(n_b/2+1) / Gamma(n_a+n_b/2+1), which is the
+    exact ratio n_a! 2^n_a / prod_{j=1..n_a} (n_b + 2j), rounded once by
+    correctly rounded integer division."""
     if cfg.n_a != cfg.n_c:
         raise PreconditionError("Q0 is defined for n_a == n_c only")
-    half_b = Fraction(cfg.n_b, 2)
-    return math.exp(
-        log_gamma_half(cfg.n_a + 1)
-        + log_gamma_half(half_b + 1)
-        - log_gamma_half(cfg.n_a + half_b + 1)
-    )
+    denominator = math.prod(range(cfg.n_b + 2, cfg.n_b + 2 * cfg.n_a + 1, 2))
+    return (math.factorial(cfg.n_a) << cfg.n_a) / denominator
 
 
 def bound_p0(cfg: ProblemConfig) -> float:

@@ -26,7 +26,6 @@ candidate span).  Nothing downstream trusts either route silently.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,16 +41,8 @@ GROUP_TOL = 1e-7
 _HAAR_CHUNK = 20_000
 
 
-def dim_cap(cap: int | None = None) -> int:
-    """Configured dense-operator size limit (QUDISC_MAX_DIM overrides)."""
-    if cap is not None:
-        return cap
-    env = os.environ.get("QUDISC_MAX_DIM")
-    return int(env) if env else DEFAULT_DIM_CAP
-
-
 def _check_cap(dim: int, cap: int | None) -> None:
-    limit = dim_cap(cap)
+    limit = DEFAULT_DIM_CAP if cap is None else cap
     if dim > limit:
         raise OracleError(f"dense dimension {dim} exceeds cap {limit}")
 

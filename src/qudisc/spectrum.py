@@ -154,9 +154,9 @@ def jordan_spectrum(cfg: ProblemConfig) -> JordanSpectrum:
     identities asserted."""
     if not cfg.is_canonical:
         raise PreconditionError("jordan_spectrum expects n_a >= n_c; canonicalize first")
+    squares = [overlap_sq(k, cfg) for k in range(cfg.k_max + 1)]
     blocks = tuple(
-        JordanBlock(k, overlap(k, cfg), overlap_sq(k, cfg), multiplicity(k, cfg))
-        for k in range(cfg.k_max + 1)
+        JordanBlock(k, math.sqrt(o2), o2, multiplicity(k, cfg)) for k, o2 in enumerate(squares)
     )
     assert blocks[0].overlap_sq == 1
     assert all(b.overlap_sq > nxt.overlap_sq for b, nxt in zip(blocks, blocks[1:]))

@@ -9,14 +9,16 @@ only read.
 import importlib.util
 import json
 import sys
+from itertools import product
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qudisc import cli
-from qudisc.discrimination import minerror_probability, total_failure
+from qudisc.discrimination import bound_q0, minerror_probability, total_failure
 from qudisc.spectrum import ProblemConfig
 
 _REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
@@ -70,6 +72,21 @@ def test_many_copy_p0_matches_reference(capsys, copies):
     _, p0 = reference.limits(copies, copies)
     assert payload["p0"] > 0.0
     assert rel_err(payload["p0"], p0) <= REL_TOL
+
+
+def test_q0_is_the_gamma_ratio_rounded_once():
+    # Q0 is an exact factorial ratio rounded once, so it stays within about
+    # half an ulp at every copy count
+    copies = list(range(1, 40)) + list(range(100, 1001, 100))
+    worst = 0.0
+    with mpmath.workdps(60):
+        for n_a, n_b in product(copies, repeat=2):
+            half_b = mpmath.mpf(n_b) / 2
+            want = mpmath.gamma(n_a + 1) * mpmath.gamma(half_b + 1) / mpmath.gamma(n_a + half_b + 1)
+            if want < sys.float_info.min:  # no full-precision float to compare
+                continue
+            worst = max(worst, rel_err(bound_q0(ProblemConfig(2, n_a, n_b, n_a)), want))
+    assert worst <= 1.2e-16
 
 
 def test_thousand_qubit_copies_match_reference():

@@ -220,6 +220,92 @@ class TestSweep:
         assert "dim-min" in err
 
 
+# swapped (n_a < n_c), and the blocks take two branches: LOW and MIDDLE
+SWAPPED = ["-n", "3", "--na", "1", "--nb", "2", "--nc", "3"]
+# outputs captured before the renderer was rewritten
+PINNED = {
+    "spectrum": (["spectrum"] + SWAPPED, 0, """\
+k overlap multiplicity
+0 1 28
+1 0.4472135955 35
+d1 = 63
+d2 = 100
+d2 - d1 = 37
+swapped = true
+"""),
+    "unambiguous": (["unambiguous"] + SWAPPED + ["--eta1", "0.3"], 0, """\
+k branch q1 q2 c_k d_k Q_k multiplicity
+0 LOW 1 1 0.613496932515 0.613496932515 0.0141111111111 28
+1 MIDDLE 0.860662965824 0.232379000772 0.240963855422 0.88809946714 0.00516397779494 35
+Q_opt = 0.575850333934
+swapped = true
+"""),
+    "minerror": (["minerror"] + SWAPPED + ["--eta1", "0.3"], 0, """\
+k lambda_plus lambda_minus multiplicity
+0 0 -0.00811111111111 28
+1 0.00251058467527 -0.0106216957864 35
+residual eigenvalue = 0.003 (multiplicity 37)
+P_ME = 0.101129536366
+swapped = true
+"""),
+    "bounds": (["bounds", "--na", "2", "--nb", "1", "--nc", "2"], 0, """\
+Q0 = 0.533333333333
+P0 = 0.115226541104
+"""),
+    "bounds-undefined-q0": (["bounds", "--na", "2", "--nb", "1", "--nc", "1"], 3, """\
+P0 = 0.193813782152
+Q0 undefined: requires n_a = n_c
+"""),
+}
+# JSON key of each text column, and (label, JSON key) of each footer line
+COLUMNS = {
+    "spectrum": ("k", "overlap", "multiplicity"),
+    "unambiguous": ("k", "branch", "q1", "q2", "c_k", "d_k", "q_block", "multiplicity"),
+    "minerror": ("k", "lambda_plus", "lambda_minus", "multiplicity"),
+    "bounds": (),
+}
+FOOTER = {
+    "spectrum": (("d1", "d1"), ("d2", "d2"), ("d2 - d1", "gap"), ("swapped", "swapped")),
+    "unambiguous": (("Q_opt", "total"), ("swapped", "swapped")),
+    "minerror": (("P_ME", "total"), ("swapped", "swapped")),
+    "bounds": (("Q0", "q0"), ("P0", "p0")),
+}
+
+
+def cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
+class TestRendering:
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_text_output_is_pinned(self, capsys, case):
+        argv, code, text = PINNED[case]
+        assert run(argv, capsys)[:2] == (code, text)
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_json_numbers_are_the_text_cells(self, capsys, case):
+        argv = PINNED[case][0]
+        lines = run(argv, capsys)[1].splitlines()
+        payload = json.loads(run(argv + ["--json"], capsys)[1])
+        blocks = payload.get("blocks", [])
+        rows = [line.split() for line in lines[1:len(blocks) + 1]]
+        assert rows == [[cell(block[key]) for key in COLUMNS[argv[0]]] for block in blocks]
+        for label, key in FOOTER[argv[0]]:
+            if payload[key] is not None:
+                assert f"{label} = {cell(payload[key])}" in lines
+
+    def test_main_reuses_one_parser(self, monkeypatch, capsys):
+        def rebuilt():
+            raise AssertionError("the parser was built again")
+
+        monkeypatch.setattr(cli, "build_parser", rebuilt)
+        code, out, _ = run(["unambiguous", "-n", "2", "--na", "1", "--nb", "1", "--nc", "1"], capsys)
+        assert code == 0
+        assert f"Q_opt = {5 / 6:.12g}" in out
+
+
 def test_unknown_flag_raises_system_exit():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["spectrum", "--bogus"])

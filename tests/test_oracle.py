@@ -35,6 +35,8 @@ class TestSymmetrizer:
     def test_cap_enforced(self):
         with pytest.raises(OracleError):
             oracle.symmetrizer(5, 4, cap=1000)
+        with pytest.raises(OracleError):  # 2^13 over the default cap
+            oracle.symmetrizer(13, 2)
 
 
 def _sym_basis_by_permutations(m, n):
@@ -330,12 +332,3 @@ class TestCertifyPovm:
             (cfg.eta1 * np.trace(rho1 @ pi0) + cfg.eta2 * np.trace(rho2 @ pi0)).real
         )
         assert report.failure_probability == pytest.approx(dense_failure, abs=1e-12)
-
-
-def test_dim_cap_env_override(monkeypatch):
-    monkeypatch.setenv("QUDISC_MAX_DIM", "32")
-    assert oracle.dim_cap() == 32
-    with pytest.raises(OracleError):
-        oracle.mean_states(ProblemConfig(2, 2, 2, 2, 0.5))
-    monkeypatch.delenv("QUDISC_MAX_DIM")
-    assert oracle.dim_cap() == oracle.DEFAULT_DIM_CAP

@@ -8,6 +8,7 @@ import pytest
 from sympy import Rational
 from sympy.physics.wigner import wigner_6j as sympy_6j
 
+from qudisc import spectrum
 from qudisc.combinatorics import Partition, unitary_dim
 from qudisc.errors import PreconditionError
 from qudisc.spectrum import (
@@ -140,6 +141,17 @@ class TestJordanSpectrum:
     def test_requires_canonical_config(self):
         with pytest.raises(PreconditionError):
             jordan_spectrum(ProblemConfig(2, 1, 1, 2, 0.5))
+
+    def test_one_overlap_per_block(self, monkeypatch):
+        calls = []
+
+        def counting(k, cfg):
+            calls.append(k)
+            return overlap_sq(k, cfg)
+
+        monkeypatch.setattr(spectrum, "overlap_sq", counting)
+        jordan_spectrum(ProblemConfig(3, 4, 2, 3, 0.5))
+        assert calls == [0, 1, 2, 3]
 
 
 class TestWigner6j:
