@@ -2,11 +2,11 @@
 
 Everything here works on the full n^N-dimensional tensor space (sites
 ordered A-block, B-block, C-block, most significant site first) and is
-deliberately independent of the block formulas it checks: supports are
-certified eigenvector bases of the dense states, principal angles come
-from an SVD, the Helstrom value from diagonalizing the weighted
-difference operator, and the unambiguous POVM is assembled vector by
-vector from the Jordan pairs.
+deliberately independent of the block formulas it checks: the supports
+are products of symmetric-subspace bases built from multiset vectors,
+principal angles come from an SVD, the Helstrom value from diagonalizing
+the weighted difference operator, and the unambiguous POVM is assembled
+vector by vector from the Jordan pairs.
 
 The Haar-averaged states are real symmetric: the symmetrizer is a mean
 of permutation matrices.  The whole dense geometry (supports, angles,
@@ -15,13 +15,14 @@ float64 with real-symmetric ``eigh`` and real SVDs.  Only the Haar
 sampler works with complex vectors, because random pure states are
 complex; ``hermitian_eig`` accepts either kind of input.
 
-Two certified eigen-routes are used.  ``hermitian_eig`` wraps numpy's
-``eigh`` in explicit residual and unitarity checks.  For the mean states
-— whose supports are tensor products of symmetric subspaces — a candidate
-orthonormal basis is built directly from multiset vectors and then
-*certified* against the dense matrix (eigen-residual per column plus a
-full reconstruction residual, which bounds everything outside the
-candidate span).  Nothing downstream trusts either route silently.
+The geometry is built for canonical configs (n_a >= n_c) only, and
+from the support bases alone: each must have the rank the formulas give,
+orthonormal columns and no weight outside the frame of the joint span.
+A mirrored config reuses it: reversing the site order maps one config's
+states onto the other's, with rho1 and rho2 exchanged.  The dense states
+of ``mean_states`` feed only the independent second route, where
+``support_basis`` diagonalizes them with ``hermitian_eig`` (numpy's
+``eigh`` wrapped in explicit residual and unitarity checks).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .discrimination import total_failure
-from .errors import OracleError
+from .errors import OracleError, PreconditionError
 from .spectrum import ProblemConfig, canonicalize, jordan_spectrum
 
 DEFAULT_DIM_CAP = 4096
@@ -47,16 +48,12 @@ def _check_cap(dim: int, cap: int | None) -> None:
         raise OracleError(f"dense dimension {dim} exceeds cap {limit}")
 
 
-def assert_hermitian(m: np.ndarray, tol: float = 1e-12) -> None:
-    defect = np.abs(m - m.conj().T).max()
-    if defect > tol:
-        raise OracleError(f"matrix not Hermitian: max asymmetry {defect:.3e}")
-
-
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certified Hermitian eigendecomposition: ascending eigenvalues and a
     unitary eigenvector matrix, with residuals checked explicitly."""
-    assert_hermitian(m)
+    defect = np.abs(m - m.conj().T).max()
+    if defect > 1e-12:
+        raise OracleError(f"matrix not Hermitian: max asymmetry {defect:.3e}")
     values, vectors = np.linalg.eigh(m)
     scale = max(1.0, float(np.abs(values).max(initial=0.0)))
     residual = np.abs(m @ vectors - vectors * values).max()
@@ -105,18 +102,12 @@ def _register_bases(cfg: ProblemConfig) -> tuple[np.ndarray, ...]:
     return tuple(_sym_basis(m, cfg.n) for m in (cfg.n1, cfg.n_c, cfg.n_a, cfg.n2))
 
 
-def mean_states(
-    cfg: ProblemConfig,
-    cap: int | None = None,
-    bases: tuple[np.ndarray, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def mean_states(cfg: ProblemConfig, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The two Haar-averaged inputs as dense density matrices: maximally
-    mixed on sym(AB) x sym(C) and on sym(A) x sym(BC).  ``bases`` passes
-    in the register bases of ``_register_bases`` when the caller has
-    them already."""
+    mixed on sym(AB) x sym(C) and on sym(A) x sym(BC)."""
     dim = cfg.n ** cfg.total_copies
     _check_cap(dim, cap)
-    ab, c, a, bc = (basis @ basis.T for basis in bases or _register_bases(cfg))
+    ab, c, a, bc = (basis @ basis.T for basis in _register_bases(cfg))
     rho1 = _kron(ab, c) / cfg.d1
     rho2 = _kron(a, bc) / cfg.d2
     for rho in (rho1, rho2):
@@ -167,36 +158,17 @@ def haar_average(
     return acc / samples if prefix is None else (head, acc / samples)
 
 
-def support_basis(rho: np.ndarray, tol: float = SUPPORT_TOL) -> np.ndarray:
-    """Orthonormal columns spanning the support (eigenvalues above tol)."""
+def support_basis(rho: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the support (eigenvalues above
+    ``SUPPORT_TOL``)."""
     values, vectors = hermitian_eig(rho)
-    return vectors[:, values > tol]
+    return vectors[:, values > SUPPORT_TOL]
 
 
-def _certified_support(rho: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-    """Certify that the candidate columns are an orthonormal eigenbasis of
-    the support of rho: every column an eigenvector with eigenvalue above
-    the support threshold, and nothing of rho left outside their span."""
-    gram = np.abs(candidate.T @ candidate - np.eye(candidate.shape[1])).max()
-    if gram > 1e-10:
-        raise OracleError(f"support candidate not orthonormal: defect {gram:.3e}")
-    image = rho @ candidate
-    values = np.real(np.einsum("ij,ij->j", candidate.conj(), image))
-    if values.min(initial=1.0) <= SUPPORT_TOL:
-        raise OracleError("support candidate hit an eigenvalue at or below threshold")
-    residual = np.abs(image - candidate * values).max()
-    if residual > 1e-10:
-        raise OracleError(f"support eigen-residual {residual:.3e} exceeds 1e-10")
-    leftover = np.linalg.norm(rho - (candidate * values) @ candidate.T)
-    if leftover > 1e-9:
-        raise OracleError(f"state has weight {leftover:.3e} outside candidate support")
-    return candidate
-
-
-def _group_cosines(cosines: np.ndarray, group_tol: float) -> list[tuple[float, int]]:
+def _group_cosines(cosines: np.ndarray) -> list[tuple[float, int]]:
     groups: list[tuple[float, int]] = []
     for c in cosines:  # already descending
-        if groups and groups[-1][0] - c <= group_tol:
+        if groups and groups[-1][0] - c <= GROUP_TOL:
             prev, count = groups[-1]
             groups[-1] = (prev, count + 1)
         else:
@@ -204,9 +176,7 @@ def _group_cosines(cosines: np.ndarray, group_tol: float) -> list[tuple[float, i
     return groups
 
 
-def principal_angles(
-    rho1: np.ndarray, rho2: np.ndarray, group_tol: float = GROUP_TOL
-) -> list[tuple[float, int]]:
+def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> list[tuple[float, int]]:
     """Cosines of the principal angles between the two supports, grouped
     into (cosine, multiplicity) pairs, largest first.  Supports come from
     the generic certified eigensolver; use ``jordan_angles`` for the
@@ -214,64 +184,61 @@ def principal_angles(
     b1 = support_basis(rho1)
     b2 = support_basis(rho2)
     cosines = np.clip(np.linalg.svd(b1.conj().T @ b2, compute_uv=False), 0.0, 1.0)
-    return _group_cosines(cosines, group_tol)
+    return _group_cosines(cosines)
 
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Prior-independent dense-oracle data for one config, reduced to an
-    orthonormal frame of supp(rho1)+supp(rho2).
+    """Prior-independent dense-oracle data for one canonical config,
+    reduced to an orthonormal frame of supp(rho1)+supp(rho2).
 
     All operators built downstream (the weighted difference Lambda and the
-    unambiguous POVM elements) live inside this span, so after certifying
-    the frame reconstructs both states exactly, every remaining check is a
-    small dense computation in the frame."""
+    unambiguous POVM elements) live inside this span, so once both support
+    bases lie in the frame, every remaining check is a small dense
+    computation in the frame."""
 
     dim: int
     span_rank: int
     cosines: np.ndarray  # paired singular values, descending
     r1: np.ndarray  # rho1 in the span frame
     r2: np.ndarray
-    sf: np.ndarray | None  # Jordan basis of supp(rho1), span frame
-    sp1: np.ndarray | None  # per-pair unit vectors orthogonal to the rho1 direction
-    sp2: np.ndarray | None  # per-pair unit vectors orthogonal to the rho2 direction
-    se: np.ndarray | None  # supp(rho2) directions with no partner in supp(rho1)
-    pair_cosines: np.ndarray | None  # cosines of the non-degenerate pairs
-    completeness_residual: float | None
+    sf: np.ndarray  # Jordan basis of supp(rho1), span frame
+    sp1: np.ndarray  # per-pair unit vectors orthogonal to the rho1 direction
+    sp2: np.ndarray  # per-pair unit vectors orthogonal to the rho2 direction
+    se: np.ndarray  # supp(rho2) directions with no partner in supp(rho1)
+    pair_cosines: np.ndarray  # cosines of the non-degenerate pairs
+    completeness_residual: float
 
 
 @lru_cache(maxsize=None)
 def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _Geometry:
-    """Build and certify the dense geometry for one copy configuration.
-
-    The POVM pieces (Jordan pairs and their orthogonal complements) are
-    only constructed when rank(rho1) <= rank(rho2), i.e. for canonical
-    configs; the frame states r1, r2 are valid for any orientation."""
+    """Build and certify the dense geometry for one canonical copy
+    configuration (n_a >= n_c) from the register bases."""
     cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
+    if not cfg.is_canonical:
+        raise PreconditionError("_jordan_geometry expects n_a >= n_c; canonicalize first")
     dim = n ** cfg.total_copies
     _check_cap(dim, cap)
-    ab, c, a, bc = bases = _register_bases(cfg)
-    rho1, rho2 = mean_states(cfg, cap, bases)
-    b1 = _certified_support(rho1, _kron(ab, c))
-    b2 = _certified_support(rho2, _kron(a, bc))
-
+    ab, c, a, bc = _register_bases(cfg)
+    b1, b2 = _kron(ab, c), _kron(a, bc)
     u_span, stacked_sv, _ = np.linalg.svd(np.hstack([b1, b2]), full_matrices=False)
     w = u_span[:, stacked_sv > 1e-6]
     r_pair = []
-    for rho in (rho1, rho2):
-        r = w.conj().T @ rho @ w
-        lost = np.linalg.norm(rho - w @ r @ w.conj().T)
+    for b, rank in ((b1, cfg.d1), (b2, cfg.d2)):
+        if b.shape[1] != rank:
+            raise OracleError(f"support basis has {b.shape[1]} columns, expected rank {rank}")
+        gram = np.abs(b.conj().T @ b - np.eye(rank)).max()
+        if gram > 1e-10:
+            raise OracleError(f"support basis not orthonormal: defect {gram:.3e}")
+        coords = w.conj().T @ b
+        lost = np.linalg.norm(b - w @ coords)
         if lost > 1e-9:
-            raise OracleError(f"state has weight {lost:.3e} outside the joint span")
-        r_pair.append(r)
+            raise OracleError(f"support has weight {lost:.3e} outside the joint span")
+        r_pair.append(coords @ coords.conj().T / rank)
     r1, r2 = r_pair
 
     u, sigma, vh = np.linalg.svd(b1.conj().T @ b2)
     sigma = np.clip(sigma, 0.0, 1.0)
-    if b1.shape[1] > b2.shape[1]:
-        return _Geometry(dim, w.shape[1], sigma, r1, r2,
-                         None, None, None, None, None, None)
-
     f = b1 @ u  # Jordan basis of supp(rho1)
     g = b2 @ vh.conj().T  # paired + unpaired directions in supp(rho2)
     g_paired, g_extra = g[:, : len(sigma)], g[:, len(sigma):]
@@ -287,30 +254,31 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     # the POVM elements always sum to the identity on the joint support by
     # construction, so the completeness residual is prior-independent
     identity_t = sf @ sf.conj().T + sp1 @ sp1.conj().T + se @ se.conj().T
-    completeness = float(
-        np.abs(w @ identity_t @ w.conj().T - w @ w.conj().T).max()
-    )
+    completeness = float(np.abs(identity_t - np.eye(w.shape[1])).max())
     return _Geometry(dim, w.shape[1], sigma, r1, r2,
                      sf, sp1, sp2, se, sigma[live], completeness)
 
 
-def jordan_angles(
-    cfg: ProblemConfig, cap: int | None = None, group_tol: float = GROUP_TOL
-) -> list[tuple[float, int]]:
+def jordan_angles(cfg: ProblemConfig, cap: int | None = None) -> list[tuple[float, int]]:
     """Principal angles between the supports of the two dense mean states,
-    via the certified support bases; grouped like ``principal_angles``."""
-    geometry = _jordan_geometry(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, cap)
-    return _group_cosines(geometry.cosines, group_tol)
+    via the certified support bases; grouped like ``principal_angles``.
+    The angles do not depend on the orientation."""
+    canonical, _ = canonicalize(cfg)
+    geometry = _jordan_geometry(canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, cap)
+    return _group_cosines(geometry.cosines)
 
 
 def lambda_spectrum(cfg: ProblemConfig, cap: int | None = None) -> np.ndarray:
     """Eigenvalues of the weighted difference eta2*rho2 - eta1*rho1 on the
     full tensor space (the kernel outside the joint support contributes
-    its zeros explicitly)."""
-    geometry = _jordan_geometry(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, cap)
-    values, _ = hermitian_eig(cfg.eta2 * geometry.r2 - cfg.eta1 * geometry.r1)
+    its zeros explicitly).  For n_a < n_c the mirrored canonical config's
+    operator is minus the site-reversed one, so its eigenvalues are
+    negated."""
+    canonical, swapped = canonicalize(cfg)
+    geometry = _jordan_geometry(canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, cap)
+    values, _ = hermitian_eig(canonical.eta2 * geometry.r2 - canonical.eta1 * geometry.r1)
     padded = np.zeros(geometry.dim)
-    padded[: geometry.span_rank] = values
+    padded[: geometry.span_rank] = -values if swapped else values
     return np.sort(padded)
 
 
@@ -337,19 +305,15 @@ class PovmReport:
     def failure_residual(self) -> float:
         return abs(self.failure_probability - self.expected_failure)
 
-    def passed(
-        self,
-        positivity_tol: float = 1e-10,
-        completeness_tol: float = 1e-10,
-        zero_error_tol: float = 1e-10,
-        failure_tol: float = 1e-9,
-    ) -> bool:
+    def passed(self) -> bool:
+        """Positivity, completeness and zero error to 1e-10; the failure
+        probability to 1e-9."""
         return (
-            self.min_eigenvalue >= -positivity_tol
-            and self.completeness_residual <= completeness_tol
-            and self.error_rho1_pi2 <= zero_error_tol
-            and self.error_rho2_pi1 <= zero_error_tol
-            and self.failure_residual <= failure_tol
+            self.min_eigenvalue >= -1e-10
+            and self.completeness_residual <= 1e-10
+            and self.error_rho1_pi2 <= 1e-10
+            and self.error_rho2_pi1 <= 1e-10
+            and self.failure_residual <= 1e-9
         )
 
 
@@ -373,7 +337,6 @@ def certify_povm(
     equality whenever a HIGH branch is active.
     """
     canonical, _ = canonicalize(cfg)
-    _check_cap(canonical.n ** canonical.total_copies, cap)
     geo = _jordan_geometry(canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, cap)
     spectrum = jordan_spectrum(canonical)
     result = total_failure(canonical, spectrum, printed_high_branch=printed_high_branch)

@@ -9,8 +9,8 @@ import pytest
 from sympy.utilities.iterables import multiset_permutations
 
 from qudisc import oracle
-from qudisc.errors import OracleError
-from qudisc.spectrum import ProblemConfig
+from qudisc.errors import OracleError, PreconditionError
+from qudisc.spectrum import ProblemConfig, canonicalize
 
 ALL_ONES = ProblemConfig(2, 1, 1, 1, 0.5)
 
@@ -139,7 +139,10 @@ class TestRealOracle:
     @staticmethod
     def _dense_numbers(cfg):
         oracle._jordan_geometry.cache_clear()
-        geometry = oracle._jordan_geometry(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, None)
+        canonical, _ = canonicalize(cfg)
+        geometry = oracle._jordan_geometry(
+            canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
+        )
         return (
             geometry.r1.dtype,
             oracle.lambda_spectrum(cfg),
@@ -168,6 +171,58 @@ class TestRealOracle:
         assert (real_dtype, complex_dtype) == (np.float64, np.complex128)
         assert np.abs(real_spectrum - complex_spectrum).max() <= 1e-12
         assert abs(real_min - complex_min) <= 1e-12
+
+
+class TestCanonicalGeometry:
+    SWAPPED = ProblemConfig(2, 1, 2, 3, 0.3)
+    MIRROR = ProblemConfig(2, 3, 2, 1, 0.7)
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        oracle._jordan_geometry.cache_clear()
+        yield
+        oracle._jordan_geometry.cache_clear()
+
+    def _touch_all(self):
+        for cfg in (self.SWAPPED, self.MIRROR):
+            oracle.jordan_angles(cfg)
+            oracle.helstrom_probability(cfg)
+            assert oracle.certify_povm(cfg).passed()
+
+    def test_one_geometry_per_mirrored_pair(self):
+        self._touch_all()
+        assert oracle._jordan_geometry.cache_info().misses == 1
+
+    def test_geometry_builds_no_dense_state(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("geometry built a dense mean state")
+
+        monkeypatch.setattr(oracle, "mean_states", refuse)
+        self._touch_all()
+
+    def test_non_canonical_config_rejected(self):
+        with pytest.raises(PreconditionError):
+            oracle._jordan_geometry(2, 1, 2, 3, None)
+
+    def test_swapped_lambda_spectrum_in_caller_labeling(self):
+        cfg = self.SWAPPED
+        rho1, rho2 = oracle.mean_states(cfg)
+        expected = np.sort(np.linalg.eigvalsh(cfg.eta2 * rho2 - cfg.eta1 * rho1))
+        observed = oracle.lambda_spectrum(cfg)
+        assert observed.shape == (cfg.n ** cfg.total_copies,)
+        assert np.abs(observed - expected).max() <= 1e-12
+
+    def test_non_orthonormal_basis_rejected(self, monkeypatch):
+        real_basis = oracle._sym_basis
+
+        def skewed(m, n):
+            basis = real_basis(m, n)
+            basis[:, 0] *= 1.01
+            return basis
+
+        monkeypatch.setattr(oracle, "_sym_basis", skewed)
+        with pytest.raises(OracleError):
+            oracle._jordan_geometry(2, 2, 1, 1, None)
 
 
 class TestEigensolver:
