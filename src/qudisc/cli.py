@@ -126,6 +126,12 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    if args.samples < verify_mod.HAAR_MIN_SAMPLES:
+        raise ValueError(f"--samples must be at least {verify_mod.HAAR_MIN_SAMPLES}")
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
+    if next(verify_mod.certification_grid(args.max_total_dim), None) is None:
+        raise ValueError(f"--max-total-dim {args.max_total_dim} leaves no grid config")
     results = verify_mod.run_all(
         max_total_dim=args.max_total_dim,
         samples=args.samples,
@@ -202,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-total-dim", type=int, default=1024,
                    help="skip configs whose full tensor space exceeds this")
     p.add_argument("--samples", type=int, default=100_000,
-                   help="Monte-Carlo samples for the Haar-average check")
-    p.add_argument("--seed", type=int, default=20260826)
+                   help="Monte-Carlo samples per Haar stream (at least 1000)")
+    p.add_argument("--seed", type=int, default=20260826, help="Haar seed (>= 0)")
     p.add_argument("--inject-q-fault", action="store_true",
                    help="negative control: build POVMs from the erratum "
                         "q1 = O_k high branch (must fail)")

@@ -149,6 +149,17 @@ class TestVerify:
         assert code == 1
         assert "FAIL POVM certification" in out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "0"), ("--samples", "-5"), ("--samples", "999"),
+        ("--seed", "-1"), ("--max-total-dim", "4"), ("--max-total-dim", "7"),
+    ])
+    def test_flag_errors(self, capsys, flag, value):
+        # the last occurrence of a repeated flag wins
+        code, out, err = run(self.ARGS + [flag, value], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} ")
+
 
 class TestSweep:
     def test_csv_shape_and_values(self, capsys):

@@ -1,6 +1,7 @@
 """Dense-matrix oracle: states, supports, angles, spectra, POVM assembly."""
 
 import math
+import re
 import time
 from itertools import combinations_with_replacement
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from sympy.utilities.iterables import multiset_permutations
 
-from qudisc import oracle
+from qudisc import oracle, verify
+from qudisc.discrimination import total_failure
 from qudisc.errors import OracleError, PreconditionError
 from qudisc.spectrum import ProblemConfig, canonicalize
 
@@ -108,25 +110,58 @@ class TestHaarAverage:
             oracle.haar_average(2, 2, 0, seed=1)
 
 
-class TestHaarPrefix:
-    def test_chunk_multiple_matches_separate_calls(self):
-        chunk = oracle._HAAR_CHUNK
-        head, full = oracle.haar_average(2, 2, 4 * chunk, seed=3, prefix=chunk)
-        assert np.array_equal(head, oracle.haar_average(2, 2, chunk, seed=3))
-        assert np.array_equal(full, oracle.haar_average(2, 2, 4 * chunk, seed=3))
+def _real_average(m, n, samples, seed, cap=None):
+    """A wrong sampler for the Haar check: real instead of complex Gaussian
+    states.  Its mean is right at m = 1 and wrong from m = 2 on."""
+    rng = np.random.default_rng((seed, m, n))
+    psi = rng.standard_normal((samples, n))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    rows = psi
+    for _ in range(m - 1):
+        rows = (rows[:, :, None] * psi[:, None, :]).reshape(samples, -1)
+    return rows.T @ rows / samples
 
-    def test_other_prefix_matches_separate_call(self):
-        head, full = oracle.haar_average(2, 3, 8000, seed=5, prefix=2000)
-        assert np.array_equal(head, oracle.haar_average(2, 3, 2000, seed=5))
-        # the chunks after the prefix differ from a plain call's, so the
-        # full mean is another (equally valid) draw of the estimate
-        assert np.allclose(full, full.conj().T, atol=1e-15)
-        assert full.trace().real == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("prefix", [0, 501])
-    def test_prefix_validated(self, prefix):
-        with pytest.raises(ValueError):
-            oracle.haar_average(2, 2, 500, seed=1, prefix=prefix)
+class TestHaarGate:
+    @pytest.mark.parametrize("m,n", verify.HAAR_CASES)
+    def test_moments_match_dense_symmetrizers(self, m, n):
+        # E[X_ij conj(X_kl)] is an entry of S_2m / D_2m, so the covariance of
+        # vec(X) comes from the order-2m lemma; its trace is each draw's
+        # squared distance from the mean and its squared Frobenius norm the
+        # variance of the cross terms <X - mean, X' - mean>
+        dim = n**m
+        s_2m = oracle.symmetrizer(2 * m, n)
+        moment = (s_2m / s_2m.trace()).reshape((dim,) * 4).transpose(0, 2, 3, 1)
+        s_m = oracle.symmetrizer(m, n)
+        mean = (s_m / s_m.trace()).reshape(-1)
+        cov = moment.reshape(dim * dim, dim * dim) - np.outer(mean, mean)
+        spread, c = verify.haar_moments(m, n)
+        assert np.trace(cov) == pytest.approx(spread, abs=1e-12)
+        assert np.sum(cov**2) == pytest.approx(c, abs=1e-12)
+
+    @pytest.mark.parametrize("samples", [verify.HAAR_MIN_SAMPLES, 2000, 100_000])
+    def test_real_states_fail(self, monkeypatch, samples):
+        monkeypatch.setattr(oracle, "haar_average", _real_average)
+        result = verify.check_haar(samples, seed=20260826)
+        assert not result.passed
+        m = int(re.search(r"m=(\d+)", result.detail).group(1))
+        assert m >= 2
+
+    def test_duplicated_draws_fail_variance_law(self, monkeypatch):
+        # each draw counted twice: the right mean, twice the variance
+        honest = oracle.haar_average
+        monkeypatch.setattr(
+            oracle, "haar_average",
+            lambda m, n, samples, seed, cap=None: honest(m, n, samples // 2, seed, cap),
+        )
+        result = verify.check_haar(4000, seed=20260826)
+        assert not result.passed
+        assert result.detail.startswith("variance law")
+
+    def test_honest_sampler_passes(self):
+        result = verify.check_haar(4000, seed=20260826)
+        assert result.passed
+        assert result.detail.startswith("4 cases, 4000 samples, pooled T ")
 
 
 class TestRealOracle:
@@ -336,6 +371,21 @@ class TestCertifyPovm:
         assert report.failure_residual > 1e-3
         # the healthy report on the same config does pass
         assert oracle.certify_povm(ProblemConfig(2, 2, 1, 1, 0.9)).passed()
+
+    @pytest.mark.parametrize("inject,solves", [(False, 1), (True, 2)])
+    def test_one_solve_unless_injecting(self, monkeypatch, inject, solves):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("printed_high_branch", False))
+            return total_failure(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "total_failure", counting)
+        report = oracle.certify_povm(ProblemConfig(2, 2, 1, 1, 0.9), printed_high_branch=inject)
+        assert len(calls) == solves
+        assert report.passed() != inject
+        # the expected failure always comes from an honest solve
+        assert report.expected_failure == total_failure(ProblemConfig(2, 2, 1, 1, 0.9)).q_total
 
     def test_cap_exceeded(self):
         with pytest.raises(OracleError):
