@@ -29,8 +29,6 @@ from .spectrum import (
     ProblemConfig,
     canonicalize,
     jordan_spectrum,
-    multiplicity,
-    overlap,
     overlap_via_6j,
     wigner_6j,
 )
@@ -42,6 +40,6 @@ __all__ = [
     "MinErrorResult", "OracleError", "Partition", "PreconditionError",
     "ProblemConfig", "QudiscError", "UnambiguousResult", "asymptotic_bounds",
     "binomial", "bound_p0", "bound_q0", "canonicalize", "hook_lengths",
-    "jordan_spectrum", "minerror_probability", "multiplicity", "overlap",
-    "overlap_via_6j", "total_failure", "unitary_dim", "wigner_6j",
+    "jordan_spectrum", "minerror_probability", "overlap_via_6j",
+    "total_failure", "unitary_dim", "wigner_6j",
 ]

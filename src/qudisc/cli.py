@@ -8,9 +8,9 @@ Exit codes: 0 success, 1 verification failure, 2 flag error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from contextlib import nullcontext
 from dataclasses import asdict
 
 from .discrimination import asymptotic_bounds, minerror_probability, total_failure
@@ -238,24 +238,29 @@ _PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Its output is rendered in memory first, so a
+    rejected flag or a raised precondition error leaves an existing
+    ``--out`` file as it was."""
     args = _PARSER.parse_args(argv)
+    rendered = io.StringIO()
     try:
-        sink = open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout)
-    except OSError as exc:
-        print(f"error: cannot open output file: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
-    try:
-        with sink as out:
-            return _HANDLERS[args.command](args, out)
+        code = _HANDLERS[args.command](args, rendered)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLAG_ERROR
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    if not args.out:
+        sys.stdout.write(rendered.getvalue())
+        return code
+    try:
+        with open(args.out, "w", newline="\n") as out:
+            out.write(rendered.getvalue())
     except OSError as exc:
-        print(f"error: I/O failure: {exc}", file=sys.stderr)
+        print(f"error: cannot open output file: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    return code
 
 
 def entry() -> None:

@@ -25,13 +25,14 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from .combinatorics import binomial
 from .errors import PreconditionError
 from .spectrum import (
     JordanSpectrum,
     ProblemConfig,
     canonicalize,
     jordan_spectrum,
-    overlap_sq,
+    overlap_squares,
 )
 
 
@@ -41,7 +42,7 @@ class Branch(Enum):
     HIGH = "HIGH"
 
 
-def boundaries(k: int, spectrum: JordanSpectrum, cfg: ProblemConfig) -> tuple[Fraction, Fraction]:
+def boundaries(k: int, spectrum: JordanSpectrum) -> tuple[Fraction, Fraction]:
     """Prior thresholds (c_k, d_k) separating the three unambiguous
     branches; exact rationals, c_k <= d_k with equality iff O_k = 1."""
     o2 = spectrum.blocks[k].overlap_sq
@@ -103,7 +104,7 @@ def _solve_blocks(
         sin2 = float(1 - block.overlap_sq)
         weight_a = eta1 * (block.multiplicity / d1)
         weight_b = eta2 * (block.multiplicity / d2)
-        c_k, d_k = boundaries(block.k, spectrum, canonical)
+        c_k, d_k = boundaries(block.k, spectrum)
         if eta1 < c_k:
             branch, q1, q2 = Branch.LOW, 1.0, o2
         elif eta1 > d_k:
@@ -269,20 +270,18 @@ def bound_q0(cfg: ProblemConfig) -> float:
 
 def bound_p0(cfg: ProblemConfig) -> float:
     """n -> infinity limit of the minimum-error optimum (even priors):
-    the per-block multiplicity fractions go to an exact factorial ratio,
-    and each block is a Helstrom problem with both priors at half of it."""
+    the per-block multiplicity fractions go to the exact ratio
+    C(N, k) (N-2k+1) / (C(N, n_c) (N-k+1)), and each block is a Helstrom
+    problem with both priors at half of it."""
     canonical, _ = canonicalize(cfg)
     total = canonical.total_copies
-    fac = math.factorial
+    den = binomial(total, canonical.n_c)
+    ways = 1  # C(N, k)
     acc = 0.0
-    for k in range(canonical.k_max + 1):
-        o2 = overlap_sq(k, canonical)
-        coeff = Fraction(
-            (total - 2 * k + 1) * fac(canonical.n1) * fac(canonical.n_c),
-            (total - k + 1) * fac(k) * fac(total - k),
-        )
-        half = float(coeff) / 2
+    for k, o2 in enumerate(overlap_squares(canonical)):
+        half = ways * (total - 2 * k + 1) / (den * (total - k + 1)) / 2
         acc += _helstrom_error(half, half, float(o2), float(1 - o2))
+        ways = ways * (total - k) // (k + 1)
     return acc
 
 

@@ -3,9 +3,10 @@
 The two averaged inputs are maximally mixed on products of symmetric
 subspaces.  Their supports decompose into two-row blocks indexed by
 k = 0..min(n_A, n_C); each block carries a single principal-angle cosine
-O_k with multiplicity d^k.  Overlaps are exact rationals under the square
-root; the Racah 6j evaluation provides an independent path to the same
-numbers.
+O_k with multiplicity d^k.  Both come from one exact integer walk over k,
+each block stepped from the one before by small-integer ratios; overlaps
+are exact rationals under the square root.  The Racah 6j evaluation
+provides an independent path to the same numbers.
 """
 
 from __future__ import annotations
@@ -100,37 +101,20 @@ def canonicalize(cfg: ProblemConfig) -> tuple[ProblemConfig, bool]:
     return swapped, True
 
 
-def _require_block(k: int, cfg: ProblemConfig) -> None:
-    if not 0 <= k <= cfg.k_max:
-        raise ValueError(f"block index {k} outside 0..{cfg.k_max}")
+def overlap_squares(cfg: ProblemConfig) -> list[Fraction]:
+    """Exact squared principal-angle cosines O_k^2, k = 0..k_max, of a
+    config in either labeling.
 
-
-def overlap_sq(k: int, cfg: ProblemConfig) -> Fraction:
-    """Exact square of the block-k principal-angle cosine."""
-    _require_block(k, cfg)
-    num = binomial(cfg.n1 - k, cfg.n_b) * binomial(cfg.n2 - k, cfg.n_b)
+    O_k^2 = C(n1-k, n_b) C(n2-k, n_b) / (C(n1, n_b) C(n2, n_b)); the
+    numerator steps by (n_a-k)(n_c-k) / ((n1-k)(n2-k)), an exact integer
+    division."""
     den = binomial(cfg.n1, cfg.n_b) * binomial(cfg.n2, cfg.n_b)
-    return Fraction(num, den)
-
-
-def overlap(k: int, cfg: ProblemConfig) -> float:
-    """Cosine O_k of the k-th principal angle between the two supports."""
-    return math.sqrt(overlap_sq(k, cfg))
-
-
-def multiplicity(k: int, cfg: ProblemConfig) -> int:
-    """Number of Jordan pairs in block k; equals the U(n) dimension of the
-    two-row diagram [N-k, k]."""
-    _require_block(k, cfg)
-    total = cfg.total_copies
-    n = cfg.n
-    value = (
-        Fraction(total - 2 * k + 1, total - k + 1)
-        * binomial(total + n - k - 1, n - 1)
-        * binomial(n + k - 2, n - 2)
-    )
-    assert value.denominator == 1, f"multiplicity not integral for k={k}, {cfg}"
-    return int(value)
+    num = den
+    squares = []
+    for k in range(cfg.k_max + 1):
+        squares.append(Fraction(num, den))
+        num = num * (cfg.n_a - k) * (cfg.n_c - k) // ((cfg.n1 - k) * (cfg.n2 - k))
+    return squares
 
 
 @dataclass(frozen=True)
@@ -154,15 +138,22 @@ def jordan_spectrum(cfg: ProblemConfig) -> JordanSpectrum:
     identities asserted."""
     if not cfg.is_canonical:
         raise PreconditionError("jordan_spectrum expects n_a >= n_c; canonicalize first")
-    squares = [overlap_sq(k, cfg) for k in range(cfg.k_max + 1)]
-    blocks = tuple(
-        JordanBlock(k, math.sqrt(o2), o2, multiplicity(k, cfg)) for k, o2 in enumerate(squares)
-    )
+    # d^k = g_k (N-2k+1)/(N-k+1), the U(n) dimension of [N-k, k], with
+    # g_k = C(N+n-k-1, n-1) C(n+k-2, k).  Every division below is exact; an
+    # inexact one would floor, and the rank-sum assert would catch the loss
+    total, n = cfg.total_copies, cfg.n
+    g = binomial(total + n - 1, n - 1)
+    blocks = []
+    for k, o2 in enumerate(overlap_squares(cfg)):
+        d_k = g * (total - 2 * k + 1) // (total - k + 1)
+        blocks.append(JordanBlock(k, math.sqrt(o2), o2, d_k))
+        g = g * (total - k) * (n + k - 1) // ((total + n - k - 1) * (k + 1))
     assert blocks[0].overlap_sq == 1
     assert all(b.overlap_sq > nxt.overlap_sq for b, nxt in zip(blocks, blocks[1:]))
-    assert sum(b.multiplicity for b in blocks) == cfg.d1
-    assert cfg.d1 <= cfg.d2
-    return JordanSpectrum(blocks=blocks, d1=cfg.d1, d2=cfg.d2, k_max=cfg.k_max)
+    d1, d2 = cfg.d1, cfg.d2
+    assert sum(b.multiplicity for b in blocks) == d1
+    assert d1 <= d2
+    return JordanSpectrum(blocks=blocks, d1=d1, d2=d2, k_max=cfg.k_max)
 
 
 # --- Racah 6j evaluation (exact rational internals) ------------------------
@@ -215,8 +206,9 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
 
 def overlap_via_6j(k: int, cfg: ProblemConfig) -> float:
     """Block overlap through the angular-momentum recoupling route; must
-    agree with :func:`overlap` to 1e-12."""
-    _require_block(k, cfg)
+    agree with the square root of :func:`overlap_squares` to 1e-12."""
+    if not 0 <= k <= cfg.k_max:
+        raise ValueError(f"block index {k} outside 0..{cfg.k_max}")
     half = Fraction(1, 2)
     j_a, j_b, j_c = cfg.n_a * half, cfg.n_b * half, cfg.n_c * half
     j_ab, j_bc = cfg.n1 * half, cfg.n2 * half

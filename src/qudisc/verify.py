@@ -26,8 +26,7 @@ from .spectrum import (
     ProblemConfig,
     canonicalize,
     jordan_spectrum,
-    multiplicity,
-    overlap,
+    overlap_squares,
     overlap_via_6j,
 )
 
@@ -65,24 +64,22 @@ def certification_grid(max_total_dim: int) -> Iterator[ProblemConfig]:
 
 
 def check_combinatorics() -> CheckResult:
-    """Closed-form block multiplicities vs Robinson, and the rank sum,
+    """The spectrum's block multiplicities vs Robinson, and the rank sum,
     as exact integers over n <= 6, copies <= 4."""
     checked = 0
     for n in range(2, 7):
         for n_a, n_b, n_c in product(range(1, 5), repeat=3):
             cfg, _ = canonicalize(ProblemConfig(n, n_a, n_b, n_c, 0.5))
-            total = cfg.total_copies
-            running = 0
-            for k in range(cfg.k_max + 1):
-                d_k = multiplicity(k, cfg)
-                if d_k != unitary_dim(Partition.two_row(total, k), n):
+            blocks = jordan_spectrum(cfg).blocks
+            for block in blocks:
+                shape = Partition.two_row(cfg.total_copies, block.k)
+                if block.multiplicity != unitary_dim(shape, n):
                     return CheckResult(
                         "combinatorial identities", False, 1.0,
-                        f"d^k mismatch at n={n} copies=({n_a},{n_b},{n_c}) k={k}",
+                        f"d^k mismatch at n={n} copies=({n_a},{n_b},{n_c}) k={block.k}",
                     )
-                running += d_k
-                checked += 1
-            if running != cfg.d1:
+            checked += len(blocks)
+            if sum(block.multiplicity for block in blocks) != cfg.d1:
                 return CheckResult(
                     "combinatorial identities", False, 1.0,
                     f"sum d^k != d1 at n={n} copies=({n_a},{n_b},{n_c})",
@@ -93,14 +90,15 @@ def check_combinatorics() -> CheckResult:
 
 
 def check_six_j() -> CheckResult:
-    """Recoupling route vs binomial route for every overlap, to 1e-12."""
+    """Recoupling route vs the exact overlap squares for every overlap,
+    to 1e-12."""
     worst = 0.0
     count = 0
     for n in range(2, 7):
         for n_a, n_b, n_c in product(range(1, 5), repeat=3):
             cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)
-            for k in range(cfg.k_max + 1):
-                worst = max(worst, abs(overlap(k, cfg) - overlap_via_6j(k, cfg)))
+            for k, o2 in enumerate(overlap_squares(cfg)):
+                worst = max(worst, abs(math.sqrt(o2) - overlap_via_6j(k, cfg)))
                 count += 1
     return CheckResult("6j overlap cross-check", worst <= 1e-12, worst, f"{count} overlaps")
 
@@ -267,10 +265,7 @@ def check_asymptotics() -> CheckResult:
 
 
 def run_all(
-    max_total_dim: int = 1024,
-    samples: int = 100_000,
-    seed: int = 20260826,
-    inject_q_fault: bool = False,
+    *, max_total_dim: int, samples: int, seed: int, inject_q_fault: bool = False
 ) -> list[CheckResult]:
     return [
         check_combinatorics(),

@@ -223,6 +223,27 @@ class TestSweep:
         assert code == 4
         assert "cannot open output file" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--dim-max", "1", "--na", "1", "--nb", "1", "--nc", "1"],
+        ["verify", "--samples", "0"],
+    ], ids=["sweep", "verify"])
+    def test_flag_error_leaves_out_file(self, tmp_path, capsys, argv):
+        target = tmp_path / "f"
+        target.write_text("keep\n")
+        code, out, _ = run(argv + ["--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert target.read_text() == "keep\n"
+
+    def test_precondition_exit_still_writes_out_file(self, tmp_path, capsys):
+        target = tmp_path / "f"
+        target.write_text("keep\n")
+        code, _, err = run(
+            ["bounds", "--na", "2", "--nb", "1", "--nc", "1", "--out", str(target)], capsys
+        )
+        assert code == 3
+        assert "requires n_a = n_c" in err
+        assert target.read_text().startswith("P0 = ")
+
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(
             ["sweep", "--dim-max", "1", "--na", "1", "--nb", "1", "--nc", "1"], capsys

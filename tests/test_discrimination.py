@@ -27,24 +27,24 @@ def spectrum_of(cfg):
 
 class TestBoundaries:
     def test_2211_exact_values(self):
-        cfg, spec = spectrum_of(ProblemConfig(2, 2, 1, 1, 0.5))
-        assert boundaries(0, spec, cfg) == (Fraction(8, 17), Fraction(8, 17))
-        assert boundaries(1, spec, cfg) == (Fraction(8, 35), Fraction(8, 11))
+        _, spec = spectrum_of(ProblemConfig(2, 2, 1, 1, 0.5))
+        assert boundaries(0, spec) == (Fraction(8, 17), Fraction(8, 17))
+        assert boundaries(1, spec) == (Fraction(8, 35), Fraction(8, 11))
 
     def test_all_ones_exact_values(self):
-        cfg, spec = spectrum_of(ALL_ONES)
-        assert boundaries(1, spec, cfg) == (Fraction(1, 5), Fraction(4, 5))
+        _, spec = spectrum_of(ALL_ONES)
+        assert boundaries(1, spec) == (Fraction(1, 5), Fraction(4, 5))
 
     def test_degenerate_block_collapses(self):
         # O = 1 and d1 = d2 pin both thresholds at 1/2
-        cfg, spec = spectrum_of(ALL_ONES)
-        assert boundaries(0, spec, cfg) == (Fraction(1, 2), Fraction(1, 2))
+        _, spec = spectrum_of(ALL_ONES)
+        assert boundaries(0, spec) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_ordering_over_grid(self):
         for n, copies in product((2, 3), product((1, 2, 3), repeat=3)):
             cfg, spec = spectrum_of(ProblemConfig(n, *copies, 0.5))
             for k in range(cfg.k_max + 1):
-                c_k, d_k = boundaries(k, spec, cfg)
+                c_k, d_k = boundaries(k, spec)
                 assert 0 < c_k <= d_k < 1
                 assert (c_k == d_k) == (spec.blocks[k].overlap_sq == 1)
 
@@ -97,7 +97,7 @@ class TestBlockFailure:
         for copies in product((1, 2, 3), repeat=3):
             base, spec = spectrum_of(ProblemConfig(2, *copies, 0.5))
             for k in range(base.k_max + 1):
-                c_k, d_k = boundaries(k, spec, base)
+                c_k, d_k = boundaries(k, spec)
                 o = spec.blocks[k].overlap
                 d1, d2 = spec.d1, spec.d2
                 for threshold in (float(c_k), float(d_k)):
@@ -264,6 +264,24 @@ class TestAsymptoticBounds:
         assert bound_p0(ProblemConfig(2, 1, 1, 1, 0.5)) == pytest.approx(
             0.5 - math.sqrt(3) / 6, abs=1e-12
         )
+
+    @pytest.mark.parametrize("copies", [(1, 1, 1), (3, 2, 4), (4, 2, 3), (300, 40, 200)])
+    def test_p0_matches_factorial_formula(self, copies):
+        # sum_k c_k (1 - sqrt(1 - O_k^2)) / 2, with the difference written as
+        # O_k^2 / (1 + sqrt(1 - O_k^2)), and the multiplicity-fraction limit
+        # c_k = (N-2k+1) n1! n_c! / ((N-k+1) k! (N-k)!), block by block
+        cfg, _ = canonicalize(ProblemConfig(2, *copies, 0.5))
+        fac, total = math.factorial, cfg.total_copies
+        expected = 0.0
+        for k in range(cfg.k_max + 1):
+            o2 = Fraction(
+                math.comb(cfg.n1 - k, cfg.n_b) * math.comb(cfg.n2 - k, cfg.n_b),
+                math.comb(cfg.n1, cfg.n_b) * math.comb(cfg.n2, cfg.n_b),
+            )
+            coeff = Fraction((total - 2 * k + 1) * fac(cfg.n1) * fac(cfg.n_c),
+                             (total - k + 1) * fac(k) * fac(total - k))
+            expected += float(coeff) / 2 * float(o2) / (1 + math.sqrt(float(1 - o2)))
+        assert bound_p0(ProblemConfig(2, *copies, 0.5)) == pytest.approx(expected, rel=1e-14)
 
     def test_bounds_are_large_n_limits(self):
         for copies in ((1, 1, 1), (2, 1, 2), (1, 3, 1), (3, 3, 3)):

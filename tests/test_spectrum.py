@@ -15,9 +15,7 @@ from qudisc.spectrum import (
     ProblemConfig,
     canonicalize,
     jordan_spectrum,
-    multiplicity,
-    overlap,
-    overlap_sq,
+    overlap_squares,
     overlap_via_6j,
     sym_space_dim,
     wigner_6j,
@@ -74,48 +72,82 @@ def test_sym_space_dim_small_values():
     assert sym_space_dim(3, 4) == 20
 
 
+def blocks_of(n, n_a, n_b, n_c):
+    return jordan_spectrum(ProblemConfig(n, n_a, n_b, n_c, 0.5)).blocks
+
+
 class TestOverlap:
     def test_k0_is_always_one(self):
         for n, n_a, n_b, n_c in [(2, 1, 1, 1), (3, 2, 1, 2), (4, 3, 2, 1)]:
-            assert overlap_sq(0, ProblemConfig(n, n_a, n_b, n_c, 0.5)) == 1
+            assert overlap_squares(ProblemConfig(n, n_a, n_b, n_c, 0.5))[0] == 1
 
     def test_all_ones_k1(self):
         # C(1,1)C(1,1)/(C(2,1)C(2,1)) = 1/4
-        assert overlap_sq(1, ProblemConfig(2, 1, 1, 1, 0.5)) == Fraction(1, 4)
-        assert overlap(1, ProblemConfig(5, 1, 1, 1, 0.5)) == pytest.approx(0.5)
+        assert overlap_squares(ProblemConfig(2, 1, 1, 1, 0.5))[1] == Fraction(1, 4)
+        assert blocks_of(5, 1, 1, 1)[1].overlap == pytest.approx(0.5)
 
     def test_2211_k1(self):
         # C(2,1)C(1,1)/(C(3,1)C(2,1)) = 1/3
-        assert overlap_sq(1, ProblemConfig(2, 2, 1, 1, 0.5)) == Fraction(1, 3)
+        assert blocks_of(2, 2, 1, 1)[1].overlap_sq == Fraction(1, 3)
 
     def test_overlap_is_dimension_independent(self):
         for n in (2, 3, 7):
-            assert overlap_sq(1, ProblemConfig(n, 2, 2, 1, 0.5)) == Fraction(
-                overlap_sq(1, ProblemConfig(2, 2, 2, 1, 0.5))
+            assert overlap_squares(ProblemConfig(n, 2, 2, 1, 0.5)) == overlap_squares(
+                ProblemConfig(2, 2, 2, 1, 0.5)
             )
+
+    def test_either_labeling(self):
+        assert overlap_squares(ProblemConfig(3, 2, 4, 5, 0.5)) == overlap_squares(
+            ProblemConfig(3, 5, 4, 2, 0.5)
+        )
 
     def test_invalid_block_rejected(self):
         cfg = ProblemConfig(2, 2, 1, 1, 0.5)
         with pytest.raises(ValueError):
-            overlap_sq(2, cfg)  # k_max = 1
+            overlap_via_6j(2, cfg)  # k_max = 1
         with pytest.raises(ValueError):
-            overlap_sq(-1, cfg)
+            overlap_via_6j(-1, cfg)
 
 
 class TestMultiplicity:
     def test_known_values(self):
-        assert multiplicity(0, ProblemConfig(2, 1, 1, 1, 0.5)) == 4
-        assert multiplicity(1, ProblemConfig(2, 1, 1, 1, 0.5)) == 2
-        assert multiplicity(1, ProblemConfig(3, 1, 1, 1, 0.5)) == 8
-        assert multiplicity(0, ProblemConfig(3, 1, 1, 1, 0.5)) == 10
+        assert [b.multiplicity for b in blocks_of(2, 1, 1, 1)] == [4, 2]
+        assert [b.multiplicity for b in blocks_of(3, 1, 1, 1)] == [10, 8]
 
     @pytest.mark.parametrize("n", (2, 3, 4, 5))
     def test_matches_robinson_formula(self, n):
         for n_a, n_b, n_c in product((1, 2, 3), repeat=3):
             cfg, _ = canonicalize(ProblemConfig(n, n_a, n_b, n_c, 0.5))
-            for k in range(cfg.k_max + 1):
-                shape = Partition.two_row(cfg.total_copies, k)
-                assert multiplicity(k, cfg) == unitary_dim(shape, n)
+            for block in jordan_spectrum(cfg).blocks:
+                shape = Partition.two_row(cfg.total_copies, block.k)
+                assert block.multiplicity == unitary_dim(shape, n)
+
+
+def direct_block(cfg, k):
+    """(O_k^2, d^k) from the closed forms, each block on its own."""
+    comb, total, n = math.comb, cfg.total_copies, cfg.n
+    o2 = Fraction(
+        comb(cfg.n1 - k, cfg.n_b) * comb(cfg.n2 - k, cfg.n_b),
+        comb(cfg.n1, cfg.n_b) * comb(cfg.n2, cfg.n_b),
+    )
+    d_k = (Fraction(total - 2 * k + 1, total - k + 1)
+           * comb(total + n - k - 1, n - 1) * comb(n + k - 2, n - 2))
+    assert d_k.denominator == 1
+    return o2, int(d_k)
+
+
+@pytest.mark.parametrize("configs", [
+    [(n, *copies) for n in range(2, 7) for copies in product(range(1, 6), repeat=3)],
+    [(2, 1000, 1000, 1000), (5, 300, 40, 200)],
+], ids=["n<=6,copies<=5", "many-copies"])
+def test_walk_matches_direct_formulas(configs):
+    for config in configs:
+        cfg, _ = canonicalize(ProblemConfig(*config, 0.5))
+        blocks = jordan_spectrum(cfg).blocks
+        assert [(b.overlap_sq, b.multiplicity) for b in blocks] == [
+            direct_block(cfg, k) for k in range(cfg.k_max + 1)
+        ]
+        assert [b.overlap for b in blocks] == [math.sqrt(b.overlap_sq) for b in blocks]
 
 
 class TestJordanSpectrum:
@@ -142,16 +174,21 @@ class TestJordanSpectrum:
         with pytest.raises(PreconditionError):
             jordan_spectrum(ProblemConfig(2, 1, 1, 2, 0.5))
 
-    def test_one_overlap_per_block(self, monkeypatch):
-        calls = []
+    def test_binomial_calls_do_not_grow_with_k_max(self, monkeypatch):
+        def binomial_calls(cfg):
+            calls = []
 
-        def counting(k, cfg):
-            calls.append(k)
-            return overlap_sq(k, cfg)
+            def counting(a, b):
+                calls.append((a, b))
+                return math.comb(a, b)
 
-        monkeypatch.setattr(spectrum, "overlap_sq", counting)
-        jordan_spectrum(ProblemConfig(3, 4, 2, 3, 0.5))
-        assert calls == [0, 1, 2, 3]
+            monkeypatch.setattr(spectrum, "binomial", counting)
+            jordan_spectrum(cfg)
+            return len(calls)
+
+        assert binomial_calls(ProblemConfig(3, 4, 2, 3, 0.5)) == binomial_calls(
+            ProblemConfig(3, 9, 2, 8, 0.5)
+        )
 
 
 class TestWigner6j:
@@ -190,7 +227,5 @@ def test_recoupling_route_matches_binomial_route():
     for n in (2, 3, 4, 5, 6):
         for n_a, n_b, n_c in product((1, 2, 3, 4), repeat=3):
             cfg, _ = canonicalize(ProblemConfig(n, n_a, n_b, n_c, 0.5))
-            for k in range(cfg.k_max + 1):
-                assert overlap_via_6j(k, cfg) == pytest.approx(
-                    overlap(k, cfg), abs=1e-12
-                )
+            for k, o2 in enumerate(overlap_squares(cfg)):
+                assert overlap_via_6j(k, cfg) == pytest.approx(math.sqrt(o2), abs=1e-12)
