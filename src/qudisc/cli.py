@@ -8,8 +8,10 @@ Exit codes: 0 success, 1 verification failure, 2 flag error,
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -150,11 +152,12 @@ _SWEEP_KEYS = ("n", "n_A", "n_B", "n_C", "eta1", "Q_opt", "P_ME", "Q0", "P0")
 def cmd_sweep(args, out) -> int:
     if args.dim_min < 2 or args.dim_max < args.dim_min:
         raise ValueError("need 2 <= dim-min <= dim-max")
+    # Q0 and P0 are the n -> infinity limits: one evaluation serves every row
+    bounds = asymptotic_bounds(ProblemConfig(args.dim_min, args.na, args.nb, args.nc, args.eta1))
     rows = []
     for n in range(args.dim_min, args.dim_max + 1):
         cfg = ProblemConfig(n, args.na, args.nb, args.nc, args.eta1)
         spectrum = jordan_spectrum(canonicalize(cfg)[0])
-        bounds = asymptotic_bounds(cfg)
         values = (n, args.na, args.nb, args.nc, args.eta1,
                   total_failure(cfg, spectrum).q_total,
                   minerror_probability(cfg, spectrum).p_me, bounds.q0, bounds.p0)
@@ -237,11 +240,31 @@ _HANDLERS = {
 _PARSER = build_parser()
 
 
+def _check_writable(path: str) -> None:
+    """Raise ``OSError`` unless ``path`` can be written: its directory
+    exists and is writable, and an existing file is writable.  Opens and
+    truncates nothing."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    target = path if os.path.exists(path) else parent
+    if not os.access(target, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  Its output is rendered in memory first, so a
-    rejected flag or a raised precondition error leaves an existing
-    ``--out`` file as it was."""
+    """Run one subcommand.  An unwritable ``--out`` path fails before any
+    work; the output is rendered in memory first, so a rejected flag or a
+    raised precondition error leaves an existing ``--out`` file as it was."""
     args = _PARSER.parse_args(argv)
+    if args.out:
+        try:
+            _check_writable(args.out)
+        except OSError as exc:
+            print(f"error: cannot open output file: {exc}", file=sys.stderr)
+            return EXIT_IO_ERROR
     rendered = io.StringIO()
     try:
         code = _HANDLERS[args.command](args, rendered)

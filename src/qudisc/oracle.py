@@ -19,10 +19,21 @@ The geometry is built for canonical configs (n_a >= n_c) only, and
 from the support bases alone: each must have the rank the formulas give,
 orthonormal columns and no weight outside the frame of the joint span.
 A mirrored config reuses it: reversing the site order maps one config's
-states onto the other's, with rho1 and rho2 exchanged.  The dense states
-of ``mean_states`` feed only the independent second route, where
-``support_basis`` diagonalizes them with ``hermitian_eig`` (numpy's
-``eigh`` wrapped in explicit residual and unitarity checks).
+states onto the other's, with rho1 and rho2 exchanged.
+
+Both mean states are U(n)-invariant, so they commute with its diagonal
+torus: each multiset column of the support bases has one definite label
+weight, the label content of its site strings.  The geometry checks that
+every column is exactly zero on the rows of every other weight, then
+certifies each weight block (the rows and columns of one weight) on its
+own.  Supports, principal angles, the weighted difference operator and
+the POVM are all block-diagonal by weight.  Blocks of equal span size
+are stacked, and each stack takes one batched ``hermitian_eig`` call.
+Every block is computed, the label-permuted copies included.
+
+The dense states of ``mean_states`` feed only the independent second
+route, where ``support_basis`` diagonalizes them with ``hermitian_eig``
+(numpy's ``eigh`` wrapped in explicit residual and unitarity checks).
 """
 
 from __future__ import annotations
@@ -48,18 +59,27 @@ def _check_cap(dim: int, cap: int | None) -> None:
         raise OracleError(f"dense dimension {dim} exceeds cap {limit}")
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified Hermitian eigendecomposition: ascending eigenvalues and a
-    unitary eigenvector matrix, with residuals checked explicitly."""
-    defect = np.abs(m - m.conj().T).max()
+    """Certified Hermitian eigendecomposition of one matrix or of a stack
+    ``(..., s, s)``: ascending eigenvalues and unitary eigenvector
+    matrices, with every matrix's residual and unitarity checked
+    explicitly."""
+    defect = np.abs(m - _adjoint(m)).max(initial=0.0)
     if defect > 1e-12:
         raise OracleError(f"matrix not Hermitian: max asymmetry {defect:.3e}")
     values, vectors = np.linalg.eigh(m)
-    scale = max(1.0, float(np.abs(values).max(initial=0.0)))
-    residual = np.abs(m @ vectors - vectors * values).max()
-    if residual > 1e-10 * scale:
-        raise OracleError(f"eigensolver residual {residual:.3e} exceeds 1e-10*{scale:.3e}")
-    unitarity = np.abs(vectors.conj().T @ vectors - np.eye(m.shape[0])).max()
+    scale = np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
+    residual = np.abs(m @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1), initial=0.0)
+    worst = np.unravel_index(np.argmax(residual - 1e-10 * scale), scale.shape)
+    if residual[worst] > 1e-10 * scale[worst]:
+        raise OracleError(
+            f"eigensolver residual {residual[worst]:.3e} exceeds 1e-10*{scale[worst]:.3e}"
+        )
+    unitarity = np.abs(_adjoint(vectors) @ vectors - np.eye(m.shape[-1])).max(initial=0.0)
     if unitarity > 1e-10:
         raise OracleError(f"eigenvector matrix not unitary: defect {unitarity:.3e}")
     return values, vectors
@@ -73,17 +93,21 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
+def _multiset_keys(m: int, n: int) -> np.ndarray:
+    """For each of the n^m site-label strings, its multiset of labels: the
+    sorted string read as a base-n number (keys order like the multisets)."""
+    digits = np.sort(np.indices((n,) * m).reshape(m, -1), axis=0)
+    return n ** np.arange(m - 1, -1, -1) @ digits
+
+
 def _sym_basis(m: int, n: int) -> np.ndarray:
     """Orthonormal columns spanning the fully symmetric subspace of m
     copies of C^n: one normalized vector per multiset of site labels,
     in ``combinations_with_replacement`` order.
 
-    Each of the n^m site-label strings is sorted into its multiset key
-    (read as a base-n number, keys order like the multisets); the
-    strings sharing a key are that column's support.  O(m * n^m)."""
-    digits = np.sort(np.indices((n,) * m).reshape(m, -1), axis=0)
-    keys = n ** np.arange(m - 1, -1, -1) @ digits
-    _, column, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    The strings sharing a multiset key are that column's support.
+    O(m * n^m)."""
+    _, column, counts = np.unique(_multiset_keys(m, n), return_inverse=True, return_counts=True)
     basis = np.zeros((n**m, len(counts)))
     basis[np.arange(n**m), column] = 1.0 / np.sqrt(counts[column])
     return basis
@@ -169,54 +193,64 @@ def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> list[tuple[float, in
 
 
 @dataclass(frozen=True)
+class _Stack:
+    """Weight blocks of one span size s, stacked along a leading axis of
+    B blocks, each in an orthonormal frame of its own share of the joint
+    span supp(rho1)+supp(rho2).  Pair columns are padded with zeros, and
+    their cosines with NaN, to s."""
+
+    r1: np.ndarray  # (B, s, s) rho1 in the block frames
+    r2: np.ndarray
+    identity: np.ndarray  # (B, s, s) span identity rebuilt from the Jordan pieces
+    unpaired: np.ndarray  # (B, s, s) projector on supp(rho2) directions with no partner
+    sp1: np.ndarray  # (B, s, s) per-pair unit vectors orthogonal to the rho1 direction
+    sp2: np.ndarray  # (B, s, s) per-pair unit vectors orthogonal to the rho2 direction
+    pair_cosines: np.ndarray  # (B, s) cosines of the non-degenerate pairs
+
+
+@dataclass(frozen=True)
 class _Geometry:
-    """Prior-independent dense-oracle data for one canonical config,
-    reduced to an orthonormal frame of supp(rho1)+supp(rho2).
+    """Prior-independent dense-oracle data for one canonical config, split
+    into label-weight blocks and stacked by span size.
 
     All operators built downstream (the weighted difference Lambda and the
-    unambiguous POVM elements) live inside this span, so once both support
-    bases lie in the frame, every remaining check is a small dense
-    computation in the frame."""
+    unambiguous POVM elements) live inside the joint span and commute with
+    the diagonal torus of U(n), so every remaining check is a batch of
+    small dense computations, one block per weight."""
 
     dim: int
     span_rank: int
-    cosines: np.ndarray  # paired singular values, descending
-    r1: np.ndarray  # rho1 in the span frame
-    r2: np.ndarray
-    sf: np.ndarray  # Jordan basis of supp(rho1), span frame
-    sp1: np.ndarray  # per-pair unit vectors orthogonal to the rho1 direction
-    sp2: np.ndarray  # per-pair unit vectors orthogonal to the rho2 direction
-    se: np.ndarray  # supp(rho2) directions with no partner in supp(rho1)
-    pair_cosines: np.ndarray  # cosines of the non-degenerate pairs
+    cosines: np.ndarray  # paired singular values of every block, descending
+    stacks: tuple[_Stack, ...]  # ascending span size
+    unpaired_rank: int
     completeness_residual: float
 
 
-@lru_cache(maxsize=None)
-def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _Geometry:
-    """Build and certify the dense geometry for one canonical copy
-    configuration (n_a >= n_c) from the register bases."""
-    cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
-    if not cfg.is_canonical:
-        raise PreconditionError("_jordan_geometry expects n_a >= n_c; canonicalize first")
-    dim = n ** cfg.total_copies
-    _check_cap(dim, cap)
-    ab, c, a, bc = _register_bases(cfg)
-    b1, b2 = _kron(ab, c), _kron(a, bc)
+def _column_weights(b: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The label weight of each column of ``b``, given the weight of each
+    row; every column must be exactly zero on the rows of other weights."""
+    keys = weight[np.abs(b).argmax(axis=0)]
+    stray = float(np.abs(np.where(weight[:, None] == keys, 0.0, b)).max(initial=0.0))
+    if stray > 0.0:
+        raise OracleError(f"support basis column has weight {stray:.3e} outside its label weight")
+    return keys
+
+
+def _weight_block(b1: np.ndarray, b2: np.ndarray, d1: int, d2: int) -> tuple:
+    """Certify and reduce the two support bases' rows and columns of one
+    label weight: the block's ``_Stack`` fields (without the stack axis),
+    its paired singular values and the squared weight each basis has
+    outside the block's span."""
     u_span, stacked_sv, _ = np.linalg.svd(np.hstack([b1, b2]), full_matrices=False)
     w = u_span[:, stacked_sv > 1e-6]
-    r_pair = []
-    for b, rank in ((b1, cfg.d1), (b2, cfg.d2)):
-        if b.shape[1] != rank:
-            raise OracleError(f"support basis has {b.shape[1]} columns, expected rank {rank}")
-        gram = np.abs(b.conj().T @ b - np.eye(rank)).max()
+    r_pair, lost_sq = [], []
+    for b, rank in ((b1, d1), (b2, d2)):
+        gram = np.abs(b.conj().T @ b - np.eye(b.shape[1])).max(initial=0.0)
         if gram > 1e-10:
             raise OracleError(f"support basis not orthonormal: defect {gram:.3e}")
         coords = w.conj().T @ b
-        lost = np.linalg.norm(b - w @ coords)
-        if lost > 1e-9:
-            raise OracleError(f"support has weight {lost:.3e} outside the joint span")
+        lost_sq.append(float(np.linalg.norm(b - w @ coords)) ** 2)
         r_pair.append(coords @ coords.conj().T / rank)
-    r1, r2 = r_pair
 
     u, sigma, vh = np.linalg.svd(b1.conj().T @ b2)
     sigma = np.clip(sigma, 0.0, 1.0)
@@ -228,16 +262,62 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     p2 = (f[:, live] - g_paired[:, live] * sigma[live]) / norms
     p1 = (g_paired[:, live] - f[:, live] * sigma[live]) / norms
 
-    sf = w.conj().T @ f
-    sp1 = w.conj().T @ p1
-    sp2 = w.conj().T @ p2
-    se = w.conj().T @ g_extra
+    sf, se = w.conj().T @ f, w.conj().T @ g_extra
+    sp1, sp2 = (np.zeros((w.shape[1],) * 2, dtype=w.dtype) for _ in range(2))
+    pair_cosines = np.full(w.shape[1], np.nan)
+    pairs = int(live.sum())
+    sp1[:, :pairs], sp2[:, :pairs] = w.conj().T @ p1, w.conj().T @ p2
+    pair_cosines[:pairs] = sigma[live]
+    unpaired = se @ se.conj().T
+    identity = sf @ sf.conj().T + sp1 @ sp1.conj().T + unpaired
+    return (*r_pair, identity, unpaired, sp1, sp2, pair_cosines), sigma, lost_sq
+
+
+@lru_cache(maxsize=None)
+def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _Geometry:
+    """Build and certify the dense geometry for one canonical copy
+    configuration (n_a >= n_c) from the register bases, one label-weight
+    block at a time."""
+    cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
+    if not cfg.is_canonical:
+        raise PreconditionError("_jordan_geometry expects n_a >= n_c; canonicalize first")
+    dim = n ** cfg.total_copies
+    _check_cap(dim, cap)
+    ab, c, a, bc = _register_bases(cfg)
+    b1, b2 = _kron(ab, c), _kron(a, bc)
+    d1, d2 = cfg.d1, cfg.d2
+    for b, rank in ((b1, d1), (b2, d2)):
+        if b.shape[1] != rank:
+            raise OracleError(f"support basis has {b.shape[1]} columns, expected rank {rank}")
+    # the label content of each site string, numbered 0, 1, ... in key order
+    _, weight = np.unique(_multiset_keys(cfg.total_copies, n), return_inverse=True)
+    key1, key2 = _column_weights(b1, weight), _column_weights(b2, weight)
+
+    by_size: dict[int, list[tuple]] = {}
+    cosines, lost_sq = [], np.zeros(2)
+    for key in range(weight.max() + 1):
+        rows = weight == key
+        block, sigma, lost = _weight_block(
+            b1[np.ix_(rows, key1 == key)], b2[np.ix_(rows, key2 == key)], d1, d2
+        )
+        by_size.setdefault(len(block[0]), []).append(block)
+        cosines.append(sigma)
+        lost_sq += lost
+    # the blocks share no row, so the lost weight is one Frobenius total
+    lost = float(np.sqrt(lost_sq.max()))
+    if lost > 1e-9:
+        raise OracleError(f"support has weight {lost:.3e} outside the joint span")
+
+    stacks = tuple(_Stack(*map(np.stack, zip(*group))) for _, group in sorted(by_size.items()))
+    span = sum(st.identity.shape[0] * st.identity.shape[-1] for st in stacks)
     # the POVM elements always sum to the identity on the joint support by
     # construction, so the completeness residual is prior-independent
-    identity_t = sf @ sf.conj().T + sp1 @ sp1.conj().T + se @ se.conj().T
-    completeness = float(np.abs(identity_t - np.eye(w.shape[1])).max())
-    return _Geometry(dim, w.shape[1], sigma, r1, r2,
-                     sf, sp1, sp2, se, sigma[live], completeness)
+    completeness = max(
+        float(np.abs(st.identity - np.eye(st.identity.shape[-1])).max()) for st in stacks
+    )
+    cosines = -np.sort(-np.concatenate(cosines))
+    # every column of b2 lies in one block: the rest of supp(rho2) is unpaired
+    return _Geometry(dim, span, cosines, stacks, d2 - len(cosines), completeness)
 
 
 def jordan_angles(cfg: ProblemConfig, cap: int | None = None) -> list[tuple[float, int]]:
@@ -257,7 +337,10 @@ def lambda_spectrum(cfg: ProblemConfig, cap: int | None = None) -> np.ndarray:
     negated."""
     canonical, swapped = canonicalize(cfg)
     geometry = _jordan_geometry(canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, cap)
-    values, _ = hermitian_eig(canonical.eta2 * geometry.r2 - canonical.eta1 * geometry.r1)
+    values = np.concatenate([
+        hermitian_eig(canonical.eta2 * st.r2 - canonical.eta1 * st.r1)[0].ravel()
+        for st in geometry.stacks
+    ])
     padded = np.zeros(geometry.dim)
     padded[: geometry.span_rank] = -values if swapped else values
     return np.sort(padded)
@@ -322,33 +405,34 @@ def certify_povm(
     spectrum = jordan_spectrum(canonical)
     result = total_failure(canonical, spectrum, printed_high_branch=printed_high_branch)
     q_by_k = {b.k: (b.q1, b.q2) for b in result.blocks}
-    o_by_k = [(b.overlap, b.k, float(b.overlap_sq)) for b in spectrum.blocks]
+    overlaps = np.array([b.overlap for b in spectrum.blocks])
+    # per block k, the weights of Pi1 and Pi2 on its pair directions; no
+    # live pair can match O_0 = 1
+    weights = np.array([[(1.0 - q) / (1.0 - float(b.overlap_sq)) if b.k else np.nan
+                         for q in q_by_k[b.k]] for b in spectrum.blocks])
 
-    weight1, weight2 = [], []
-    for s in geo.pair_cosines:
-        matches = [item for item in o_by_k if abs(item[0] - s) < GROUP_TOL]
-        if len(matches) != 1:
-            raise OracleError(f"cosine {s!r} matches {len(matches)} blocks")
-        _, k, o2 = matches[0]
-        q1, q2 = q_by_k[k]
-        weight1.append((1.0 - q1) / (1.0 - o2))
-        weight2.append((1.0 - q2) / (1.0 - o2))
-
-    m1 = (geo.sp2 * np.asarray(weight1)) @ geo.sp2.conj().T
-    m2 = (geo.sp1 * np.asarray(weight2)) @ geo.sp1.conj().T + geo.se @ geo.se.conj().T
-    identity_t = (
-        geo.sf @ geo.sf.conj().T + geo.sp1 @ geo.sp1.conj().T + geo.se @ geo.se.conj().T
-    )
-    m0 = identity_t - m1 - m2
-
-    min_eig = min(float(hermitian_eig(op)[0].min()) for op in (m0, m1, m2))
+    min_eig, err12, err21, failure = np.inf, 0.0, 0.0, 0.0
+    for st in geo.stacks:
+        live = ~np.isnan(st.pair_cosines)
+        hits = np.abs(st.pair_cosines[live][:, None] - overlaps) < GROUP_TOL
+        counts = hits.sum(axis=1)
+        if np.any(counts != 1):
+            bad = int(np.argmax(counts != 1))
+            raise OracleError(
+                f"cosine {float(st.pair_cosines[live][bad])!r} matches {counts[bad]} blocks"
+            )
+        pair_weights = np.zeros(live.shape + (2,))
+        pair_weights[live] = weights[hits.argmax(axis=1)]
+        m1 = (st.sp2 * pair_weights[:, None, :, 0]) @ _adjoint(st.sp2)
+        m2 = (st.sp1 * pair_weights[:, None, :, 1]) @ _adjoint(st.sp1) + st.unpaired
+        m0 = st.identity - m1 - m2
+        min_eig = min(min_eig, float(hermitian_eig(np.concatenate([m0, m1, m2]))[0].min()))
+        err12 += float(np.einsum("bij,bji->", st.r1, m2).real)
+        err21 += float(np.einsum("bij,bji->", st.r2, m1).real)
+        mixed = canonical.eta1 * st.r1 + canonical.eta2 * st.r2
+        failure += float(np.einsum("bij,bji->", mixed, m0).real)
     if geo.dim > geo.span_rank:  # zero eigenvalues outside the joint span
         min_eig = min(min_eig, 0.0)
-    err12 = float(np.trace(geo.r1 @ m2).real)
-    err21 = float(np.trace(geo.r2 @ m1).real)
-    failure = float(
-        (canonical.eta1 * np.trace(geo.r1 @ m0) + canonical.eta2 * np.trace(geo.r2 @ m0)).real
-    )
     # an injected fault is measured against a second, honest solve
     honest = total_failure(canonical, spectrum) if printed_high_branch else result
     return PovmReport(
@@ -359,5 +443,5 @@ def certify_povm(
         error_rho2_pi1=err21,
         failure_probability=failure,
         expected_failure=honest.q_total,
-        unpaired_rank=geo.se.shape[1],
+        unpaired_rank=geo.unpaired_rank,
     )

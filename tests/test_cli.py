@@ -6,7 +6,7 @@ import math
 import pytest
 
 from qudisc import cli, discrimination
-from qudisc.discrimination import minerror_probability, total_failure
+from qudisc.discrimination import bound_p0, minerror_probability, total_failure
 from qudisc.spectrum import ProblemConfig, jordan_spectrum
 
 
@@ -205,6 +205,20 @@ class TestSweep:
         assert code == 0
         assert calls == [2, 3, 4, 5]
 
+    def test_bounds_evaluated_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.n)
+            return bound_p0(cfg)
+
+        monkeypatch.setattr(discrimination, "bound_p0", counting)
+        code, _, _ = run(
+            ["sweep", "--dim-max", "6", "--na", "3", "--nb", "2", "--nc", "3"], capsys
+        )
+        assert code == 0
+        assert len(calls) == 1
+
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "rows.csv"
         argv = ["sweep", "--dim-max", "4", "--na", "1", "--nb", "1", "--nc", "1",
@@ -222,6 +236,14 @@ class TestSweep:
         )
         assert code == 4
         assert "cannot open output file" in err
+
+    @pytest.mark.parametrize("name", ["missing/f", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_fails_before_work(self, tmp_path, monkeypatch, capsys, name):
+        called = []
+        monkeypatch.setitem(cli._HANDLERS, "verify", lambda args, out: called.append(args))
+        code, out, err = run(["verify", "--out", str(tmp_path / name)], capsys)
+        assert (code, out, called) == (4, "", [])
+        assert err.startswith("error: cannot open output file: ")
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--dim-max", "1", "--na", "1", "--nb", "1", "--nc", "1"],

@@ -179,7 +179,7 @@ class TestRealOracle:
             canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
         )
         return (
-            geometry.r1.dtype,
+            geometry.stacks[0].r1.dtype,
             oracle.lambda_spectrum(cfg),
             oracle.certify_povm(cfg).min_eigenvalue,
         )
@@ -259,6 +259,47 @@ class TestCanonicalGeometry:
         with pytest.raises(OracleError):
             oracle._jordan_geometry(2, 2, 1, 1, None)
 
+    def test_mixed_weight_column_rejected(self, monkeypatch):
+        # the first two multiset columns, {0^m} and {0^(m-1) 1}, carry
+        # different label weights; rotating them keeps every basis
+        # orthonormal and every span unchanged
+        real_basis = oracle._sym_basis
+
+        def rotated(m, n):
+            basis = real_basis(m, n)
+            first, second = basis[:, 0].copy(), basis[:, 1].copy()
+            basis[:, 0] = (first + second) / math.sqrt(2)
+            basis[:, 1] = (first - second) / math.sqrt(2)
+            return basis
+
+        basis = rotated(3, 2)
+        assert np.abs(basis.T @ basis - np.eye(4)).max() < 1e-15
+        monkeypatch.setattr(oracle, "_sym_basis", rotated)
+        with pytest.raises(OracleError, match="outside its label weight"):
+            oracle._jordan_geometry(2, 2, 1, 1, None)
+
+    @pytest.mark.parametrize("cfg", list(verify.certification_grid(256)),
+                             ids=lambda c: f"{c.n}-{c.n_a}{c.n_b}{c.n_c}")
+    def test_blocked_lambda_matches_dense_route(self, cfg):
+        rho1, rho2 = oracle.mean_states(cfg)
+        for eta1 in verify.GRID_PRIORS:
+            expected = np.linalg.eigvalsh((1 - eta1) * rho2 - eta1 * rho1)
+            prior = ProblemConfig(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, eta1)
+            observed = oracle.lambda_spectrum(prior)
+            assert np.abs(observed - expected).max() <= 1e-12
+
+
+class TestDenseFamiliesAtCap:
+    @pytest.mark.parametrize("check,detail", [
+        (verify.check_principal_angles, "67 configs"),
+        (verify.check_min_error, "201 cases"),
+        (verify.check_povm, "335 cases"),
+    ], ids=["principal-angles", "min-error", "povm"])
+    def test_passes_at_default_cap(self, check, detail):
+        result = check(oracle.DEFAULT_DIM_CAP)
+        assert result.passed
+        assert result.detail == detail
+
 
 class TestEigensolver:
     def test_diagonal(self):
@@ -281,6 +322,36 @@ class TestEigensolver:
     def test_rejects_non_hermitian(self):
         with pytest.raises(OracleError):
             oracle.hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @staticmethod
+    def _stack():
+        raw = np.random.default_rng(7).standard_normal((4, 6, 6))
+        return raw + raw.swapaxes(-1, -2)
+
+    def test_stack_matches_single_matrices(self):
+        stack = self._stack()
+        values, vectors = oracle.hermitian_eig(stack)
+        assert values.shape == (4, 6) and vectors.shape == (4, 6, 6)
+        for member, member_values in zip(stack, values):
+            assert np.abs(member_values - oracle.hermitian_eig(member)[0]).max() <= 1e-12
+
+    def test_stack_rejects_one_non_hermitian_member(self):
+        stack = self._stack()
+        stack[2, 0, 1] += 1e-6
+        with pytest.raises(OracleError, match="not Hermitian"):
+            oracle.hermitian_eig(stack)
+
+    def test_stack_rejects_one_corrupted_decomposition(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def corrupted(m):
+            values, vectors = real_eigh(m)
+            values[1, 0] += 1e-6  # one eigenvalue of one member
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        with pytest.raises(OracleError, match="residual"):
+            oracle.hermitian_eig(self._stack())
 
 
 class TestPrincipalAngles:
