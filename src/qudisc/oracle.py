@@ -34,10 +34,20 @@ Every block is computed, the label-permuted copies included.
 The dense states of ``mean_states`` feed only the independent second
 route, where ``support_basis`` diagonalizes them with ``hermitian_eig``
 (numpy's ``eigh`` wrapped in explicit residual and unitarity checks).
+
+The Haar sampler draws one stream per (seed, n) and returns the mean
+tensor power of every requested order from it, so the lemma checks that
+share a dimension share their draws.  Each order's mean is still the
+mean of iid Haar draws, with the law it would have alone.  It is
+accumulated on one site string per multiset (D_m x D_m, not n^m x n^m)
+and expanded to the full space only at the end, so ``verify`` compares
+it in the full space against ``symmetrizer``, which stays an independent
+check of the multiset basis.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,7 +60,7 @@ from .spectrum import ProblemConfig, canonicalize, jordan_spectrum
 DEFAULT_DIM_CAP = 4096
 SUPPORT_TOL = 1e-9
 GROUP_TOL = 1e-7
-_HAAR_CHUNK = 20_000
+_HAAR_CHUNK = 4096  # draws per chunk: the chunk's temporaries stay in cache
 
 
 def _check_cap(dim: int, cap: int | None) -> None:
@@ -140,27 +150,40 @@ def mean_states(cfg: ProblemConfig, cap: int | None = None) -> tuple[np.ndarray,
     return rho1, rho2
 
 
-def haar_average(m: int, n: int, samples: int, seed: int, cap: int | None = None) -> np.ndarray:
-    """Empirical mean of the m-fold tensor power projector over Haar-random
-    pure states; deterministic for a fixed (seed, m, n, samples).  Each
-    state is a normalized complex Gaussian vector, drawn as 2n real normals
-    read in complex view."""
-    dim = n**m
-    _check_cap(dim, cap)
+def haar_average(
+    orders: Sequence[int], n: int, samples: int, seed: int, cap: int | None = None
+) -> list[np.ndarray]:
+    """Empirical means of the m-fold tensor power projectors, one per order
+    m in ``orders``, over one stream of Haar-random pure states in C^n;
+    deterministic for a fixed (seed, n, samples), and each order's mean is
+    the same whichever other orders share the call.  Each state is a
+    normalized complex Gaussian vector, drawn as 2n real normals read in
+    complex view.
+
+    Every entry of psi^(x)m is the monomial of its site string's multiset,
+    so each order accumulates one representative string per multiset
+    (a D_m x D_m product per chunk) and is expanded to the full n^m x n^m
+    matrix by an index gather at the end."""
+    _check_cap(n ** max(orders), cap)
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng((seed, m, n))
-    acc = np.zeros((dim, dim), dtype=complex)
+    strings, columns = [], []
+    for m in orders:
+        _, first, column = np.unique(_multiset_keys(m, n), return_index=True, return_inverse=True)
+        strings.append(np.indices((n,) * m).reshape(m, -1)[:, first])  # sorted label strings
+        columns.append(column)
+    accs = [np.zeros((s.shape[1],) * 2, dtype=complex) for s in strings]
+    rng = np.random.default_rng((seed, n))
     for start in range(0, samples, _HAAR_CHUNK):
         count = min(_HAAR_CHUNK, samples - start)
         real = rng.standard_normal((count, 2 * n))
         real /= np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]
-        # one column per draw: the broadcast products then run along draws
-        psi = cols = real.view(complex).T.copy()
-        for _ in range(m - 1):
-            cols = (cols[:, None, :] * psi[None, :, :]).reshape(-1, count)
-        acc += cols @ cols.conj().T
-    return acc / samples
+        # one row per label, one column per draw
+        psi = real.view(complex).T
+        for acc, labels in zip(accs, strings):
+            cols = np.prod(psi[labels], axis=0)
+            acc += cols @ cols.conj().T
+    return [(acc / samples)[np.ix_(column, column)] for acc, column in zip(accs, columns)]
 
 
 def support_basis(rho: np.ndarray) -> np.ndarray:

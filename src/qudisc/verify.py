@@ -208,14 +208,31 @@ def check_haar(samples: int, seed: int) -> CheckResult:
     matched chi^2_k/k quantile (k = 2 / Var) at z = 4.75, a 1e-6 normal
     tail; under the exact weighted-chi^2 laws of T the false-fail rate is
     2e-6 to 8e-6 per case.  The max residual is the largest |T - 1| over
-    the cases and both statistics."""
+    the cases and both statistics.
+
+    Cases sharing n share their draws: stream i of dimension n is one call
+    of ``oracle.haar_average`` for all of that dimension's orders.  Each
+    case still sees 16 independent streams of N iid Haar draws, so its T
+    keeps exactly the law above; the cases become dependent, but the
+    family's false-fail rate is a union bound over the cases and needs no
+    independence.  The means are compared in the full n^m space against
+    ``oracle.symmetrizer``."""
+    orders: dict[int, list[int]] = {}
+    for m, n in HAAR_CASES:
+        orders.setdefault(n, []).append(m)
+    case_streams: dict[tuple[int, int], list[np.ndarray]] = {case: [] for case in HAAR_CASES}
+    for n, ms in orders.items():
+        for i in range(HAAR_STREAMS):
+            for m, mean in zip(ms, oracle.haar_average(ms, n, samples, seed + i)):
+                case_streams[m, n].append(mean)
+
     worst = 0.0
     pooled, means = [], []
     for m, n in HAAR_CASES:
         spread, c = haar_moments(m, n)
         symmetrizer = oracle.symmetrizer(m, n)
         target = symmetrizer / symmetrizer.trace()
-        streams = [oracle.haar_average(m, n, samples, seed + i) for i in range(HAAR_STREAMS)]
+        streams = case_streams[m, n]
 
         def t_stat(mean: np.ndarray, draws: int) -> float:
             return draws * float(np.linalg.norm(mean - target)) ** 2 / spread

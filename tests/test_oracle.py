@@ -91,35 +91,82 @@ class TestMeanStates:
             assert int(np.sum(np.abs(values - 1 / 6) < 1e-12)) == 6
 
 
+def _kron_average(orders, n, samples, seed):
+    """Reference for ``haar_average``: the same stream of draws, each
+    order's tensor power built in the full n^m space by repeated Kronecker
+    products along the draws."""
+    rng = np.random.default_rng((seed, n))
+    accs = [np.zeros((n**m, n**m), dtype=complex) for m in orders]
+    for start in range(0, samples, oracle._HAAR_CHUNK):
+        count = min(oracle._HAAR_CHUNK, samples - start)
+        real = rng.standard_normal((count, 2 * n))
+        real /= np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]
+        psi = real.view(complex).T.copy()
+        for acc, m in zip(accs, orders):
+            cols = psi
+            for _ in range(m - 1):
+                cols = (cols[:, None, :] * psi[None, :, :]).reshape(-1, count)
+            acc += cols @ cols.conj().T
+    return [acc / samples for acc in accs]
+
+
 class TestHaarAverage:
     def test_deterministic(self):
-        a = oracle.haar_average(2, 2, 500, seed=7)
-        b = oracle.haar_average(2, 2, 500, seed=7)
-        assert np.array_equal(a, b)
-        c = oracle.haar_average(2, 2, 500, seed=8)
-        assert not np.array_equal(a, c)
+        a = oracle.haar_average((2,), 2, 500, seed=7)
+        b = oracle.haar_average((2,), 2, 500, seed=7)
+        assert np.array_equal(a[0], b[0])
+        c = oracle.haar_average((2,), 2, 500, seed=8)
+        assert not np.array_equal(a[0], c[0])
 
     def test_single_sample_is_pure_power(self):
-        avg = oracle.haar_average(3, 2, 1, seed=1)
+        (avg,) = oracle.haar_average((3,), 2, 1, seed=1)
         values = np.linalg.eigvalsh(avg)
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(values[:-1]).max() < 1e-12
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
-            oracle.haar_average(2, 2, 0, seed=1)
+            oracle.haar_average((2,), 2, 0, seed=1)
+
+    def test_order_over_cap_raises_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before the cap check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(OracleError, match="exceeds cap 4"):
+            oracle.haar_average((1, 2, 3), 2, 100, seed=1, cap=4)
+
+    @pytest.mark.parametrize("m,n", verify.HAAR_CASES)
+    def test_matches_full_space_reference(self, m, n):
+        # several chunks and a partial one
+        samples = 2 * oracle._HAAR_CHUNK + 123
+        orders = (1, 2, 3) if n == 2 else (2,)
+        got = oracle.haar_average(orders, n, samples, seed=11)
+        expected = _kron_average(orders, n, samples, seed=11)
+        i = orders.index(m)
+        assert got[i].shape == (n**m, n**m)
+        assert np.abs(got[i] - expected[i]).max() <= 1e-15
+
+    def test_order_mean_independent_of_companions(self):
+        together = oracle.haar_average((1, 2, 3), 2, 5000, seed=3)
+        for i, m in enumerate((1, 2, 3)):
+            assert np.array_equal(together[i], oracle.haar_average((m,), 2, 5000, seed=3)[0])
+        assert np.array_equal(together[1], oracle.haar_average((3, 2), 2, 5000, seed=3)[1])
 
 
-def _real_average(m, n, samples, seed, cap=None):
+def _real_average(orders, n, samples, seed, cap=None):
     """A wrong sampler for the Haar check: real instead of complex Gaussian
     states.  Its mean is right at m = 1 and wrong from m = 2 on."""
-    rng = np.random.default_rng((seed, m, n))
+    rng = np.random.default_rng((seed, n))
     psi = rng.standard_normal((samples, n))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    rows = psi
-    for _ in range(m - 1):
-        rows = (rows[:, :, None] * psi[:, None, :]).reshape(samples, -1)
-    return rows.T @ rows / samples
+    means = []
+    for m in orders:
+        rows = psi
+        for _ in range(m - 1):
+            rows = (rows[:, :, None] * psi[:, None, :]).reshape(samples, -1)
+        means.append(rows.T @ rows / samples)
+    return means
 
 
 class TestHaarGate:
@@ -152,11 +199,26 @@ class TestHaarGate:
         honest = oracle.haar_average
         monkeypatch.setattr(
             oracle, "haar_average",
-            lambda m, n, samples, seed, cap=None: honest(m, n, samples // 2, seed, cap),
+            lambda orders, n, samples, seed, cap=None: honest(orders, n, samples // 2, seed, cap),
         )
         result = verify.check_haar(4000, seed=20260826)
         assert not result.passed
         assert result.detail.startswith("variance law")
+
+    def test_one_call_per_dimension_and_stream(self, monkeypatch):
+        honest = oracle.haar_average
+        calls = []
+
+        def counting(orders, n, samples, seed, cap=None):
+            calls.append((tuple(orders), n, samples))
+            return honest(orders, n, samples, seed, cap)
+
+        monkeypatch.setattr(oracle, "haar_average", counting)
+        assert verify.check_haar(1000, seed=20260826).passed
+        dims = {n for _, n in verify.HAAR_CASES}
+        assert len(calls) == len(dims) * verify.HAAR_STREAMS == 2 * verify.HAAR_STREAMS
+        assert sum(samples for *_, samples in calls) == 2 * verify.HAAR_STREAMS * 1000
+        assert {call[:2] for call in calls} == {((1, 2, 3), 2), ((2,), 3)}
 
     def test_honest_sampler_passes(self):
         result = verify.check_haar(4000, seed=20260826)
