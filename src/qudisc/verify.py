@@ -139,15 +139,20 @@ def check_principal_angles(max_total_dim: int) -> CheckResult:
     return CheckResult("principal angles", worst <= 1e-9, worst, f"{count} configs")
 
 
+def _priors(base: ProblemConfig, priors: tuple[float, ...]) -> list[ProblemConfig]:
+    return [ProblemConfig(base.n, base.n_a, base.n_b, base.n_c, eta1) for eta1 in priors]
+
+
 def check_min_error(max_total_dim: int) -> CheckResult:
-    """Dense trace-norm Helstrom value vs the closed form."""
+    """Dense trace-norm Helstrom value vs the closed form, every prior of
+    a config from one spectrum and one batched oracle call."""
     worst = 0.0
     count = 0
     for base in certification_grid(max_total_dim):
-        for eta1 in GRID_PRIORS:
-            cfg = ProblemConfig(base.n, base.n_a, base.n_b, base.n_c, eta1)
-            dense = oracle.helstrom_probability(cfg, max_total_dim)
-            closed = minerror_probability(cfg).p_me
+        spectrum = jordan_spectrum(canonicalize(base)[0])
+        cfgs = _priors(base, GRID_PRIORS)
+        for cfg, dense in zip(cfgs, oracle.helstrom_probabilities(cfgs, max_total_dim)):
+            closed = minerror_probability(cfg, spectrum).p_me
             worst = max(worst, abs(dense - closed))
             count += 1
     return CheckResult("min-error trace norm", worst <= 1e-9, worst, f"{count} cases")
@@ -155,15 +160,15 @@ def check_min_error(max_total_dim: int) -> CheckResult:
 
 def check_povm(max_total_dim: int, inject_q_fault: bool = False) -> CheckResult:
     """Numerical POVM assembly: positivity, completeness, zero error, and
-    failure probability equal to the closed-form optimum."""
+    failure probability equal to the closed-form optimum.  Every prior of
+    a config is certified by one batched oracle call; the first failing
+    (config, prior) is reported."""
     worst = 0.0
     count = 0
     for base in certification_grid(max_total_dim):
-        for eta1 in POVM_PRIORS:
-            cfg = ProblemConfig(base.n, base.n_a, base.n_b, base.n_c, eta1)
-            report = oracle.certify_povm(
-                cfg, max_total_dim, printed_high_branch=inject_q_fault
-            )
+        cfgs = _priors(base, POVM_PRIORS)
+        reports = oracle.certify_povms(cfgs, max_total_dim, printed_high_branch=inject_q_fault)
+        for cfg, report in zip(cfgs, reports):
             worst = max(
                 worst,
                 -report.min_eigenvalue,
@@ -176,7 +181,7 @@ def check_povm(max_total_dim: int, inject_q_fault: bool = False) -> CheckResult:
             if not report.passed():
                 return CheckResult(
                     "POVM certification", False, worst,
-                    f"failed at n={cfg.n} copies=({cfg.n_a},{cfg.n_b},{cfg.n_c}) eta1={eta1}",
+                    f"failed at n={cfg.n} copies=({cfg.n_a},{cfg.n_b},{cfg.n_c}) eta1={cfg.eta1}",
                 )
     return CheckResult("POVM certification", True, worst, f"{count} cases")
 

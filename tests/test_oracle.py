@@ -9,12 +9,37 @@ import numpy as np
 import pytest
 from sympy.utilities.iterables import multiset_permutations
 
-from qudisc import oracle, verify
+from qudisc import discrimination, oracle, verify
 from qudisc.discrimination import total_failure
 from qudisc.errors import OracleError, PreconditionError
 from qudisc.spectrum import ProblemConfig, canonicalize
 
 ALL_ONES = ProblemConfig(2, 1, 1, 1, 0.5)
+DEFAULT_GRID = list(verify.certification_grid(1024))
+
+
+def _config_id(cfg):
+    return f"{cfg.n}-{cfg.n_a}{cfg.n_b}{cfg.n_c}"
+
+
+def _support(rho):
+    """Orthonormal columns spanning the support of one whole matrix, from
+    numpy's eigensolver."""
+    values, vectors = np.linalg.eigh(rho)
+    return vectors[:, values > oracle.SUPPORT_TOL]
+
+
+def _full_angles(rho1, rho2):
+    """Principal-angle cosines of the two whole supports, one SVD."""
+    b1, b2 = _support(rho1), _support(rho2)
+    return np.clip(np.linalg.svd(b1.conj().T @ b2, compute_uv=False), 0.0, 1.0)
+
+
+def _assert_same_angles(observed, cosines):
+    expected = oracle._group_cosines(cosines)
+    assert [m for _, m in observed] == [m for _, m in expected]
+    for (co, _), (ce, _) in zip(observed, expected):
+        assert abs(co - ce) <= 1e-12
 
 
 class TestSymmetrizer:
@@ -340,15 +365,17 @@ class TestCanonicalGeometry:
         with pytest.raises(OracleError, match="outside its label weight"):
             oracle._jordan_geometry(2, 2, 1, 1, None)
 
-    @pytest.mark.parametrize("cfg", list(verify.certification_grid(256)),
-                             ids=lambda c: f"{c.n}-{c.n_a}{c.n_b}{c.n_c}")
+    @pytest.mark.parametrize("cfg", list(verify.certification_grid(256)), ids=_config_id)
     def test_blocked_lambda_matches_dense_route(self, cfg):
         rho1, rho2 = oracle.mean_states(cfg)
-        for eta1 in verify.GRID_PRIORS:
-            expected = np.linalg.eigvalsh((1 - eta1) * rho2 - eta1 * rho1)
-            prior = ProblemConfig(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, eta1)
-            observed = oracle.lambda_spectrum(prior)
-            assert np.abs(observed - expected).max() <= 1e-12
+        priors = [ProblemConfig(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, eta1)
+                  for eta1 in verify.GRID_PRIORS]
+        batched = oracle.lambda_spectra(priors)
+        assert batched.shape == (len(priors), cfg.n ** cfg.total_copies)
+        for prior, row in zip(priors, batched):
+            expected = np.linalg.eigvalsh(prior.eta2 * rho2 - prior.eta1 * rho1)
+            for observed in (oracle.lambda_spectrum(prior), row):
+                assert np.abs(observed - expected).max() <= 1e-12
 
 
 class TestDenseFamiliesAtCap:
@@ -361,6 +388,157 @@ class TestDenseFamiliesAtCap:
         result = check(oracle.DEFAULT_DIM_CAP)
         assert result.passed
         assert result.detail == detail
+
+
+def _reference_blocks(cfg):
+    """The per-weight-block geometry that shape stacking replaced: each
+    label weight's rows and columns of the two support bases, reduced on
+    their own.  Returns every block's rho1 and rho2 in its span frame and
+    its paired singular values."""
+    canonical, _ = canonicalize(cfg)
+    ab, c, a, bc = oracle._register_bases(canonical)
+    b1, b2 = oracle._kron(ab, c), oracle._kron(a, bc)
+    _, weight = np.unique(
+        oracle._multiset_keys(canonical.total_copies, canonical.n), return_inverse=True
+    )
+    key1, key2 = (weight[np.abs(b).argmax(axis=0)] for b in (b1, b2))
+    blocks = []
+    for key in range(weight.max() + 1):
+        rows = weight == key
+        w1, w2 = b1[np.ix_(rows, key1 == key)], b2[np.ix_(rows, key2 == key)]
+        u_span, stacked_sv, _ = np.linalg.svd(np.hstack([w1, w2]), full_matrices=False)
+        w = u_span[:, stacked_sv > 1e-6]
+        r1, r2 = ((w.T @ b) @ (w.T @ b).T / rank
+                  for b, rank in ((w1, canonical.d1), (w2, canonical.d2)))
+        sigma = np.clip(np.linalg.svd(w1.T @ w2)[1], 0.0, 1.0)
+        blocks.append((r1, r2, sigma))
+    return blocks
+
+
+class TestStackedGeometry:
+    @pytest.mark.parametrize("cfg", DEFAULT_GRID, ids=_config_id)
+    def test_matches_per_block_reference(self, cfg):
+        blocks = _reference_blocks(cfg)
+        canonical, swapped = canonicalize(cfg)
+        geometry = oracle._jordan_geometry(
+            canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
+        )
+        assert geometry.span_rank == sum(len(r1) for r1, _, _ in blocks)
+        cosines = -np.sort(-np.concatenate([sigma for *_, sigma in blocks]))
+        assert geometry.cosines.shape == cosines.shape
+        assert np.abs(geometry.cosines - cosines).max() <= 1e-15
+
+        priors = [ProblemConfig(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, eta1)
+                  for eta1 in verify.GRID_PRIORS]
+        for prior, observed in zip(priors, oracle.lambda_spectra(priors)):
+            flipped, _ = canonicalize(prior)
+            values = np.concatenate([
+                np.linalg.eigh(flipped.eta2 * r2 - flipped.eta1 * r1)[0] for r1, r2, _ in blocks
+            ])
+            expected = np.zeros(geometry.dim)
+            expected[: len(values)] = -values if swapped else values
+            assert np.abs(observed - np.sort(expected)).max() <= 1e-15
+
+    def test_members_of_one_shape_may_differ(self):
+        # two blocks of one shape (3 rows, one column each): a degenerate
+        # pair spanning one direction, and a live pair at cosine 1/sqrt(2)
+        # spanning two
+        e = np.eye(3)
+        b1 = np.stack([e[:, :1], e[:, :1]])
+        b2 = np.stack([e[:, :1], (e[:, :1] + e[:, 1:2]) / math.sqrt(2)])
+        by_size, sigma, lost = oracle._weight_blocks(b1, b2, 1, 1)
+        assert [s for s, _ in by_size] == [1, 2]
+        assert sigma[:, 0] == pytest.approx([1.0, 1 / math.sqrt(2)], abs=1e-15)
+        assert np.abs(lost).max() <= 1e-30
+        (_, dead), (_, alive) = by_size
+        r1, r2, identity, unpaired, sp1, sp2, pair_cosines = dead
+        assert [x.shape for x in dead] == [(1, 1, 1)] * 6 + [(1, 1)]
+        assert np.isnan(pair_cosines).all() and not sp1.any() and not sp2.any()
+        assert np.abs(identity - 1.0).max() <= 1e-15
+        r1, r2, identity, unpaired, sp1, sp2, pair_cosines = alive
+        assert pair_cosines[0, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert np.isnan(pair_cosines[0, 1])
+        assert np.abs(identity - np.eye(2)).max() <= 1e-15
+        # each member reduces as it would alone
+        for member, (_, fields) in enumerate(by_size):
+            (_, alone), = oracle._weight_blocks(b1[member:member + 1], b2[member:member + 1], 1, 1)[0]
+            for got, want in zip(fields, alone):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_mixed_copies_rejected(self):
+        with pytest.raises(PreconditionError, match="only in their priors"):
+            oracle.lambda_spectra([ALL_ONES, ProblemConfig(2, 2, 1, 1, 0.5)])
+
+
+class TestBatchedPriors:
+    @staticmethod
+    def _stacks(cap):
+        total = 0
+        for cfg in verify.certification_grid(cap):
+            c, _ = canonicalize(cfg)
+            total += len(oracle._jordan_geometry(c.n, c.n_a, c.n_b, c.n_c, cap).stacks)
+        return total
+
+    def test_one_eigh_per_stack_and_one_spectrum_per_config(self, monkeypatch):
+        cap = 1024
+        stacks = self._stacks(cap)
+        configs = len(DEFAULT_GRID)
+        eighs, spectra = [], []
+        honest_eig, honest_spectrum = oracle.hermitian_eig, oracle.jordan_spectrum
+
+        def counting_eig(m):
+            eighs.append(m.shape[0])
+            return honest_eig(m)
+
+        monkeypatch.setattr(oracle, "hermitian_eig", counting_eig)
+        for module in (oracle, verify, discrimination):
+            def counting_spectrum(cfg, name=module.__name__):
+                spectra.append(name)
+                return honest_spectrum(cfg)
+
+            monkeypatch.setattr(module, "jordan_spectrum", counting_spectrum)
+
+        for check, priors in ((verify.check_min_error, verify.GRID_PRIORS),
+                              (verify.check_povm, verify.POVM_PRIORS)):
+            eighs.clear()
+            spectra.clear()
+            assert check(cap).passed
+            # every call stacks all of one config's priors
+            assert len(eighs) == stacks and set(eighs) == {len(priors)}
+            assert len(spectra) == configs
+        assert set(spectra) == {"qudisc.oracle"}  # the POVM family's one per config
+
+    def test_first_failing_case_in_grid_order(self):
+        # the first (config, prior) whose one-prior certification fails
+        first = next(
+            (cfg, eta1)
+            for cfg in verify.certification_grid(1024)
+            for eta1 in verify.POVM_PRIORS
+            if not oracle.certify_povm(
+                ProblemConfig(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, eta1), 1024,
+                printed_high_branch=True,
+            ).passed()
+        )
+        cfg, eta1 = first
+        result = verify.check_povm(1024, inject_q_fault=True)
+        assert not result.passed
+        assert result.detail == (
+            f"failed at n={cfg.n} copies=({cfg.n_a},{cfg.n_b},{cfg.n_c}) eta1={eta1}"
+        )
+
+    def test_dense_families_build_each_geometry_once(self):
+        cap = oracle.DEFAULT_DIM_CAP
+        oracle._jordan_geometry.cache_clear()
+        try:
+            for check in (verify.check_principal_angles, verify.check_min_error,
+                          verify.check_povm):
+                assert check(cap).passed
+            canonical = {canonicalize(cfg)[0] for cfg in verify.certification_grid(cap)}
+            info = oracle._jordan_geometry.cache_info()
+        finally:
+            oracle._jordan_geometry.cache_clear()
+        assert info.maxsize == 64
+        assert info.misses == info.currsize == len(canonical) <= info.maxsize
 
 
 class TestEigensolver:
@@ -449,6 +627,58 @@ class TestPrincipalAngles:
             assert cm == pytest.approx(cf, abs=1e-12)
 
 
+class TestComponentSplit:
+    @pytest.mark.parametrize("cfg", list(verify.certification_grid(256)), ids=_config_id)
+    def test_matches_full_eigh_route(self, cfg):
+        rho1, rho2 = oracle.mean_states(cfg)
+        _assert_same_angles(oracle.principal_angles(rho1, rho2), _full_angles(rho1, rho2))
+
+    @staticmethod
+    def _psd(rng, size, rank):
+        raw = rng.standard_normal((size, rank))
+        return raw @ raw.T
+
+    def test_permuted_block_diagonal_pair(self):
+        # (size, rank of rho1's block, rank of rho2's block): some blocks
+        # belong to one state only, so min(d1, d2) exceeds the sum of the
+        # blocks' pair counts and the split must add zero cosines
+        plan = [(1, 1, 0), (3, 2, 3), (3, 3, 1), (4, 2, 2), (2, 0, 2), (5, 3, 4)]
+        rng = np.random.default_rng(20261019)
+        dim = sum(size for size, *_ in plan)
+        rho1, rho2 = np.zeros((dim, dim)), np.zeros((dim, dim))
+        planted = np.repeat(np.arange(len(plan)), [size for size, *_ in plan])
+        start = 0
+        for size, rank1, rank2 in plan:
+            block = slice(start, start + size)
+            rho1[block, block] = self._psd(rng, size, rank1)
+            rho2[block, block] = self._psd(rng, size, rank2)
+            start += size
+        perm = rng.permutation(dim)
+        rho1, rho2, planted = rho1[np.ix_(perm, perm)], rho2[np.ix_(perm, perm)], planted[perm]
+
+        labels = oracle._components((rho1 != 0) | (rho2 != 0))
+        assert np.array_equal(labels[:, None] == labels, planted[:, None] == planted)
+        cosines = _full_angles(rho1, rho2)
+        assert len(cosines) == 11 and np.sum(cosines < 1e-12) == 3
+        _assert_same_angles(oracle.principal_angles(rho1, rho2), cosines)
+
+    def test_dense_pair_is_one_component(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        rho1, rho2 = self._psd(rng, 12, 5), self._psd(rng, 12, 7)
+        assert np.all(rho1 != 0) and np.all(rho2 != 0)
+        assert not oracle._components((rho1 != 0) | (rho2 != 0)).any()
+        calls = []
+        honest = oracle.hermitian_eig
+
+        def counting(m):
+            calls.append(m.shape)
+            return honest(m)
+
+        monkeypatch.setattr(oracle, "hermitian_eig", counting)
+        _assert_same_angles(oracle.principal_angles(rho1, rho2), _full_angles(rho1, rho2))
+        assert calls == [(2, 1, 12, 12)]
+
+
 class TestLambdaSpectrum:
     def test_all_ones_nonzero_values(self):
         values = oracle.lambda_spectrum(ALL_ONES)
@@ -532,7 +762,7 @@ class TestCertifyPovm:
         from qudisc.spectrum import jordan_spectrum
 
         rho1, rho2 = oracle.mean_states(cfg)
-        b1, b2 = oracle.support_basis(rho1), oracle.support_basis(rho2)
+        b1, b2 = _support(rho1), _support(rho2)
         u, sigma, vh = np.linalg.svd(b1.conj().T @ b2)
         f, g = b1 @ u, b2 @ vh.conj().T
         spectrum = jordan_spectrum(cfg)
