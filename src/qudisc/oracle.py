@@ -1,12 +1,11 @@
 """First-principles dense-matrix certification of the closed forms.
 
-Everything here works on the full n^N-dimensional tensor space (sites
-ordered A-block, B-block, C-block, most significant site first) and is
-deliberately independent of the block formulas it checks: the supports
-are products of symmetric-subspace bases built from multiset vectors,
-principal angles come from an SVD, the Helstrom value from diagonalizing
-the weighted difference operator, and the unambiguous POVM is assembled
-vector by vector from the Jordan pairs.
+Sites are ordered A-block, B-block, C-block, most significant site
+first.  Everything here is deliberately independent of the block formulas
+it checks: the supports are products of symmetric-subspace bases built
+from multisets, principal angles come from an SVD, the Helstrom value
+from diagonalizing the weighted difference operator, and the unambiguous
+POVM is assembled vector by vector from the Jordan pairs.
 
 The Haar-averaged states are real symmetric: the symmetrizer is a mean
 of permutation matrices.  The whole dense geometry (supports, angles,
@@ -15,50 +14,34 @@ float64 with real-symmetric ``eigh`` and real SVDs.  Only the Haar
 sampler works with complex vectors, because random pure states are
 complex; ``hermitian_eig`` accepts either kind of input.
 
-The geometry is built for canonical configs (n_a >= n_c) only, and
-from the support bases alone: each must have the rank the formulas give,
-orthonormal columns and no weight outside the frame of the joint span.
-A mirrored config reuses it: reversing the site order maps one config's
-states onto the other's, with rho1 and rho2 exchanged.
-
-Both mean states are U(n)-invariant, so they commute with its diagonal
-torus: each multiset column of the support bases has one definite label
-weight, the label content of its site strings.  The geometry checks that
-every column is exactly zero on the rows of every other weight, then
-certifies each weight block (the rows and columns of one weight) on its
-own.  Blocks of one shape (rows, d1_w, d2_w) are certified as one stack:
-each SVD, product and per-block check (orthonormality, span size, lost
-weight, completeness) is one batched call, and members whose span sizes
-differ are split.  Supports, principal angles, the weighted difference
-operator and the POVM are all block-diagonal by weight.  Blocks of equal
-span size form one stack for Lambda and the POVM, and these take every
-prior of a config at once: one batched ``hermitian_eig`` call per stack
-and config.  Every block is computed, the label-permuted copies
-included.
+The geometry is built for canonical configs (n_a >= n_c) only; a
+mirrored config reuses it, since reversing the site order maps one
+config's states onto the other's with rho1 and rho2 exchanged.  It forms
+no array with n^N rows.  Both mean states commute with the diagonal torus
+of U(n), so the cross-Gram matrix G = B1^T B2 of the support bases
+sym(AB) x sym(C) and sym(A) x sym(BC) is block-diagonal by label weight,
+and ``_gram_blocks`` counts each block from multisets.  Each block's Gram
+matrix K = [[I, G], [G^T, I]] is factored as C^T C: C holds both bases
+in an orthonormal frame of the block's joint span, and supports, angles,
+Lambda and the POVM all live in these frames.  Blocks of one shape
+(d1_w, d2_w) are reduced as one stack; blocks of equal span size form
+one stack for Lambda and the POVM, which take every prior of a config in
+one batched ``hermitian_eig`` call per stack.  Every block is computed,
+the label-permuted copies included.
 
 The dense states of ``mean_states`` feed only the independent second
-route, ``principal_angles``.  It splits both states, exactly, into the
-connected components of their joint nonzero pattern and diagonalizes
-each component with ``hermitian_eig`` (numpy's ``eigh`` wrapped in
-explicit residual and unitarity checks), the components of one size in
-one stacked call.
-
-The Haar sampler draws one stream per (seed, n) and returns the mean
-tensor power of every requested order from it, so the lemma checks that
-share a dimension share their draws.  Each order's mean is still the
-mean of iid Haar draws, with the law it would have alone.  It is
-accumulated on one site string per multiset (D_m x D_m, not n^m x n^m),
-each order's monomials built from the order below, and expanded to the
-full space only at the end, so ``verify`` compares it in the full space
-against ``symmetrizer``, which stays an independent check of the
-multiset basis.
+route, ``principal_angles``.  The Haar sampler's means are compared in
+the full n^m space against ``symmetrizer``, which stays an independent
+check of the multiset basis.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -140,19 +123,14 @@ def symmetrizer(m: int, n: int, cap: int | None = None) -> np.ndarray:
     return basis @ basis.T
 
 
-def _register_bases(cfg: ProblemConfig) -> tuple[np.ndarray, ...]:
-    """Symmetric bases of the registers AB, C, A and BC, in that order."""
-    return tuple(_sym_basis(m, cfg.n) for m in (cfg.n1, cfg.n_c, cfg.n_a, cfg.n2))
-
-
 def mean_states(cfg: ProblemConfig, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The two Haar-averaged inputs as dense density matrices: maximally
     mixed on sym(AB) x sym(C) and on sym(A) x sym(BC)."""
     dim = cfg.n ** cfg.total_copies
     _check_cap(dim, cap)
-    ab, c, a, bc = (basis @ basis.T for basis in _register_bases(cfg))
-    rho1 = _kron(ab, c) / cfg.d1
-    rho2 = _kron(a, bc) / cfg.d2
+    ab, c, a, bc = (_sym_basis(m, cfg.n) for m in (cfg.n1, cfg.n_c, cfg.n_a, cfg.n2))
+    rho1 = _kron(ab @ ab.T, c @ c.T) / cfg.d1
+    rho2 = _kron(a @ a.T, bc @ bc.T) / cfg.d2
     for rho in (rho1, rho2):
         if abs(float(np.trace(rho).real) - 1.0) > 1e-12:
             raise OracleError("mean state trace deviates from one")
@@ -313,106 +291,127 @@ class _Geometry:
     completeness_residual: float
 
 
-def _column_weights(b: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """The label weight of each column of ``b``, given the weight of each
-    row; every column must be exactly zero on the rows of other weights."""
-    keys = weight[np.abs(b).argmax(axis=0)]
-    stray = float(np.abs(np.where(weight[:, None] == keys, 0.0, b)).max(initial=0.0))
-    if stray > 0.0:
-        raise OracleError(f"support basis column has weight {stray:.3e} outside its label weight")
-    return keys
+def _string_counts(counts: np.ndarray) -> np.ndarray:
+    """The number of site strings of the multiset of each label-count row
+    (last axis), the multinomial m!/prod(c!), or 0 where a count is
+    negative: exact, computed once per distinct row and rounded once."""
+    distinct, which = np.unique(counts.reshape(-1, counts.shape[-1]), axis=0, return_inverse=True)
+    strings = [math.factorial(sum(row)) // math.prod(map(math.factorial, row)) if min(row) >= 0
+               else 0 for row in distinct.tolist()]
+    return np.array(strings, dtype=float)[which.ravel()].reshape(counts.shape[:-1])
 
 
-def _weight_blocks(b1: np.ndarray, b2: np.ndarray, d1: int, d2: int) -> tuple:
-    """Certify and reduce a stack of weight blocks of one shape: the two
-    support bases' rows and columns of each weight, ``(B, rows, d1_w)``
-    and ``(B, rows, d2_w)``.  Returns, per span size s, the members'
-    ``_Stack`` fields; every member's paired singular values; and the
-    squared weight each basis has outside the members' spans.
+def _gram_blocks(cfg: ProblemConfig) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The label-weight blocks of G = B1^T B2, counted from multisets.
+
+    B1's columns are the pairs (M_AB, M_C) and B2's the pairs (M_A, M_BC),
+    in ``_kron`` order; a pair's label weight is the sum of its two count
+    rows.  Both bases' columns are normalized sums of site strings, so the
+    entry of a (M_AB, M_C) row and a (M_A, M_BC) column of one weight counts
+    the strings they share, |M_A| |M_B| |M_C| with M_B = M_AB - M_A, over
+    the four norms: |M_B| sqrt(|M_A| |M_C| / (|M_AB| |M_BC|)) when M_B >= 0,
+    and 0 otherwise (M_BC - M_C = M_B then holds by the weight).
+
+    Returns one ``(rows, cols, g)`` per block shape (d1_w, d2_w): the
+    members' B1 and B2 column indices, ``(B, d1_w)`` and ``(B, d2_w)``, and
+    their blocks ``(B, d1_w, d2_w)``."""
+    # each register's multisets as label-count rows, in ``_sym_basis`` column order
+    ab, c, a, bc = (np.array([np.bincount(labels, minlength=cfg.n)
+                              for labels in combinations_with_replacement(range(cfg.n), m)])
+                    for m in (cfg.n1, cfg.n_c, cfg.n_a, cfg.n2))
+    strings_b = _string_counts(ab[:, None, :] - a[None, :, :])  # |M_B| of every (M_AB, M_A)
+    strings_ab, strings_c, strings_a, strings_bc = map(_string_counts, (ab, c, a, bc))
+    row_ab, row_c = np.divmod(np.arange(len(ab) * len(c)), len(c))
+    col_a, col_bc = np.divmod(np.arange(len(a) * len(bc)), len(bc))
+    # the weight of every column of both bases, numbered 0, 1, ... together
+    _, weight = np.unique(np.concatenate([ab[row_ab] + c[row_c], a[col_a] + bc[col_bc]]),
+                          axis=0, return_inverse=True)
+    index = [_positions(labels) for labels in (weight[: len(row_ab)], weight[len(row_ab):])]
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for key, shape in enumerate(zip(*(counts.tolist() for *_, counts in index))):
+        shapes.setdefault(shape, []).append(key)
+    blocks = []
+    for (size1, size2), keys in shapes.items():
+        rows, cols = (_members(positions, np.array(keys), size)
+                      for positions, size in zip(index, (size1, size2)))
+        m_ab, m_c = row_ab[rows][:, :, None], row_c[rows][:, :, None]
+        m_a, m_bc = col_a[cols][:, None, :], col_bc[cols][:, None, :]
+        g = strings_b[m_ab, m_a] * np.sqrt(strings_a[m_a] * strings_c[m_c]
+                                           / (strings_ab[m_ab] * strings_bc[m_bc]))
+        blocks.append((rows, cols, g))
+    return blocks
+
+
+def _weight_blocks(g: np.ndarray, d1: int, d2: int) -> tuple:
+    """Certify and reduce a stack of weight blocks of G = B1^T B2 of one
+    shape, ``(B, d1_w, d2_w)``.  Each member's basis columns [B1_w B2_w]
+    have the Gram matrix K = [[I, G], [G^T, I]], factored as C^T C on its
+    eigenvalues above 1e-12; C's two column blocks are the bases'
+    coordinates in an orthonormal frame of their joint span, and C^T C
+    must match K to 1e-10.  Returns, per span size s, the members'
+    ``_Stack`` fields, and every member's paired singular values.
 
     Members may differ in span size and in their number of live
     (non-degenerate) pairs: each span size is reduced on its own, and
     the dead pairs' columns are zeroed and their cosines NaN."""
-    for b in (b1, b2):
-        gram = np.abs(_adjoint(b) @ b - np.eye(b.shape[-1])).max(initial=0.0)
-        if gram > 1e-10:
-            raise OracleError(f"support basis not orthonormal: defect {gram:.3e}")
-    u_span, stacked_sv, _ = np.linalg.svd(np.concatenate([b1, b2], axis=-1), full_matrices=False)
-    span_sizes = (stacked_sv > 1e-6).sum(axis=-1)
+    members, size1, size2 = g.shape
+    eye1, eye2 = (np.broadcast_to(np.eye(size), (members, size, size)) for size in (size1, size2))
+    gram = np.block([[eye1, g], [_adjoint(g), eye2]])
+    values, vectors = np.linalg.eigh(gram)
+    span_sizes = (values > 1e-12).sum(axis=-1)
 
-    u, sigma, vh = np.linalg.svd(_adjoint(b1) @ b2)
+    u, sigma, vh = np.linalg.svd(g)
     sigma = np.clip(sigma, 0.0, 1.0)
     pairs = sigma.shape[-1]
-    f = b1 @ u  # Jordan basis of supp(rho1)
-    g = b2 @ _adjoint(vh)  # paired + unpaired directions in supp(rho2)
-    f_paired, g_paired, g_extra = f[..., :pairs], g[..., :pairs], g[..., pairs:]
     live = 1.0 - sigma > GROUP_TOL  # degenerate pairs carry no complement
-    norms = np.where(live, np.sqrt(1.0 - sigma**2), 1.0)[:, None, :]
-    keep = live[:, None, :]
-    p2 = np.where(keep, (f_paired - g_paired * sigma[:, None, :]) / norms, 0.0)
-    p1 = np.where(keep, (g_paired - f_paired * sigma[:, None, :]) / norms, 0.0)
+    norms = np.where(live, np.sqrt(1.0 - sigma**2), 1.0)
 
-    by_size, lost_sq = [], np.zeros(2)
+    by_size = []
     for s in sorted(set(span_sizes.tolist())):
         member = span_sizes == s
-        w = u_span[member][..., :s]
-        r_pair = []
-        for i, (b, rank) in enumerate(((b1, d1), (b2, d2))):
-            coords = _adjoint(w) @ b[member]
-            lost_sq[i] += float(np.sum(np.abs(b[member] - w @ coords) ** 2))
-            r_pair.append(coords @ _adjoint(coords) / rank)
-        sf, se = _adjoint(w) @ f[member], _adjoint(w) @ g_extra[member]
-        sp1, sp2 = (np.zeros(w.shape[:1] + (s, s), dtype=w.dtype) for _ in range(2))
-        sp1[..., :pairs], sp2[..., :pairs] = _adjoint(w) @ p1[member], _adjoint(w) @ p2[member]
-        pair_cosines = np.full(w.shape[:1] + (s,), np.nan)
+        frame = np.sqrt(values[member, -s:])[:, :, None] * _adjoint(vectors[member][..., -s:])
+        defect = float(np.abs(_adjoint(frame) @ frame - gram[member]).max())
+        if defect > 1e-10:
+            raise OracleError(f"span frame misses the support Gram matrix by {defect:.3e}")
+        b1, b2 = frame[..., :size1], frame[..., size1:]
+        f = b1 @ u[member]  # Jordan basis of supp(rho1)
+        g2 = b2 @ _adjoint(vh[member])  # paired + unpaired directions in supp(rho2)
+        f_paired, g_paired, g_extra = f[..., :pairs], g2[..., :pairs], g2[..., pairs:]
+        keep, cos, norm = (x[member][:, None, :] for x in (live, sigma, norms))
+        sp1, sp2 = (np.zeros(frame.shape[:1] + (s, s), dtype=frame.dtype) for _ in range(2))
+        sp1[..., :pairs] = np.where(keep, (g_paired - f_paired * cos) / norm, 0.0)
+        sp2[..., :pairs] = np.where(keep, (f_paired - g_paired * cos) / norm, 0.0)
+        pair_cosines = np.full(frame.shape[:1] + (s,), np.nan)
         pair_cosines[:, :pairs] = np.where(live[member], sigma[member], np.nan)
-        unpaired = se @ _adjoint(se)
-        identity = sf @ _adjoint(sf) + sp1 @ _adjoint(sp1) + unpaired
-        by_size.append((s, (*r_pair, identity, unpaired, sp1, sp2, pair_cosines)))
-    return by_size, sigma, lost_sq
+        unpaired = g_extra @ _adjoint(g_extra)
+        identity = f @ _adjoint(f) + sp1 @ _adjoint(sp1) + unpaired
+        r1, r2 = b1 @ _adjoint(b1) / d1, b2 @ _adjoint(b2) / d2
+        by_size.append((s, (r1, r2, identity, unpaired, sp1, sp2, pair_cosines)))
+    return by_size, sigma
 
 
 @lru_cache(maxsize=64)
 def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _Geometry:
     """Build and certify the dense geometry for one canonical copy
-    configuration (n_a >= n_c) from the register bases: the weight blocks
-    of one shape (rows, d1_w, d2_w) at a time, each shape's blocks as one
-    stack."""
+    configuration (n_a >= n_c) from the weight blocks of G = B1^T B2: the
+    blocks of one shape (d1_w, d2_w) at a time, as one stack."""
     cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
     if not cfg.is_canonical:
         raise PreconditionError("_jordan_geometry expects n_a >= n_c; canonicalize first")
     dim = n ** cfg.total_copies
     _check_cap(dim, cap)
-    ab, c, a, bc = _register_bases(cfg)
-    b1, b2 = _kron(ab, c), _kron(a, bc)
-    d1, d2 = cfg.d1, cfg.d2
-    for b, rank in ((b1, d1), (b2, d2)):
-        if b.shape[1] != rank:
-            raise OracleError(f"support basis has {b.shape[1]} columns, expected rank {rank}")
-    # the label content of each site string, numbered 0, 1, ... in key order
-    _, weight = np.unique(_multiset_keys(cfg.total_copies, n), return_inverse=True)
-    index = [_positions(labels) for labels in
-             (weight, _column_weights(b1, weight), _column_weights(b2, weight))]
-    shapes: dict[tuple[int, int, int], list[int]] = {}
-    for key, shape in enumerate(zip(*(counts.tolist() for *_, counts in index))):
-        shapes.setdefault(shape, []).append(key)
+    blocks = _gram_blocks(cfg)
+    columns = [sum(g.shape[0] * g.shape[axis] for *_, g in blocks) for axis in (1, 2)]
+    if columns != [cfg.d1, cfg.d2]:
+        raise OracleError(f"support bases have {columns} columns, expected {cfg.d1}, {cfg.d2}")
 
     by_size: dict[int, list[tuple]] = {}
-    cosines, lost_sq = [], np.zeros(2)
-    for (rows, cols1, cols2), keys in shapes.items():
-        keys = np.array(keys)
-        r, c1, c2 = (_members(i, keys, size) for i, size in zip(index, (rows, cols1, cols2)))
-        blocks, sigma, lost = _weight_blocks(
-            b1[r[:, :, None], c1[:, None, :]], b2[r[:, :, None], c2[:, None, :]], d1, d2
-        )
-        for s, fields in blocks:
+    cosines = []
+    for *_, g in blocks:
+        reduced, sigma = _weight_blocks(g, cfg.d1, cfg.d2)
+        for s, fields in reduced:
             by_size.setdefault(s, []).append(fields)
         cosines.append(sigma.ravel())
-        lost_sq += lost
-    # the blocks share no row, so the lost weight is one Frobenius total
-    lost = float(np.sqrt(lost_sq.max()))
-    if lost > 1e-9:
-        raise OracleError(f"support has weight {lost:.3e} outside the joint span")
 
     stacks = tuple(
         _Stack(*map(np.concatenate, zip(*parts))) for _, parts in sorted(by_size.items())
@@ -425,7 +424,7 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     )
     cosines = -np.sort(-np.concatenate(cosines))
     # every column of b2 lies in one block: the rest of supp(rho2) is unpaired
-    return _Geometry(dim, span, cosines, stacks, d2 - len(cosines), completeness)
+    return _Geometry(dim, span, cosines, stacks, cfg.d2 - len(cosines), completeness)
 
 
 def jordan_angles(cfg: ProblemConfig, cap: int | None = None) -> list[tuple[float, int]]:

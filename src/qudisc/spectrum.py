@@ -52,7 +52,7 @@ class ProblemConfig:
             object.__setattr__(self, "eta2", 1.0 - self.eta1)
         if not (math.isfinite(self.eta1) and math.isfinite(self.eta2)):
             raise ValueError(f"priors must be finite: {self.eta1}, {self.eta2}")
-        if self.eta1 < -PRIOR_TOL or self.eta2 < -PRIOR_TOL:
+        if self.eta1 < 0 or self.eta2 < 0:
             raise ValueError(f"priors must be nonnegative: {self.eta1}, {self.eta2}")
         if abs(self.eta1 + self.eta2 - 1.0) > PRIOR_TOL:
             raise ValueError(f"priors must sum to 1: {self.eta1} + {self.eta2}")

@@ -93,6 +93,17 @@ class TestUnambiguous:
         assert code == 2
         assert "priors must be finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["unambiguous", "-n", "2", "--eta1", "1.0000000000005"],
+        ["minerror", "-n", "2", "--eta1=-5e-13"],
+        ["sweep", "--dim-max", "3", "--eta1=-5e-13"],
+    ], ids=["unambiguous", "minerror", "sweep"])
+    def test_slightly_negative_prior_exits_2(self, capsys, argv):
+        code, out, err = run([*argv, "--na", "1", "--nb", "1", "--nc", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "priors must be nonnegative" in err
+
 
 class TestMinError:
     def test_json_round_trip(self, capsys):

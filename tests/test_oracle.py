@@ -12,7 +12,7 @@ from sympy.utilities.iterables import multiset_permutations
 from qudisc import discrimination, oracle, verify
 from qudisc.discrimination import total_failure
 from qudisc.errors import OracleError, PreconditionError
-from qudisc.spectrum import ProblemConfig, canonicalize
+from qudisc.spectrum import ProblemConfig, canonicalize, jordan_spectrum
 
 ALL_ONES = ProblemConfig(2, 1, 1, 1, 0.5)
 DEFAULT_GRID = list(verify.certification_grid(1024))
@@ -282,10 +282,10 @@ class TestRealOracle:
             assert abs(c_real - c_complex) <= 1e-12
 
         real_dtype, real_spectrum, real_min = self._dense_numbers(cfg)
-        real_basis = oracle._sym_basis
-        monkeypatch.setattr(
-            oracle, "_sym_basis", lambda m, n: real_basis(m, n).astype(complex)
-        )
+        real_blocks = oracle._gram_blocks
+        monkeypatch.setattr(oracle, "_gram_blocks", lambda c: [
+            (rows, cols, g.astype(complex)) for rows, cols, g in real_blocks(c)
+        ])
         try:
             complex_dtype, complex_spectrum, complex_min = self._dense_numbers(cfg)
         finally:
@@ -334,36 +334,32 @@ class TestCanonicalGeometry:
         assert observed.shape == (cfg.n ** cfg.total_copies,)
         assert np.abs(observed - expected).max() <= 1e-12
 
-    def test_non_orthonormal_basis_rejected(self, monkeypatch):
-        real_basis = oracle._sym_basis
+    @staticmethod
+    def _nudged(monkeypatch, delta):
+        """Patch ``_gram_blocks`` to move the first block's first entry by delta."""
+        honest = oracle._gram_blocks
 
-        def skewed(m, n):
-            basis = real_basis(m, n)
-            basis[:, 0] *= 1.01
-            return basis
+        def nudged(cfg):
+            blocks = honest(cfg)
+            blocks[0][2][0, 0, 0] += delta
+            return blocks
 
-        monkeypatch.setattr(oracle, "_sym_basis", skewed)
-        with pytest.raises(OracleError):
-            oracle._jordan_geometry(2, 2, 1, 1, None)
+        monkeypatch.setattr(oracle, "_gram_blocks", nudged)
 
-    def test_mixed_weight_column_rejected(self, monkeypatch):
-        # the first two multiset columns, {0^m} and {0^(m-1) 1}, carry
-        # different label weights; rotating them keeps every basis
-        # orthonormal and every span unchanged
-        real_basis = oracle._sym_basis
+    def test_indefinite_gram_rejected(self, monkeypatch):
+        # an entry above 1 is no inner product of unit vectors: K has a
+        # negative eigenvalue, which no frame C^T C reproduces
+        first = oracle._gram_blocks(canonicalize(ALL_ONES)[0])[0][2][0, 0, 0]
+        assert first == pytest.approx(1.0, abs=1e-15)
+        self._nudged(monkeypatch, 0.5)
+        with pytest.raises(OracleError, match="misses the support Gram matrix"):
+            oracle._jordan_geometry(2, 1, 1, 1, None)
 
-        def rotated(m, n):
-            basis = real_basis(m, n)
-            first, second = basis[:, 0].copy(), basis[:, 1].copy()
-            basis[:, 0] = (first + second) / math.sqrt(2)
-            basis[:, 1] = (first - second) / math.sqrt(2)
-            return basis
-
-        basis = rotated(3, 2)
-        assert np.abs(basis.T @ basis - np.eye(4)).max() < 1e-15
-        monkeypatch.setattr(oracle, "_sym_basis", rotated)
-        with pytest.raises(OracleError, match="outside its label weight"):
-            oracle._jordan_geometry(2, 2, 1, 1, None)
+    def test_nudged_entry_fails_principal_angles(self, monkeypatch):
+        self._nudged(monkeypatch, -1e-6)
+        result = verify.check_principal_angles(64)
+        assert not result.passed
+        assert result.line().startswith("FAIL principal angles")
 
     @pytest.mark.parametrize("cfg", list(verify.certification_grid(256)), ids=_config_id)
     def test_blocked_lambda_matches_dense_route(self, cfg):
@@ -389,19 +385,78 @@ class TestDenseFamiliesAtCap:
         assert result.passed
         assert result.detail == detail
 
+    @pytest.mark.parametrize("check,detail", [
+        (verify.check_principal_angles, "81 configs"),
+        (verify.check_min_error, "243 cases"),
+        (verify.check_povm, "405 cases"),
+    ], ids=["principal-angles", "min-error", "povm"])
+    def test_passes_at_four_to_the_ninth(self, check, detail):
+        # the whole grid, up to (4; 3,3,3) with 4^9 = 262 144 dimensions
+        oracle._jordan_geometry.cache_clear()
+        try:
+            result = check(4**9)
+        finally:
+            oracle._jordan_geometry.cache_clear()
+        assert result.passed
+        assert result.detail == detail
+
+
+class TestGramBlocks:
+    @pytest.mark.parametrize("cfg", DEFAULT_GRID, ids=_config_id)
+    def test_equals_register_route(self, cfg):
+        # every block is one label weight's rows and columns of b1^T b2,
+        # and every weight has exactly one block
+        canonical, _ = canonicalize(cfg)
+        b1, b2, weight, key1, key2 = _register_route(canonical)
+        full = b1.T @ b2
+        seen = []
+        for rows, cols, g in oracle._gram_blocks(canonical):
+            assert g.shape == rows.shape + cols.shape[1:]
+            for r, c, block in zip(rows, cols, g):
+                key = key1[r[0]]
+                assert np.array_equal(r, np.flatnonzero(key1 == key))
+                assert np.array_equal(c, np.flatnonzero(key2 == key))
+                assert np.abs(block - full[np.ix_(r, c)]).max() <= 1e-15
+                seen.append(key)
+        assert sorted(seen) == list(range(weight.max() + 1))
+
+    def test_scale_without_register_bases(self, monkeypatch):
+        # (4; 3,3,3) has n^N = 262 144 site strings; its register route
+        # would need ~3.5 GB, the counted blocks need no n^N-row array
+        def refuse(*args):
+            raise AssertionError("geometry built a register basis")
+
+        monkeypatch.setattr(oracle, "_sym_basis", refuse)
+        monkeypatch.setattr(oracle, "_kron", refuse)
+        oracle._jordan_geometry.cache_clear()
+        try:
+            geometry = oracle._jordan_geometry(4, 3, 3, 3, 4**9)
+        finally:
+            oracle._jordan_geometry.cache_clear()
+        blocks = jordan_spectrum(ProblemConfig(4, 3, 3, 3)).blocks
+        expected = np.sort(np.concatenate([np.full(b.multiplicity, b.overlap) for b in blocks]))
+        assert geometry.cosines.shape == expected.shape == (1680,)
+        assert np.abs(np.sort(geometry.cosines) - expected).max() <= 1e-12
+
+
+def _register_route(cfg):
+    """The two canonical support bases as n^N-row products of symmetric
+    register bases, the label weight of each site string, and the weight
+    of each basis column."""
+    ab, c, a, bc = (oracle._sym_basis(m, cfg.n) for m in (cfg.n1, cfg.n_c, cfg.n_a, cfg.n2))
+    b1, b2 = oracle._kron(ab, c), oracle._kron(a, bc)
+    _, weight = np.unique(oracle._multiset_keys(cfg.total_copies, cfg.n), return_inverse=True)
+    key1, key2 = (weight[np.abs(b).argmax(axis=0)] for b in (b1, b2))
+    return b1, b2, weight, key1, key2
+
 
 def _reference_blocks(cfg):
-    """The per-weight-block geometry that shape stacking replaced: each
-    label weight's rows and columns of the two support bases, reduced on
-    their own.  Returns every block's rho1 and rho2 in its span frame and
+    """The per-weight-block geometry of the register route: each label
+    weight's rows and columns of the two n^N-row support bases, reduced on
+    their own in the frame of a span SVD.  Returns every block's rho1 and rho2 in its span frame and
     its paired singular values."""
     canonical, _ = canonicalize(cfg)
-    ab, c, a, bc = oracle._register_bases(canonical)
-    b1, b2 = oracle._kron(ab, c), oracle._kron(a, bc)
-    _, weight = np.unique(
-        oracle._multiset_keys(canonical.total_copies, canonical.n), return_inverse=True
-    )
-    key1, key2 = (weight[np.abs(b).argmax(axis=0)] for b in (b1, b2))
+    b1, b2, weight, key1, key2 = _register_route(canonical)
     blocks = []
     for key in range(weight.max() + 1):
         rows = weight == key
@@ -440,16 +495,12 @@ class TestStackedGeometry:
             assert np.abs(observed - np.sort(expected)).max() <= 1e-15
 
     def test_members_of_one_shape_may_differ(self):
-        # two blocks of one shape (3 rows, one column each): a degenerate
-        # pair spanning one direction, and a live pair at cosine 1/sqrt(2)
-        # spanning two
-        e = np.eye(3)
-        b1 = np.stack([e[:, :1], e[:, :1]])
-        b2 = np.stack([e[:, :1], (e[:, :1] + e[:, 1:2]) / math.sqrt(2)])
-        by_size, sigma, lost = oracle._weight_blocks(b1, b2, 1, 1)
+        # two 1x1 blocks of G: a degenerate pair spanning one direction,
+        # and a live pair at cosine 1/sqrt(2) spanning two
+        g = np.array([[[1.0]], [[1 / math.sqrt(2)]]])
+        by_size, sigma = oracle._weight_blocks(g, 1, 1)
         assert [s for s, _ in by_size] == [1, 2]
         assert sigma[:, 0] == pytest.approx([1.0, 1 / math.sqrt(2)], abs=1e-15)
-        assert np.abs(lost).max() <= 1e-30
         (_, dead), (_, alive) = by_size
         r1, r2, identity, unpaired, sp1, sp2, pair_cosines = dead
         assert [x.shape for x in dead] == [(1, 1, 1)] * 6 + [(1, 1)]
@@ -461,7 +512,7 @@ class TestStackedGeometry:
         assert np.abs(identity - np.eye(2)).max() <= 1e-15
         # each member reduces as it would alone
         for member, (_, fields) in enumerate(by_size):
-            (_, alone), = oracle._weight_blocks(b1[member:member + 1], b2[member:member + 1], 1, 1)[0]
+            (_, alone), = oracle._weight_blocks(g[member:member + 1], 1, 1)[0]
             for got, want in zip(fields, alone):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 

@@ -47,6 +47,18 @@ class TestProblemConfig:
         with pytest.raises(ValueError, match="priors must be finite"):
             ProblemConfig(2, 1, 1, 1, eta1, eta2)
 
+    @pytest.mark.parametrize("eta1,eta2", [
+        (-5e-13, None), (1.0000000000005, None), (0.5 + 5e-13, -5e-13), (-1e-300, 1.0),
+    ])
+    def test_every_negative_prior_rejected(self, eta1, eta2):
+        # within the sum tolerance, but a negative weight has no square root
+        with pytest.raises(ValueError, match="priors must be nonnegative"):
+            ProblemConfig(2, 1, 1, 1, eta1, eta2)
+
+    def test_zero_priors_accepted(self):
+        assert ProblemConfig(2, 1, 1, 1, 1.0).eta2 == 0.0
+        assert ProblemConfig(2, 1, 1, 1, -0.0).eta2 == 1.0
+
     def test_explicit_eta2(self):
         cfg = ProblemConfig(2, 1, 1, 1, 0.25, 0.75)
         assert cfg.eta2 == 0.75
