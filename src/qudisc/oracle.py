@@ -20,14 +20,17 @@ config's states onto the other's with rho1 and rho2 exchanged.  It forms
 no array with n^N rows.  Both mean states commute with the diagonal torus
 of U(n), so the cross-Gram matrix G = B1^T B2 of the support bases
 sym(AB) x sym(C) and sym(A) x sym(BC) is block-diagonal by label weight,
-and ``_gram_blocks`` counts each block from multisets.  Each block's Gram
-matrix K = [[I, G], [G^T, I]] is factored as C^T C: C holds both bases
-in an orthonormal frame of the block's joint span, and supports, angles,
-Lambda and the POVM all live in these frames.  Blocks of one shape
-(d1_w, d2_w) are reduced as one stack; blocks of equal span size form
-one stack for Lambda and the POVM, which take every prior of a config in
-one batched ``hermitian_eig`` call per stack.  Every block is computed,
-the label-permuted copies included.
+and ``_gram_blocks`` counts each block from multisets.  The supports
+meet in the totally symmetric subspace sym(ABC), which holds exactly one
+vector per label weight, so every block has one degenerate pair (cosine
+1) and spans d1_w + d2_w - 1 directions.  Each block's Gram matrix
+K = [[I, G], [G^T, I]] is checked to have that rank and factored as
+C^T C: C holds both bases in an orthonormal frame of the block's joint
+span, and supports, angles, Lambda and the POVM all live in these
+frames.  The blocks of one shape (d1_w, d2_w) form one stack, and Lambda
+and the POVM take every prior of a config in one batched
+``hermitian_eig`` call per stack.  Every block is computed, the
+label-permuted copies included.
 
 The dense states of ``mean_states`` feed only the independent second
 route, ``principal_angles``.  The Haar sampler's means are compared in
@@ -259,24 +262,25 @@ def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> list[tuple[float, in
 
 @dataclass(frozen=True)
 class _Stack:
-    """Weight blocks of one span size s, stacked along a leading axis of
-    B blocks, each in an orthonormal frame of its own share of the joint
-    span supp(rho1)+supp(rho2).  The pair columns of degenerate pairs,
-    and the padding of the pair columns to s, are zero, with cosine NaN."""
+    """Weight blocks of one shape (d1_w, d2_w), stacked along a leading
+    axis of B blocks, each in an orthonormal frame of its own share of the
+    joint span supp(rho1)+supp(rho2), of size s = d1_w + d2_w - 1.  Only
+    the p = d1_w - 1 live pairs carry pair fields; the degenerate pair
+    (the block's symmetric vector) has none."""
 
     r1: np.ndarray  # (B, s, s) rho1 in the block frames
     r2: np.ndarray
     identity: np.ndarray  # (B, s, s) span identity rebuilt from the Jordan pieces
     unpaired: np.ndarray  # (B, s, s) projector on supp(rho2) directions with no partner
-    sp1: np.ndarray  # (B, s, s) per-pair unit vectors orthogonal to the rho1 direction
-    sp2: np.ndarray  # (B, s, s) per-pair unit vectors orthogonal to the rho2 direction
-    pair_cosines: np.ndarray  # (B, s) cosines of the non-degenerate pairs
+    sp1: np.ndarray  # (B, s, p) per-pair unit vectors orthogonal to the rho1 direction
+    sp2: np.ndarray  # (B, s, p) per-pair unit vectors orthogonal to the rho2 direction
+    pair_cosines: np.ndarray  # (B, p) cosines of the live pairs
 
 
 @dataclass(frozen=True)
 class _Geometry:
     """Prior-independent dense-oracle data for one canonical config, split
-    into label-weight blocks and stacked by span size.
+    into label-weight blocks and stacked by block shape.
 
     All operators built downstream (the weighted difference Lambda and the
     unambiguous POVM elements) live inside the joint span and commute with
@@ -286,7 +290,7 @@ class _Geometry:
     dim: int
     span_rank: int
     cosines: np.ndarray  # paired singular values of every block, descending
-    stacks: tuple[_Stack, ...]  # ascending span size
+    stacks: tuple[_Stack, ...]  # one per block shape
     unpaired_rank: int
     completeness_residual: float
 
@@ -342,52 +346,48 @@ def _gram_blocks(cfg: ProblemConfig) -> list[tuple[np.ndarray, np.ndarray, np.nd
     return blocks
 
 
-def _weight_blocks(g: np.ndarray, d1: int, d2: int) -> tuple:
+def _weight_blocks(g: np.ndarray, d1: int, d2: int) -> tuple[_Stack, np.ndarray]:
     """Certify and reduce a stack of weight blocks of G = B1^T B2 of one
     shape, ``(B, d1_w, d2_w)``.  Each member's basis columns [B1_w B2_w]
-    have the Gram matrix K = [[I, G], [G^T, I]], factored as C^T C on its
-    eigenvalues above 1e-12; C's two column blocks are the bases'
-    coordinates in an orthonormal frame of their joint span, and C^T C
-    must match K to 1e-10.  Returns, per span size s, the members'
-    ``_Stack`` fields, and every member's paired singular values.
-
-    Members may differ in span size and in their number of live
-    (non-degenerate) pairs: each span size is reduced on its own, and
-    the dead pairs' columns are zeroed and their cosines NaN."""
+    have the Gram matrix K = [[I, G], [G^T, I]].  The two supports share
+    exactly the block's symmetric vector, so K must have rank
+    s = d1_w + d2_w - 1 (eigenvalues above 1e-12); it is factored as C^T C
+    on its top s eigenpairs.  C's two column blocks are the bases' coordinates in an
+    orthonormal frame of their joint span, and C^T C must match K to
+    1e-10.  The rank check leaves SVD pair 0, at cosine 1, the only
+    degenerate pair.  Returns the members' ``_Stack`` and every member's
+    paired singular values."""
     members, size1, size2 = g.shape
+    span = size1 + size2 - 1
     eye1, eye2 = (np.broadcast_to(np.eye(size), (members, size, size)) for size in (size1, size2))
     gram = np.block([[eye1, g], [_adjoint(g), eye2]])
     values, vectors = np.linalg.eigh(gram)
-    span_sizes = (values > 1e-12).sum(axis=-1)
+    ranks = (values > 1e-12).sum(axis=-1)
+    if np.any(ranks != span):
+        raise OracleError(
+            f"weight block spans {sorted(set(ranks.tolist()))} directions, expected {span}"
+        )
+    frame = np.sqrt(values[:, -span:])[:, :, None] * _adjoint(vectors[..., -span:])
+    defect = float(np.abs(_adjoint(frame) @ frame - gram).max())
+    if defect > 1e-10:
+        raise OracleError(f"span frame misses the support Gram matrix by {defect:.3e}")
+    b1, b2 = frame[..., :size1], frame[..., size1:]
 
     u, sigma, vh = np.linalg.svd(g)
     sigma = np.clip(sigma, 0.0, 1.0)
     pairs = sigma.shape[-1]
-    live = 1.0 - sigma > GROUP_TOL  # degenerate pairs carry no complement
-    norms = np.where(live, np.sqrt(1.0 - sigma**2), 1.0)
-
-    by_size = []
-    for s in sorted(set(span_sizes.tolist())):
-        member = span_sizes == s
-        frame = np.sqrt(values[member, -s:])[:, :, None] * _adjoint(vectors[member][..., -s:])
-        defect = float(np.abs(_adjoint(frame) @ frame - gram[member]).max())
-        if defect > 1e-10:
-            raise OracleError(f"span frame misses the support Gram matrix by {defect:.3e}")
-        b1, b2 = frame[..., :size1], frame[..., size1:]
-        f = b1 @ u[member]  # Jordan basis of supp(rho1)
-        g2 = b2 @ _adjoint(vh[member])  # paired + unpaired directions in supp(rho2)
-        f_paired, g_paired, g_extra = f[..., :pairs], g2[..., :pairs], g2[..., pairs:]
-        keep, cos, norm = (x[member][:, None, :] for x in (live, sigma, norms))
-        sp1, sp2 = (np.zeros(frame.shape[:1] + (s, s), dtype=frame.dtype) for _ in range(2))
-        sp1[..., :pairs] = np.where(keep, (g_paired - f_paired * cos) / norm, 0.0)
-        sp2[..., :pairs] = np.where(keep, (f_paired - g_paired * cos) / norm, 0.0)
-        pair_cosines = np.full(frame.shape[:1] + (s,), np.nan)
-        pair_cosines[:, :pairs] = np.where(live[member], sigma[member], np.nan)
-        unpaired = g_extra @ _adjoint(g_extra)
-        identity = f @ _adjoint(f) + sp1 @ _adjoint(sp1) + unpaired
-        r1, r2 = b1 @ _adjoint(b1) / d1, b2 @ _adjoint(b2) / d2
-        by_size.append((s, (r1, r2, identity, unpaired, sp1, sp2, pair_cosines)))
-    return by_size, sigma
+    f = b1 @ u  # Jordan basis of supp(rho1)
+    g2 = b2 @ _adjoint(vh)  # paired + unpaired directions in supp(rho2)
+    # the degenerate pair 0 carries no complement
+    f_live, g_live, g_extra = f[..., 1:pairs], g2[..., 1:pairs], g2[..., pairs:]
+    cos = sigma[:, None, 1:]
+    norm = np.sqrt(1.0 - cos**2)
+    sp1 = (g_live - f_live * cos) / norm
+    sp2 = (f_live - g_live * cos) / norm
+    unpaired = g_extra @ _adjoint(g_extra)
+    identity = f @ _adjoint(f) + sp1 @ _adjoint(sp1) + unpaired
+    r1, r2 = b1 @ _adjoint(b1) / d1, b2 @ _adjoint(b2) / d2
+    return _Stack(r1, r2, identity, unpaired, sp1, sp2, sigma[:, 1:]), sigma
 
 
 @lru_cache(maxsize=64)
@@ -405,24 +405,14 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     if columns != [cfg.d1, cfg.d2]:
         raise OracleError(f"support bases have {columns} columns, expected {cfg.d1}, {cfg.d2}")
 
-    by_size: dict[int, list[tuple]] = {}
-    cosines = []
-    for *_, g in blocks:
-        reduced, sigma = _weight_blocks(g, cfg.d1, cfg.d2)
-        for s, fields in reduced:
-            by_size.setdefault(s, []).append(fields)
-        cosines.append(sigma.ravel())
-
-    stacks = tuple(
-        _Stack(*map(np.concatenate, zip(*parts))) for _, parts in sorted(by_size.items())
-    )
+    stacks, sigmas = zip(*(_weight_blocks(g, cfg.d1, cfg.d2) for *_, g in blocks))
     span = sum(st.identity.shape[0] * st.identity.shape[-1] for st in stacks)
     # the POVM elements always sum to the identity on the joint support by
     # construction, so the completeness residual is prior-independent
     completeness = max(
         float(np.abs(st.identity - np.eye(st.identity.shape[-1])).max()) for st in stacks
     )
-    cosines = -np.sort(-np.concatenate(cosines))
+    cosines = -np.sort(-np.concatenate([sigma.ravel() for sigma in sigmas]))
     # every column of b2 lies in one block: the rest of supp(rho2) is unpaired
     return _Geometry(dim, span, cosines, stacks, cfg.d2 - len(cosines), completeness)
 
@@ -456,20 +446,18 @@ def _shared_geometry(
 
 def lambda_spectra(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> np.ndarray:
     """Eigenvalues of the weighted difference eta2*rho2 - eta1*rho1 on the
-    full tensor space, one row per config (the kernel outside the joint
-    support contributes its zeros explicitly).  The configs differ only in
-    their priors, so every prior's operators of one stack take one
-    ``hermitian_eig`` call.  For n_a < n_c the mirrored canonical config's
-    operator is minus the site-reversed one, so its eigenvalues are
-    negated."""
+    joint support supp(rho1)+supp(rho2), ascending, ``span_rank`` per
+    config; the rest of the n^N-dimensional space is its kernel.  The
+    configs differ only in their priors, so every prior's operators of
+    one stack take one ``hermitian_eig`` call.  For n_a < n_c the mirrored
+    canonical config's operator is minus the site-reversed one, so its
+    eigenvalues are negated."""
     _, swapped, geometry, eta1, eta2 = _shared_geometry(cfgs, cap)
     values = np.concatenate([
         hermitian_eig(eta2 * st.r2 - eta1 * st.r1)[0].reshape(len(cfgs), -1)
         for st in geometry.stacks
     ], axis=1)
-    padded = np.zeros((len(cfgs), geometry.dim))
-    padded[:, : geometry.span_rank] = -values if swapped else values
-    return np.sort(padded, axis=1)
+    return np.sort(-values if swapped else values, axis=1)
 
 
 def lambda_spectrum(cfg: ProblemConfig, cap: int | None = None) -> np.ndarray:
@@ -533,8 +521,8 @@ def certify_povms(
     Pi1 weights the per-pair directions orthogonal to the state-2 vector,
     Pi2 those orthogonal to the state-1 vector plus the unpaired part of
     supp(rho2); Pi0 is the remainder of the joint-support identity.
-    Degenerate pairs (cosine 1) carry no unambiguous information and fall
-    entirely into Pi0.
+    Each block's degenerate pair (cosine 1) carries no unambiguous
+    information and falls entirely into Pi0.
 
     ``printed_high_branch`` is the negative control: it builds the POVM
     from the erratum q1 = O_k, which must break the failure-probability
@@ -542,29 +530,22 @@ def certify_povms(
     """
     canonical, _, geo, eta1, eta2 = _shared_geometry(cfgs, cap)
     spectrum = jordan_spectrum(canonical[0])
-    overlaps = np.array([b.overlap for b in spectrum.blocks])
+    live = [b for b in spectrum.blocks if b.k]  # O_0 = 1 is the degenerate pair
+    overlaps = np.array([b.overlap for b in live])
     results = [total_failure(c, spectrum, printed_high_branch=printed_high_branch)
                for c in canonical]
-    # per prior and block k, the weights of Pi1 and Pi2 on its pair
-    # directions; no live pair can match O_0 = 1
+    # per prior and live block k, the weights of Pi1 and Pi2 on its pair directions
     q_by_k = [{b.k: (b.q1, b.q2) for b in result.blocks} for result in results]
-    weights = np.array([[[(1.0 - q) / (1.0 - float(b.overlap_sq)) if b.k else np.nan
-                          for q in qs[b.k]] for b in spectrum.blocks] for qs in q_by_k])
+    weights = np.array([[[(1.0 - q) / (1.0 - float(b.overlap_sq)) for q in qs[b.k]]
+                         for b in live] for qs in q_by_k])
 
     priors = len(cfgs)
     min_eig = np.full(priors, np.inf)
     err12, err21, failure = np.zeros((3, priors))
     for st in geo.stacks:
-        live = ~np.isnan(st.pair_cosines)
-        hits = np.abs(st.pair_cosines[live][:, None] - overlaps) < GROUP_TOL
-        counts = hits.sum(axis=1)
-        if np.any(counts != 1):
-            bad = int(np.argmax(counts != 1))
-            raise OracleError(
-                f"cosine {float(st.pair_cosines[live][bad])!r} matches {counts[bad]} blocks"
-            )
-        pair_weights = np.zeros((priors,) + live.shape + (2,))
-        pair_weights[:, live] = weights[:, hits.argmax(axis=1)]
+        # each pair takes the block of the nearest closed-form overlap
+        nearest = np.abs(st.pair_cosines[..., None] - overlaps).argmin(axis=-1)
+        pair_weights = weights[:, nearest]
         m1 = (st.sp2 * pair_weights[..., None, :, 0]) @ _adjoint(st.sp2)
         m2 = (st.sp1 * pair_weights[..., None, :, 1]) @ _adjoint(st.sp1) + st.unpaired
         m0 = st.identity - m1 - m2

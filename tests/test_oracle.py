@@ -35,6 +35,13 @@ def _full_angles(rho1, rho2):
     return np.clip(np.linalg.svd(b1.conj().T @ b2, compute_uv=False), 0.0, 1.0)
 
 
+def _with_kernel(values, cfg):
+    """A joint-span Lambda spectrum completed to the whole n^N-dimensional
+    space by the kernel's zeros, ascending."""
+    zeros = np.zeros(cfg.n ** cfg.total_copies - len(values))
+    return np.sort(np.concatenate([values, zeros]))
+
+
 def _assert_same_angles(observed, cosines):
     expected = oracle._group_cosines(cosines)
     assert [m for _, m in observed] == [m for _, m in expected]
@@ -331,32 +338,58 @@ class TestCanonicalGeometry:
         rho1, rho2 = oracle.mean_states(cfg)
         expected = np.sort(np.linalg.eigvalsh(cfg.eta2 * rho2 - cfg.eta1 * rho1))
         observed = oracle.lambda_spectrum(cfg)
-        assert observed.shape == (cfg.n ** cfg.total_copies,)
-        assert np.abs(observed - expected).max() <= 1e-12
+        assert observed.shape == (oracle._jordan_geometry(2, 3, 2, 1, None).span_rank,)
+        assert np.abs(_with_kernel(observed, cfg) - expected).max() <= 1e-12
 
     @staticmethod
-    def _nudged(monkeypatch, delta):
-        """Patch ``_gram_blocks`` to move the first block's first entry by delta."""
+    def _nudged(monkeypatch, nudge):
+        """Patch ``_gram_blocks`` to apply ``nudge`` to every config's blocks."""
         honest = oracle._gram_blocks
 
         def nudged(cfg):
             blocks = honest(cfg)
-            blocks[0][2][0, 0, 0] += delta
+            nudge(blocks)
             return blocks
 
         monkeypatch.setattr(oracle, "_gram_blocks", nudged)
+
+    @classmethod
+    def _nudged_entry(cls, monkeypatch, delta, block=0, entry=(0, 0)):
+        """Move one entry of the first member of one block shape by delta."""
+        def nudge(blocks):
+            blocks[block][2][(0,) + entry] += delta
+
+        cls._nudged(monkeypatch, nudge)
 
     def test_indefinite_gram_rejected(self, monkeypatch):
         # an entry above 1 is no inner product of unit vectors: K has a
         # negative eigenvalue, which no frame C^T C reproduces
         first = oracle._gram_blocks(canonicalize(ALL_ONES)[0])[0][2][0, 0, 0]
         assert first == pytest.approx(1.0, abs=1e-15)
-        self._nudged(monkeypatch, 0.5)
+        self._nudged_entry(monkeypatch, 0.5)
         with pytest.raises(OracleError, match="misses the support Gram matrix"):
             oracle._jordan_geometry(2, 1, 1, 1, None)
 
+    @pytest.mark.parametrize("block,entry,message", [
+        (0, (0, 0), r"spans \[1, 2\] directions, expected 1"),  # the 1x1 degenerate block
+        (1, (1, 0), r"spans \[3, 4\] directions, expected 3"),  # a zero entry of the 2x2 block
+    ], ids=["degenerate-block", "live-block"])
+    def test_nudged_entry_breaks_the_symmetric_vector(self, monkeypatch, block, entry, message):
+        # every entry of a block meets its symmetric vector, so moving any
+        # one of them splits the shared direction: K gains a rank
+        self._nudged_entry(monkeypatch, -1e-6, block, entry)
+        with pytest.raises(OracleError, match="weight block " + message):
+            oracle._jordan_geometry(2, 1, 1, 1, None)
+
     def test_nudged_entry_fails_principal_angles(self, monkeypatch):
-        self._nudged(monkeypatch, -1e-6)
+        # move the entries of the first block with a live pair along that
+        # pair only: the symmetric vector stays shared, one cosine is off by 1e-6
+        def nudge(blocks):
+            g = next(g for *_, g in blocks if min(g.shape[1:]) > 1)
+            u, _, vh = np.linalg.svd(g[0])
+            g[0] -= 1e-6 * np.outer(u[:, 1], vh[1])
+
+        self._nudged(monkeypatch, nudge)
         result = verify.check_principal_angles(64)
         assert not result.passed
         assert result.line().startswith("FAIL principal angles")
@@ -367,11 +400,15 @@ class TestCanonicalGeometry:
         priors = [ProblemConfig(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, eta1)
                   for eta1 in verify.GRID_PRIORS]
         batched = oracle.lambda_spectra(priors)
-        assert batched.shape == (len(priors), cfg.n ** cfg.total_copies)
+        canonical, _ = canonicalize(cfg)
+        geometry = oracle._jordan_geometry(
+            canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
+        )
+        assert batched.shape == (len(priors), geometry.span_rank)
         for prior, row in zip(priors, batched):
             expected = np.linalg.eigvalsh(prior.eta2 * rho2 - prior.eta1 * rho1)
             for observed in (oracle.lambda_spectrum(prior), row):
-                assert np.abs(observed - expected).max() <= 1e-12
+                assert np.abs(_with_kernel(observed, cfg) - expected).max() <= 1e-12
 
 
 class TestDenseFamiliesAtCap:
@@ -490,31 +527,40 @@ class TestStackedGeometry:
             values = np.concatenate([
                 np.linalg.eigh(flipped.eta2 * r2 - flipped.eta1 * r1)[0] for r1, r2, _ in blocks
             ])
-            expected = np.zeros(geometry.dim)
-            expected[: len(values)] = -values if swapped else values
-            assert np.abs(observed - np.sort(expected)).max() <= 1e-15
+            expected = np.sort(-values if swapped else values)
+            assert observed.shape == expected.shape
+            assert np.abs(observed - expected).max() <= 1e-15
 
-    def test_members_of_one_shape_may_differ(self):
-        # two 1x1 blocks of G: a degenerate pair spanning one direction,
-        # and a live pair at cosine 1/sqrt(2) spanning two
+    def test_members_of_one_shape_share_one_span(self):
+        # two 1x1 blocks of G: the degenerate pair spans one direction, a
+        # live pair at cosine 1/sqrt(2) would span two; no weight block
+        # lacks its symmetric vector
         g = np.array([[[1.0]], [[1 / math.sqrt(2)]]])
-        by_size, sigma = oracle._weight_blocks(g, 1, 1)
-        assert [s for s, _ in by_size] == [1, 2]
-        assert sigma[:, 0] == pytest.approx([1.0, 1 / math.sqrt(2)], abs=1e-15)
-        (_, dead), (_, alive) = by_size
-        r1, r2, identity, unpaired, sp1, sp2, pair_cosines = dead
-        assert [x.shape for x in dead] == [(1, 1, 1)] * 6 + [(1, 1)]
-        assert np.isnan(pair_cosines).all() and not sp1.any() and not sp2.any()
-        assert np.abs(identity - 1.0).max() <= 1e-15
-        r1, r2, identity, unpaired, sp1, sp2, pair_cosines = alive
-        assert pair_cosines[0, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert np.isnan(pair_cosines[0, 1])
-        assert np.abs(identity - np.eye(2)).max() <= 1e-15
-        # each member reduces as it would alone
-        for member, (_, fields) in enumerate(by_size):
-            (_, alone), = oracle._weight_blocks(g[member:member + 1], 1, 1)[0]
-            for got, want in zip(fields, alone):
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        with pytest.raises(OracleError, match=r"weight block spans \[1, 2\] directions, expected 1"):
+            oracle._weight_blocks(g, 1, 1)
+        stack, sigma = oracle._weight_blocks(g[:1], 1, 1)
+        assert sigma.shape == (1, 1) and abs(sigma[0, 0] - 1.0) <= 1e-15
+        assert stack.sp1.shape == stack.sp2.shape == (1, 1, 0)
+        assert stack.pair_cosines.shape == (1, 0)
+        assert np.abs(stack.identity - 1.0).max() <= 1e-15
+
+    def test_one_stack_per_shape(self):
+        # every stack spans d1_w + d2_w - 1 directions and carries the
+        # d1_w - 1 live pairs, never more pairs than supp(rho2) directions
+        for cfg in DEFAULT_GRID:
+            canonical, _ = canonicalize(cfg)
+            geometry = oracle._jordan_geometry(
+                canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
+            )
+            blocks = oracle._gram_blocks(canonical)
+            assert len(geometry.stacks) == len(blocks)
+            for st, (_, _, g) in zip(geometry.stacks, blocks):
+                members, size1, size2 = g.shape
+                assert size1 <= size2
+                assert st.r1.shape == (members, size1 + size2 - 1, size1 + size2 - 1)
+                assert st.sp1.shape == st.sp2.shape == st.r1.shape[:2] + (size1 - 1,)
+                assert st.pair_cosines.shape == (members, size1 - 1)
+                assert np.all(st.pair_cosines < 1.0 - 1e-7)
 
     def test_mixed_copies_rejected(self):
         with pytest.raises(PreconditionError, match="only in their priors"):
@@ -731,17 +777,23 @@ class TestComponentSplit:
 
 
 class TestLambdaSpectrum:
+    @staticmethod
+    def _span_rank(cfg):
+        # d1 + d2 minus the shared totally symmetric subspace of N copies
+        return cfg.d1 + cfg.d2 - math.comb(cfg.n + cfg.total_copies - 1, cfg.total_copies)
+
     def test_all_ones_nonzero_values(self):
         values = oracle.lambda_spectrum(ALL_ONES)
         target = math.sqrt(3) / 24
         assert int(np.sum(np.abs(values - target) < 1e-12)) == 2
         assert int(np.sum(np.abs(values + target) < 1e-12)) == 2
-        assert len(values) == 8
+        assert len(values) == self._span_rank(ALL_ONES) == 8
 
     def test_residual_direction_eigenvalue(self):
-        values = oracle.lambda_spectrum(ProblemConfig(2, 2, 1, 1, 0.5))
+        cfg = ProblemConfig(2, 2, 1, 1, 0.5)
+        values = oracle.lambda_spectrum(cfg)
         assert int(np.sum(np.abs(values - 1 / 18) < 1e-12)) == 1
-        assert len(values) == 16
+        assert len(values) == self._span_rank(cfg) == 12  # of 16 dimensions
 
     def test_certain_prior_has_no_error(self):
         # eta1 = 0: Lambda = rho2 >= 0, so the trace norm is 1 exactly
@@ -851,3 +903,20 @@ class TestCertifyPovm:
             (cfg.eta1 * np.trace(rho1 @ pi0) + cfg.eta2 * np.trace(rho2 @ pi0)).real
         )
         assert report.failure_probability == pytest.approx(dense_failure, abs=1e-12)
+
+
+class TestTwentyQubitCopies:
+    # (2; 20,20,20): n^N = 2^60, and 21 Jordan blocks whose closed-form
+    # overlaps lie as close as 1.5e-10, below GROUP_TOL
+    CAP = 2**61
+
+    @pytest.mark.parametrize("eta1", [0.1, 0.5, 0.9])
+    def test_povm_certifies(self, eta1):
+        report = oracle.certify_povm(ProblemConfig(2, 20, 20, 20, eta1), self.CAP)
+        assert report.passed()
+
+    @pytest.mark.parametrize("eta1", [0.1, 0.5, 0.9])
+    def test_helstrom_matches_closed_form(self, eta1):
+        cfg = ProblemConfig(2, 20, 20, 20, eta1)
+        dense = oracle.helstrom_probability(cfg, self.CAP)
+        assert dense == pytest.approx(discrimination.minerror_probability(cfg).p_me, abs=1e-12)
