@@ -20,17 +20,18 @@ config's states onto the other's with rho1 and rho2 exchanged.  It forms
 no array with n^N rows.  Both mean states commute with the diagonal torus
 of U(n), so the cross-Gram matrix G = B1^T B2 of the support bases
 sym(AB) x sym(C) and sym(A) x sym(BC) is block-diagonal by label weight,
-and ``_gram_blocks`` counts each block from multisets.  The supports
+and ``_gram_blocks`` counts each block from multisets.  They also commute
+with label permutations, and the blocks of one orbit of weights are
+row-and-column permutations of one matrix, so one block per orbit is
+certified and every total is weighted by the orbit's size.  The supports
 meet in the totally symmetric subspace sym(ABC), which holds exactly one
 vector per label weight, so every block has one degenerate pair (cosine
 1) and spans d1_w + d2_w - 1 directions.  Each block's Gram matrix
 K = [[I, G], [G^T, I]] is checked to have that rank and factored as
 C^T C: C holds both bases in an orthonormal frame of the block's joint
 span, and supports, angles, Lambda and the POVM all live in these
-frames.  The blocks of one shape (d1_w, d2_w) form one stack, and Lambda
-and the POVM take every prior of a config in one batched
-``hermitian_eig`` call per stack.  Every block is computed, the
-label-permuted copies included.
+frames.  Lambda and the POVM take every prior of a config in one batched
+``hermitian_eig`` call per block.
 
 The dense states of ``mean_states`` feed only the independent second
 route, ``principal_angles``.  The Haar sampler's means are compared in
@@ -41,6 +42,7 @@ check of the multiset basis.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -261,160 +263,144 @@ def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> list[tuple[float, in
 
 
 @dataclass(frozen=True)
-class _Stack:
-    """Weight blocks of one shape (d1_w, d2_w), stacked along a leading
-    axis of B blocks, each in an orthonormal frame of its own share of the
-    joint span supp(rho1)+supp(rho2), of size s = d1_w + d2_w - 1.  Only
-    the p = d1_w - 1 live pairs carry pair fields; the degenerate pair
-    (the block's symmetric vector) has none."""
+class _Block:
+    """The weight blocks of one orbit of label weights, as one (d1_w, d2_w)
+    block reduced in an orthonormal frame of its share of the joint span
+    supp(rho1)+supp(rho2), of size s = d1_w + d2_w - 1.  Only the
+    p = d1_w - 1 live pairs carry pair fields; the degenerate pair (the
+    block's symmetric vector) has none."""
 
-    r1: np.ndarray  # (B, s, s) rho1 in the block frames
+    size: int  # weights in the orbit: every orbit total is the block's times size
+    r1: np.ndarray  # (s, s) rho1 in the block frame
     r2: np.ndarray
-    identity: np.ndarray  # (B, s, s) span identity rebuilt from the Jordan pieces
-    unpaired: np.ndarray  # (B, s, s) projector on supp(rho2) directions with no partner
-    sp1: np.ndarray  # (B, s, p) per-pair unit vectors orthogonal to the rho1 direction
-    sp2: np.ndarray  # (B, s, p) per-pair unit vectors orthogonal to the rho2 direction
-    pair_cosines: np.ndarray  # (B, p) cosines of the live pairs
+    identity: np.ndarray  # (s, s) span identity rebuilt from the Jordan pieces
+    unpaired: np.ndarray  # (s, s) projector on supp(rho2) directions with no partner
+    sp1: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho1 direction
+    sp2: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho2 direction
+    pair_cosines: np.ndarray  # (p,) cosines of the live pairs
 
 
 @dataclass(frozen=True)
 class _Geometry:
-    """Prior-independent dense-oracle data for one canonical config, split
-    into label-weight blocks and stacked by block shape.
-
-    All operators built downstream (the weighted difference Lambda and the
-    unambiguous POVM elements) live inside the joint span and commute with
-    the diagonal torus of U(n), so every remaining check is a batch of
-    small dense computations, one block per weight."""
+    """Prior-independent dense-oracle data for one canonical config, one
+    block per orbit of label weights.  Every operator built downstream
+    (Lambda and the POVM elements) lives inside the joint span and
+    commutes with the torus and the label permutations, so it is checked
+    block by block, each block standing for its orbit's size."""
 
     dim: int
     span_rank: int
-    cosines: np.ndarray  # paired singular values of every block, descending
-    stacks: tuple[_Stack, ...]  # one per block shape
+    cosines: np.ndarray  # paired singular values of every weight block, descending
+    blocks: tuple[_Block, ...]  # one per orbit
     unpaired_rank: int
     completeness_residual: float
 
 
 def _string_counts(counts: np.ndarray) -> np.ndarray:
-    """The number of site strings of the multiset of each label-count row
-    (last axis), the multinomial m!/prod(c!), or 0 where a count is
-    negative: exact, computed once per distinct row and rounded once."""
-    distinct, which = np.unique(counts.reshape(-1, counts.shape[-1]), axis=0, return_inverse=True)
+    """The number of site strings of the multiset of each label-count row,
+    the multinomial m!/prod(c!), or 0 where a count is negative: exact,
+    computed once per distinct row and rounded once."""
+    distinct, which = np.unique(counts, axis=0, return_inverse=True)
     strings = [math.factorial(sum(row)) // math.prod(map(math.factorial, row)) if min(row) >= 0
                else 0 for row in distinct.tolist()]
-    return np.array(strings, dtype=float)[which.ravel()].reshape(counts.shape[:-1])
+    return np.array(strings, dtype=float)[which.ravel()]
 
 
-def _gram_blocks(cfg: ProblemConfig) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _gram_blocks(cfg: ProblemConfig) -> list[tuple[int, np.ndarray]]:
     """The label-weight blocks of G = B1^T B2, counted from multisets.
 
-    B1's columns are the pairs (M_AB, M_C) and B2's the pairs (M_A, M_BC),
-    in ``_kron`` order; a pair's label weight is the sum of its two count
-    rows.  Both bases' columns are normalized sums of site strings, so the
-    entry of a (M_AB, M_C) row and a (M_A, M_BC) column of one weight counts
-    the strings they share, |M_A| |M_B| |M_C| with M_B = M_AB - M_A, over
-    the four norms: |M_B| sqrt(|M_A| |M_C| / (|M_AB| |M_BC|)) when M_B >= 0,
-    and 0 otherwise (M_BC - M_C = M_B then holds by the weight).
-
-    Returns one ``(rows, cols, g)`` per block shape (d1_w, d2_w): the
-    members' B1 and B2 column indices, ``(B, d1_w)`` and ``(B, d2_w)``, and
-    their blocks ``(B, d1_w, d2_w)``."""
-    # each register's multisets as label-count rows, in ``_sym_basis`` column order
-    ab, c, a, bc = (np.array([np.bincount(labels, minlength=cfg.n)
-                              for labels in combinations_with_replacement(range(cfg.n), m)])
-                    for m in (cfg.n1, cfg.n_c, cfg.n_a, cfg.n2))
-    strings_b = _string_counts(ab[:, None, :] - a[None, :, :])  # |M_B| of every (M_AB, M_A)
-    strings_ab, strings_c, strings_a, strings_bc = map(_string_counts, (ab, c, a, bc))
-    row_ab, row_c = np.divmod(np.arange(len(ab) * len(c)), len(c))
-    col_a, col_bc = np.divmod(np.arange(len(a) * len(bc)), len(bc))
-    # the weight of every column of both bases, numbered 0, 1, ... together
-    _, weight = np.unique(np.concatenate([ab[row_ab] + c[row_c], a[col_a] + bc[col_bc]]),
-                          axis=0, return_inverse=True)
-    index = [_positions(labels) for labels in (weight[: len(row_ab)], weight[len(row_ab):])]
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for key, shape in enumerate(zip(*(counts.tolist() for *_, counts in index))):
-        shapes.setdefault(shape, []).append(key)
+    B1's columns are the pairs (M_AB, M_C) and B2's the pairs (M_A, M_BC);
+    a pair's label weight is the sum of its two count rows.  Both bases'
+    columns are normalized sums of site strings, so the entry of a
+    (M_AB, M_C) row and a (M_A, M_BC) column of one weight w counts the
+    strings they share, |M_A| |M_B| |M_C| with M_B = M_AB - M_A, over the
+    four norms: |M_B| sqrt(|M_A| |M_C| / (|M_AB| |M_BC|)) when M_B >= 0,
+    and 0 otherwise (M_BC - M_C = M_B then holds by the weight).  The rows
+    are the M_C <= w of n_c labels, with M_AB = w - M_C, and the columns
+    the M_A <= w of n_a labels, with M_BC = w - M_A.  Permuting the labels
+    of w permutes the rows and columns and keeps every entry, so this
+    returns one ``(size, g)`` per orbit of weights: the orbit's number of
+    weights and the ``(d1_w, d2_w)`` block of its descending weight."""
+    orbits = Counter(tuple(sorted(np.bincount(labels, minlength=cfg.n).tolist(), reverse=True))
+                     for labels in combinations_with_replacement(range(cfg.n), cfg.total_copies))
     blocks = []
-    for (size1, size2), keys in shapes.items():
-        rows, cols = (_members(positions, np.array(keys), size)
-                      for positions, size in zip(index, (size1, size2)))
-        m_ab, m_c = row_ab[rows][:, :, None], row_c[rows][:, :, None]
-        m_a, m_bc = col_a[cols][:, None, :], col_bc[cols][:, None, :]
-        g = strings_b[m_ab, m_a] * np.sqrt(strings_a[m_a] * strings_c[m_c]
-                                           / (strings_ab[m_ab] * strings_bc[m_bc]))
-        blocks.append((rows, cols, g))
+    for weight, size in orbits.items():
+        w = np.array(weight)
+        below = np.indices(w + 1).reshape(cfg.n, -1).T  # every count row <= w
+        m_c, m_a = (below[below.sum(axis=1) == m] for m in (cfg.n_c, cfg.n_a))
+        m_b = w - m_c[:, None, :] - m_a[None, :, :]
+        rows = [m_c, w - m_c, m_a, w - m_a, m_b.reshape(-1, cfg.n)]
+        strings_c, strings_ab, strings_a, strings_bc, strings_b = np.split(
+            _string_counts(np.concatenate(rows)), np.cumsum([len(r) for r in rows[:-1]]))
+        g = strings_b.reshape(m_b.shape[:2]) * np.sqrt(
+            strings_a * strings_c[:, None] / (strings_ab[:, None] * strings_bc))
+        blocks.append((size, g))
     return blocks
 
 
-def _weight_blocks(g: np.ndarray, d1: int, d2: int) -> tuple[_Stack, np.ndarray]:
-    """Certify and reduce a stack of weight blocks of G = B1^T B2 of one
-    shape, ``(B, d1_w, d2_w)``.  Each member's basis columns [B1_w B2_w]
-    have the Gram matrix K = [[I, G], [G^T, I]].  The two supports share
-    exactly the block's symmetric vector, so K must have rank
-    s = d1_w + d2_w - 1 (eigenvalues above 1e-12); it is factored as C^T C
-    on its top s eigenpairs.  C's two column blocks are the bases' coordinates in an
+def _weight_block(size: int, g: np.ndarray, d1: int, d2: int) -> tuple[_Block, np.ndarray]:
+    """Certify and reduce the weight block ``g`` of G = B1^T B2 of an orbit
+    of ``size`` weights.  Its basis columns [B1_w B2_w] have the Gram
+    matrix K = [[I, G], [G^T, I]].  The two supports share exactly the
+    block's symmetric vector, so K must have rank s = d1_w + d2_w - 1
+    (eigenvalues above 1e-12); it is factored as C^T C on its top s
+    eigenpairs.  C's two column blocks are the bases' coordinates in an
     orthonormal frame of their joint span, and C^T C must match K to
     1e-10.  The rank check leaves SVD pair 0, at cosine 1, the only
-    degenerate pair.  Returns the members' ``_Stack`` and every member's
-    paired singular values."""
-    members, size1, size2 = g.shape
+    degenerate pair.  Returns the ``_Block`` and its singular values."""
+    size1, size2 = g.shape
     span = size1 + size2 - 1
-    eye1, eye2 = (np.broadcast_to(np.eye(size), (members, size, size)) for size in (size1, size2))
-    gram = np.block([[eye1, g], [_adjoint(g), eye2]])
+    gram = np.block([[np.eye(size1), g], [_adjoint(g), np.eye(size2)]])
     values, vectors = np.linalg.eigh(gram)
-    ranks = (values > 1e-12).sum(axis=-1)
-    if np.any(ranks != span):
-        raise OracleError(
-            f"weight block spans {sorted(set(ranks.tolist()))} directions, expected {span}"
-        )
-    frame = np.sqrt(values[:, -span:])[:, :, None] * _adjoint(vectors[..., -span:])
+    rank = int((values > 1e-12).sum())
+    if rank != span:
+        raise OracleError(f"weight block spans {rank} directions, expected {span}")
+    frame = np.sqrt(values[-span:])[:, None] * _adjoint(vectors[:, -span:])
     defect = float(np.abs(_adjoint(frame) @ frame - gram).max())
     if defect > 1e-10:
         raise OracleError(f"span frame misses the support Gram matrix by {defect:.3e}")
-    b1, b2 = frame[..., :size1], frame[..., size1:]
+    b1, b2 = frame[:, :size1], frame[:, size1:]
 
     u, sigma, vh = np.linalg.svd(g)
     sigma = np.clip(sigma, 0.0, 1.0)
-    pairs = sigma.shape[-1]
+    pairs = len(sigma)
     f = b1 @ u  # Jordan basis of supp(rho1)
     g2 = b2 @ _adjoint(vh)  # paired + unpaired directions in supp(rho2)
     # the degenerate pair 0 carries no complement
-    f_live, g_live, g_extra = f[..., 1:pairs], g2[..., 1:pairs], g2[..., pairs:]
-    cos = sigma[:, None, 1:]
+    f_live, g_live, g_extra = f[:, 1:pairs], g2[:, 1:pairs], g2[:, pairs:]
+    cos = sigma[1:]
     norm = np.sqrt(1.0 - cos**2)
     sp1 = (g_live - f_live * cos) / norm
     sp2 = (f_live - g_live * cos) / norm
     unpaired = g_extra @ _adjoint(g_extra)
     identity = f @ _adjoint(f) + sp1 @ _adjoint(sp1) + unpaired
     r1, r2 = b1 @ _adjoint(b1) / d1, b2 @ _adjoint(b2) / d2
-    return _Stack(r1, r2, identity, unpaired, sp1, sp2, sigma[:, 1:]), sigma
+    return _Block(size, r1, r2, identity, unpaired, sp1, sp2, sigma[1:]), sigma
 
 
 @lru_cache(maxsize=64)
 def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _Geometry:
     """Build and certify the dense geometry for one canonical copy
-    configuration (n_a >= n_c) from the weight blocks of G = B1^T B2: the
-    blocks of one shape (d1_w, d2_w) at a time, as one stack."""
+    configuration (n_a >= n_c) from the weight blocks of G = B1^T B2, one
+    block per orbit of weights, each total weighted by the orbit's size."""
     cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
     if not cfg.is_canonical:
         raise PreconditionError("_jordan_geometry expects n_a >= n_c; canonicalize first")
     dim = n ** cfg.total_copies
     _check_cap(dim, cap)
-    blocks = _gram_blocks(cfg)
-    columns = [sum(g.shape[0] * g.shape[axis] for *_, g in blocks) for axis in (1, 2)]
+    orbits = _gram_blocks(cfg)
+    columns = [sum(size * g.shape[axis] for size, g in orbits) for axis in (0, 1)]
     if columns != [cfg.d1, cfg.d2]:
         raise OracleError(f"support bases have {columns} columns, expected {cfg.d1}, {cfg.d2}")
 
-    stacks, sigmas = zip(*(_weight_blocks(g, cfg.d1, cfg.d2) for *_, g in blocks))
-    span = sum(st.identity.shape[0] * st.identity.shape[-1] for st in stacks)
+    blocks, sigmas = zip(*(_weight_block(size, g, cfg.d1, cfg.d2) for size, g in orbits))
+    span = sum(b.size * len(b.identity) for b in blocks)
     # the POVM elements always sum to the identity on the joint support by
     # construction, so the completeness residual is prior-independent
-    completeness = max(
-        float(np.abs(st.identity - np.eye(st.identity.shape[-1])).max()) for st in stacks
-    )
-    cosines = -np.sort(-np.concatenate([sigma.ravel() for sigma in sigmas]))
+    completeness = max(float(np.abs(b.identity - np.eye(len(b.identity))).max()) for b in blocks)
+    cosines = -np.sort(-np.concatenate([np.tile(s, b.size) for b, s in zip(blocks, sigmas)]))
     # every column of b2 lies in one block: the rest of supp(rho2) is unpaired
-    return _Geometry(dim, span, cosines, stacks, cfg.d2 - len(cosines), completeness)
+    return _Geometry(dim, span, cosines, blocks, cfg.d2 - len(cosines), completeness)
 
 
 def jordan_angles(cfg: ProblemConfig, cap: int | None = None) -> list[tuple[float, int]]:
@@ -431,7 +417,7 @@ def _shared_geometry(
 ) -> tuple[list[ProblemConfig], bool, _Geometry, np.ndarray, np.ndarray]:
     """The canonical forms of configs that differ only in their priors,
     whether they were swapped, their one geometry, and their canonical
-    priors as ``(P, 1, 1, 1)`` arrays that broadcast over a stack."""
+    priors as ``(P, 1, 1)`` arrays that broadcast over a block."""
     pairs = [canonicalize(cfg) for cfg in cfgs]
     canonical = [c for c, _ in pairs]
     first = canonical[0]
@@ -439,7 +425,7 @@ def _shared_geometry(
     if any((c.n, c.n_a, c.n_b, c.n_c) != copies for c in canonical):
         raise PreconditionError("batched configs must differ only in their priors")
     geometry = _jordan_geometry(*copies, cap)
-    eta1, eta2 = (np.array([getattr(c, eta) for c in canonical])[:, None, None, None]
+    eta1, eta2 = (np.array([getattr(c, eta) for c in canonical])[:, None, None]
                   for eta in ("eta1", "eta2"))
     return canonical, pairs[0][1], geometry, eta1, eta2
 
@@ -449,20 +435,15 @@ def lambda_spectra(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> np.
     joint support supp(rho1)+supp(rho2), ascending, ``span_rank`` per
     config; the rest of the n^N-dimensional space is its kernel.  The
     configs differ only in their priors, so every prior's operators of
-    one stack take one ``hermitian_eig`` call.  For n_a < n_c the mirrored
-    canonical config's operator is minus the site-reversed one, so its
-    eigenvalues are negated."""
+    one block take one ``hermitian_eig`` call, and each block's
+    eigenvalues repeat once per weight of its orbit.  For n_a < n_c the
+    mirrored canonical config's operator is minus the site-reversed one,
+    so its eigenvalues are negated."""
     _, swapped, geometry, eta1, eta2 = _shared_geometry(cfgs, cap)
     values = np.concatenate([
-        hermitian_eig(eta2 * st.r2 - eta1 * st.r1)[0].reshape(len(cfgs), -1)
-        for st in geometry.stacks
+        np.tile(hermitian_eig(eta2 * b.r2 - eta1 * b.r1)[0], b.size) for b in geometry.blocks
     ], axis=1)
     return np.sort(-values if swapped else values, axis=1)
-
-
-def lambda_spectrum(cfg: ProblemConfig, cap: int | None = None) -> np.ndarray:
-    """``lambda_spectra`` of one config."""
-    return lambda_spectra([cfg], cap)[0]
 
 
 def helstrom_probabilities(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> list[float]:
@@ -515,8 +496,9 @@ def certify_povms(
     """Assemble the optimal unambiguous POVM from the numerically extracted
     Jordan pairs and measure all of its required properties, for configs
     that differ only in their priors: one spectrum for all of them, and
-    one ``hermitian_eig`` call per stack for every prior's Pi0, Pi1 and
-    Pi2 together.
+    one ``hermitian_eig`` call per block for every prior's Pi0, Pi1 and
+    Pi2 together.  The errors and the failure probability of a block
+    count once per weight of its orbit.
 
     Pi1 weights the per-pair directions orthogonal to the state-2 vector,
     Pi2 those orthogonal to the state-1 vector plus the unpaired part of
@@ -542,18 +524,18 @@ def certify_povms(
     priors = len(cfgs)
     min_eig = np.full(priors, np.inf)
     err12, err21, failure = np.zeros((3, priors))
-    for st in geo.stacks:
+    for b in geo.blocks:
         # each pair takes the block of the nearest closed-form overlap
-        nearest = np.abs(st.pair_cosines[..., None] - overlaps).argmin(axis=-1)
+        nearest = np.abs(b.pair_cosines[:, None] - overlaps).argmin(axis=-1)
         pair_weights = weights[:, nearest]
-        m1 = (st.sp2 * pair_weights[..., None, :, 0]) @ _adjoint(st.sp2)
-        m2 = (st.sp1 * pair_weights[..., None, :, 1]) @ _adjoint(st.sp1) + st.unpaired
-        m0 = st.identity - m1 - m2
-        values = hermitian_eig(np.concatenate([m0, m1, m2], axis=1))[0]
+        m1 = (b.sp2 * pair_weights[:, None, :, 0]) @ _adjoint(b.sp2)
+        m2 = (b.sp1 * pair_weights[:, None, :, 1]) @ _adjoint(b.sp1) + b.unpaired
+        m0 = b.identity - m1 - m2
+        values = hermitian_eig(np.stack([m0, m1, m2], axis=1))[0]
         min_eig = np.minimum(min_eig, values.min(axis=(1, 2)))
-        err12 += np.einsum("bij,pbji->p", st.r1, m2).real
-        err21 += np.einsum("bij,pbji->p", st.r2, m1).real
-        failure += np.einsum("pbij,pbji->p", eta1 * st.r1 + eta2 * st.r2, m0).real
+        err12 += b.size * np.einsum("ij,pji->p", b.r1, m2).real
+        err21 += b.size * np.einsum("ij,pji->p", b.r2, m1).real
+        failure += b.size * np.einsum("pij,pji->p", eta1 * b.r1 + eta2 * b.r2, m0).real
     if geo.dim > geo.span_rank:  # zero eigenvalues outside the joint span
         min_eig = np.minimum(min_eig, 0.0)
     reports = []

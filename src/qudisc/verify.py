@@ -22,6 +22,7 @@ from .discrimination import (
     minerror_probability,
     total_failure,
 )
+from .errors import OracleError
 from .spectrum import (
     ProblemConfig,
     canonicalize,
@@ -61,6 +62,12 @@ def certification_grid(max_total_dim: int) -> Iterator[ProblemConfig]:
         for n_a, n_b, n_c in product(GRID_COPIES, repeat=3):
             if n ** (n_a + n_b + n_c) <= max_total_dim:
                 yield ProblemConfig(n, n_a, n_b, n_c, 0.5)
+
+
+def _oracle_failure(name: str, cfg: ProblemConfig, exc: OracleError) -> CheckResult:
+    """A dense family's result when the oracle rejects one of its configs."""
+    where = f"n={cfg.n} copies=({cfg.n_a},{cfg.n_b},{cfg.n_c})"
+    return CheckResult(name, False, 1.0, f"{where}: {exc}")
 
 
 def check_combinatorics() -> CheckResult:
@@ -110,18 +117,21 @@ def check_principal_angles(max_total_dim: int) -> CheckResult:
     for cfg in certification_grid(max_total_dim):
         canonical, _ = canonicalize(cfg)
         spectrum = jordan_spectrum(canonical)
-        observed = oracle.jordan_angles(cfg, max_total_dim)
-        if cfg.n ** cfg.total_copies <= _DENSE_CROSSCHECK_DIM:
+        try:
+            observed = oracle.jordan_angles(cfg, max_total_dim)
             # second, slower support route: full certified eigensolve
-            dense = oracle.principal_angles(*oracle.mean_states(cfg, max_total_dim))
-            if len(dense) != len(observed) or any(
-                mo != md or abs(co - cd) > 1e-9
-                for (co, mo), (cd, md) in zip(observed, dense)
-            ):
-                return CheckResult(
-                    "principal angles", False, 1.0,
-                    f"support routes disagree for {cfg.n},({cfg.n_a},{cfg.n_b},{cfg.n_c})",
-                )
+            dense = (oracle.principal_angles(*oracle.mean_states(cfg, max_total_dim))
+                     if cfg.n ** cfg.total_copies <= _DENSE_CROSSCHECK_DIM else None)
+        except OracleError as exc:
+            return _oracle_failure("principal angles", cfg, exc)
+        if dense is not None and (len(dense) != len(observed) or any(
+            mo != md or abs(co - cd) > 1e-9
+            for (co, mo), (cd, md) in zip(observed, dense)
+        )):
+            return CheckResult(
+                "principal angles", False, 1.0,
+                f"support routes disagree for {cfg.n},({cfg.n_a},{cfg.n_b},{cfg.n_c})",
+            )
         expected = [(b.overlap, b.multiplicity) for b in spectrum.blocks]
         if len(observed) != len(expected):
             return CheckResult(
@@ -151,7 +161,11 @@ def check_min_error(max_total_dim: int) -> CheckResult:
     for base in certification_grid(max_total_dim):
         spectrum = jordan_spectrum(canonicalize(base)[0])
         cfgs = _priors(base, GRID_PRIORS)
-        for cfg, dense in zip(cfgs, oracle.helstrom_probabilities(cfgs, max_total_dim)):
+        try:
+            values = oracle.helstrom_probabilities(cfgs, max_total_dim)
+        except OracleError as exc:
+            return _oracle_failure("min-error trace norm", base, exc)
+        for cfg, dense in zip(cfgs, values):
             closed = minerror_probability(cfg, spectrum).p_me
             worst = max(worst, abs(dense - closed))
             count += 1
@@ -167,7 +181,10 @@ def check_povm(max_total_dim: int, inject_q_fault: bool = False) -> CheckResult:
     count = 0
     for base in certification_grid(max_total_dim):
         cfgs = _priors(base, POVM_PRIORS)
-        reports = oracle.certify_povms(cfgs, max_total_dim, printed_high_branch=inject_q_fault)
+        try:
+            reports = oracle.certify_povms(cfgs, max_total_dim, printed_high_branch=inject_q_fault)
+        except OracleError as exc:
+            return _oracle_failure("POVM certification", base, exc)
         for cfg, report in zip(cfgs, reports):
             worst = max(
                 worst,

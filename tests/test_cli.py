@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from qudisc import cli, discrimination
+from qudisc import cli, discrimination, oracle
 from qudisc.discrimination import bound_p0, minerror_probability, total_failure
 from qudisc.spectrum import ProblemConfig, jordan_spectrum
 
@@ -159,6 +159,31 @@ class TestVerify:
         code, out, _ = run(self.ARGS + ["--inject-q-fault"], capsys)
         assert code == 1
         assert "FAIL POVM certification" in out
+
+    def test_oracle_error_fails_its_families(self, capsys, monkeypatch):
+        # a degenerate Gram entry moved by -1e-6 breaks the rank check of
+        # every config's first block: each dense family reports the first
+        # config as a failure, and the other families still run
+        honest = oracle._gram_blocks
+
+        def nudged(cfg):
+            blocks = honest(cfg)
+            blocks[0][1][0, 0] -= 1e-6
+            return blocks
+
+        monkeypatch.setattr(oracle, "_gram_blocks", nudged)
+        oracle._jordan_geometry.cache_clear()
+        try:
+            code, out, _ = run(self.ARGS, capsys)
+        finally:
+            oracle._jordan_geometry.cache_clear()
+        assert code == 1
+        lines = out.splitlines()
+        reason = "(n=2 copies=(1,1,1): weight block spans 2 directions, expected 1)"
+        for family in ("principal angles", "min-error trace norm", "POVM certification"):
+            assert f"FAIL {family}: max residual 1.000e+00 {reason}" in lines
+        assert sum(line.startswith("PASS ") for line in lines) == 4
+        assert lines[-1] == "3 check(s) failed"
 
     @pytest.mark.parametrize("flag,value", [
         ("--samples", "0"), ("--samples", "-5"), ("--samples", "999"),

@@ -273,8 +273,8 @@ class TestRealOracle:
             canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
         )
         return (
-            geometry.stacks[0].r1.dtype,
-            oracle.lambda_spectrum(cfg),
+            geometry.blocks[0].r1.dtype,
+            oracle.lambda_spectra([cfg])[0],
             oracle.certify_povm(cfg).min_eigenvalue,
         )
 
@@ -291,7 +291,7 @@ class TestRealOracle:
         real_dtype, real_spectrum, real_min = self._dense_numbers(cfg)
         real_blocks = oracle._gram_blocks
         monkeypatch.setattr(oracle, "_gram_blocks", lambda c: [
-            (rows, cols, g.astype(complex)) for rows, cols, g in real_blocks(c)
+            (size, g.astype(complex)) for size, g in real_blocks(c)
         ])
         try:
             complex_dtype, complex_spectrum, complex_min = self._dense_numbers(cfg)
@@ -337,7 +337,7 @@ class TestCanonicalGeometry:
         cfg = self.SWAPPED
         rho1, rho2 = oracle.mean_states(cfg)
         expected = np.sort(np.linalg.eigvalsh(cfg.eta2 * rho2 - cfg.eta1 * rho1))
-        observed = oracle.lambda_spectrum(cfg)
+        observed = oracle.lambda_spectra([cfg])[0]
         assert observed.shape == (oracle._jordan_geometry(2, 3, 2, 1, None).span_rank,)
         assert np.abs(_with_kernel(observed, cfg) - expected).max() <= 1e-12
 
@@ -355,28 +355,30 @@ class TestCanonicalGeometry:
 
     @classmethod
     def _nudged_entry(cls, monkeypatch, delta, block=0, entry=(0, 0)):
-        """Move one entry of the first member of one block shape by delta."""
+        """Move one entry of one orbit's block by delta."""
         def nudge(blocks):
-            blocks[block][2][(0,) + entry] += delta
+            blocks[block][1][entry] += delta
 
         cls._nudged(monkeypatch, nudge)
 
     def test_indefinite_gram_rejected(self, monkeypatch):
         # an entry above 1 is no inner product of unit vectors: K has a
         # negative eigenvalue, which no frame C^T C reproduces
-        first = oracle._gram_blocks(canonicalize(ALL_ONES)[0])[0][2][0, 0, 0]
+        first = oracle._gram_blocks(canonicalize(ALL_ONES)[0])[0][1][0, 0]
         assert first == pytest.approx(1.0, abs=1e-15)
         self._nudged_entry(monkeypatch, 0.5)
         with pytest.raises(OracleError, match="misses the support Gram matrix"):
             oracle._jordan_geometry(2, 1, 1, 1, None)
 
     @pytest.mark.parametrize("block,entry,message", [
-        (0, (0, 0), r"spans \[1, 2\] directions, expected 1"),  # the 1x1 degenerate block
-        (1, (1, 0), r"spans \[3, 4\] directions, expected 3"),  # a zero entry of the 2x2 block
+        (0, (0, 0), "spans 2 directions, expected 1"),  # the 1x1 degenerate block
+        (1, (0, 0), "spans 4 directions, expected 3"),  # the zero entry of the 2x2 block
     ], ids=["degenerate-block", "live-block"])
     def test_nudged_entry_breaks_the_symmetric_vector(self, monkeypatch, block, entry, message):
         # every entry of a block meets its symmetric vector, so moving any
         # one of them splits the shared direction: K gains a rank
+        g = oracle._gram_blocks(canonicalize(ALL_ONES)[0])[block][1]
+        assert g.shape == (block + 1, block + 1) and g[entry] == (0.0 if block else 1.0)
         self._nudged_entry(monkeypatch, -1e-6, block, entry)
         with pytest.raises(OracleError, match="weight block " + message):
             oracle._jordan_geometry(2, 1, 1, 1, None)
@@ -385,9 +387,9 @@ class TestCanonicalGeometry:
         # move the entries of the first block with a live pair along that
         # pair only: the symmetric vector stays shared, one cosine is off by 1e-6
         def nudge(blocks):
-            g = next(g for *_, g in blocks if min(g.shape[1:]) > 1)
-            u, _, vh = np.linalg.svd(g[0])
-            g[0] -= 1e-6 * np.outer(u[:, 1], vh[1])
+            g = next(g for _, g in blocks if min(g.shape) > 1)
+            u, _, vh = np.linalg.svd(g)
+            g -= 1e-6 * np.outer(u[:, 1], vh[1])
 
         self._nudged(monkeypatch, nudge)
         result = verify.check_principal_angles(64)
@@ -407,7 +409,7 @@ class TestCanonicalGeometry:
         assert batched.shape == (len(priors), geometry.span_rank)
         for prior, row in zip(priors, batched):
             expected = np.linalg.eigvalsh(prior.eta2 * rho2 - prior.eta1 * rho1)
-            for observed in (oracle.lambda_spectrum(prior), row):
+            for observed in (oracle.lambda_spectra([prior])[0], row):
                 assert np.abs(_with_kernel(observed, cfg) - expected).max() <= 1e-12
 
 
@@ -441,21 +443,35 @@ class TestDenseFamiliesAtCap:
 class TestGramBlocks:
     @pytest.mark.parametrize("cfg", DEFAULT_GRID, ids=_config_id)
     def test_equals_register_route(self, cfg):
-        # every block is one label weight's rows and columns of b1^T b2,
-        # and every weight has exactly one block
+        # one block per orbit of label weights, in the order of the orbits'
+        # first weights: the rows and columns of b1^T b2 of the orbit's
+        # descending weight, ascending by their M_C and M_A count rows;
+        # every weight of the orbit has the same singular values
         canonical, _ = canonicalize(cfg)
-        b1, b2, weight, key1, key2 = _register_route(canonical)
+        n, total = canonical.n, canonical.total_copies
+        b1, b2, _, key1, key2 = _register_route(canonical)
         full = b1.T @ b2
-        seen = []
-        for rows, cols, g in oracle._gram_blocks(canonical):
-            assert g.shape == rows.shape + cols.shape[1:]
-            for r, c, block in zip(rows, cols, g):
-                key = key1[r[0]]
-                assert np.array_equal(r, np.flatnonzero(key1 == key))
-                assert np.array_equal(c, np.flatnonzero(key2 == key))
-                assert np.abs(block - full[np.ix_(r, c)]).max() <= 1e-15
-                seen.append(key)
-        assert sorted(seen) == list(range(weight.max() + 1))
+        weights, c, a, bc = (_count_rows(m, n) for m in (total, canonical.n_c,
+                                                          canonical.n_a, canonical.n2))
+        m_c = np.tile(c, (b1.shape[1] // len(c), 1))  # of each b1 column, in _kron order
+        m_a = np.repeat(a, len(bc), axis=0)  # of each b2 column
+        orbits = {}
+        for key, weight in enumerate(weights.tolist()):
+            orbits.setdefault(tuple(sorted(weight, reverse=True)), []).append(key)
+        blocks = oracle._gram_blocks(canonical)
+        assert [size for size, _ in blocks] == [len(keys) for keys in orbits.values()]
+        assert sum(size for size, _ in blocks) == math.comb(total + n - 1, n - 1)
+        for (_, g), (descending, keys) in zip(blocks, orbits.items()):
+            key = next(k for k in keys if tuple(weights[k]) == descending)
+            rows, cols = np.flatnonzero(key1 == key), np.flatnonzero(key2 == key)
+            rows = rows[np.lexsort(m_c[rows].T[::-1])]
+            cols = cols[np.lexsort(m_a[cols].T[::-1])]
+            assert np.abs(g - full[np.ix_(rows, cols)]).max() <= 1e-15
+            sigma = np.linalg.svd(g, compute_uv=False)
+            for key in keys:
+                block = full[np.ix_(key1 == key, key2 == key)]
+                assert block.shape == g.shape
+                assert np.abs(np.linalg.svd(block, compute_uv=False) - sigma).max() <= 1e-14
 
     def test_scale_without_register_bases(self, monkeypatch):
         # (4; 3,3,3) has n^N = 262 144 site strings; its register route
@@ -474,6 +490,13 @@ class TestGramBlocks:
         expected = np.sort(np.concatenate([np.full(b.multiplicity, b.overlap) for b in blocks]))
         assert geometry.cosines.shape == expected.shape == (1680,)
         assert np.abs(np.sort(geometry.cosines) - expected).max() <= 1e-12
+
+
+def _count_rows(m, n):
+    """The label-count row of every multiset of m labels out of n, in
+    ``combinations_with_replacement`` order."""
+    return np.array([np.bincount(labels, minlength=n)
+                     for labels in combinations_with_replacement(range(n), m)])
 
 
 def _register_route(cfg):
@@ -531,36 +554,38 @@ class TestStackedGeometry:
             assert observed.shape == expected.shape
             assert np.abs(observed - expected).max() <= 1e-15
 
-    def test_members_of_one_shape_share_one_span(self):
-        # two 1x1 blocks of G: the degenerate pair spans one direction, a
-        # live pair at cosine 1/sqrt(2) would span two; no weight block
-        # lacks its symmetric vector
-        g = np.array([[[1.0]], [[1 / math.sqrt(2)]]])
-        with pytest.raises(OracleError, match=r"weight block spans \[1, 2\] directions, expected 1"):
-            oracle._weight_blocks(g, 1, 1)
-        stack, sigma = oracle._weight_blocks(g[:1], 1, 1)
-        assert sigma.shape == (1, 1) and abs(sigma[0, 0] - 1.0) <= 1e-15
-        assert stack.sp1.shape == stack.sp2.shape == (1, 1, 0)
-        assert stack.pair_cosines.shape == (1, 0)
-        assert np.abs(stack.identity - 1.0).max() <= 1e-15
+    def test_block_must_hold_its_symmetric_vector(self):
+        # a 1x1 block of G: the degenerate pair spans one direction, a live
+        # pair at cosine 1/sqrt(2) would span two; no weight block lacks
+        # its symmetric vector
+        with pytest.raises(OracleError, match="weight block spans 2 directions, expected 1"):
+            oracle._weight_block(1, np.array([[1 / math.sqrt(2)]]), 1, 1)
+        block, sigma = oracle._weight_block(3, np.array([[1.0]]), 1, 1)
+        assert block.size == 3
+        assert sigma.shape == (1,) and abs(sigma[0] - 1.0) <= 1e-15
+        assert block.sp1.shape == block.sp2.shape == (1, 0)
+        assert block.pair_cosines.shape == (0,)
+        assert np.abs(block.identity - 1.0).max() <= 1e-15
 
-    def test_one_stack_per_shape(self):
-        # every stack spans d1_w + d2_w - 1 directions and carries the
+    def test_one_block_per_orbit(self):
+        # every block spans d1_w + d2_w - 1 directions and carries the
         # d1_w - 1 live pairs, never more pairs than supp(rho2) directions
         for cfg in DEFAULT_GRID:
             canonical, _ = canonicalize(cfg)
             geometry = oracle._jordan_geometry(
                 canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
             )
-            blocks = oracle._gram_blocks(canonical)
-            assert len(geometry.stacks) == len(blocks)
-            for st, (_, _, g) in zip(geometry.stacks, blocks):
-                members, size1, size2 = g.shape
-                assert size1 <= size2
-                assert st.r1.shape == (members, size1 + size2 - 1, size1 + size2 - 1)
-                assert st.sp1.shape == st.sp2.shape == st.r1.shape[:2] + (size1 - 1,)
-                assert st.pair_cosines.shape == (members, size1 - 1)
-                assert np.all(st.pair_cosines < 1.0 - 1e-7)
+            orbits = oracle._gram_blocks(canonical)
+            assert len(geometry.blocks) == len(orbits)
+            for block, (size, g) in zip(geometry.blocks, orbits):
+                size1, size2 = g.shape
+                assert block.size == size and size1 <= size2
+                assert block.r1.shape == (size1 + size2 - 1, size1 + size2 - 1)
+                assert block.sp1.shape == block.sp2.shape == (size1 + size2 - 1, size1 - 1)
+                assert block.pair_cosines.shape == (size1 - 1,)
+                assert np.all(block.pair_cosines < 1.0 - 1e-7)
+            span = sum(size * (sum(g.shape) - 1) for size, g in orbits)
+            assert geometry.span_rank == span
 
     def test_mixed_copies_rejected(self):
         with pytest.raises(PreconditionError, match="only in their priors"):
@@ -569,16 +594,16 @@ class TestStackedGeometry:
 
 class TestBatchedPriors:
     @staticmethod
-    def _stacks(cap):
+    def _blocks(cap):
         total = 0
         for cfg in verify.certification_grid(cap):
             c, _ = canonicalize(cfg)
-            total += len(oracle._jordan_geometry(c.n, c.n_a, c.n_b, c.n_c, cap).stacks)
+            total += len(oracle._jordan_geometry(c.n, c.n_a, c.n_b, c.n_c, cap).blocks)
         return total
 
-    def test_one_eigh_per_stack_and_one_spectrum_per_config(self, monkeypatch):
+    def test_one_eigh_per_block_and_one_spectrum_per_config(self, monkeypatch):
         cap = 1024
-        stacks = self._stacks(cap)
+        blocks = self._blocks(cap)
         configs = len(DEFAULT_GRID)
         eighs, spectra = [], []
         honest_eig, honest_spectrum = oracle.hermitian_eig, oracle.jordan_spectrum
@@ -601,7 +626,7 @@ class TestBatchedPriors:
             spectra.clear()
             assert check(cap).passed
             # every call stacks all of one config's priors
-            assert len(eighs) == stacks and set(eighs) == {len(priors)}
+            assert len(eighs) == blocks and set(eighs) == {len(priors)}
             assert len(spectra) == configs
         assert set(spectra) == {"qudisc.oracle"}  # the POVM family's one per config
 
@@ -783,7 +808,7 @@ class TestLambdaSpectrum:
         return cfg.d1 + cfg.d2 - math.comb(cfg.n + cfg.total_copies - 1, cfg.total_copies)
 
     def test_all_ones_nonzero_values(self):
-        values = oracle.lambda_spectrum(ALL_ONES)
+        values = oracle.lambda_spectra([ALL_ONES])[0]
         target = math.sqrt(3) / 24
         assert int(np.sum(np.abs(values - target) < 1e-12)) == 2
         assert int(np.sum(np.abs(values + target) < 1e-12)) == 2
@@ -791,7 +816,7 @@ class TestLambdaSpectrum:
 
     def test_residual_direction_eigenvalue(self):
         cfg = ProblemConfig(2, 2, 1, 1, 0.5)
-        values = oracle.lambda_spectrum(cfg)
+        values = oracle.lambda_spectra([cfg])[0]
         assert int(np.sum(np.abs(values - 1 / 18) < 1e-12)) == 1
         assert len(values) == self._span_rank(cfg) == 12  # of 16 dimensions
 
@@ -920,3 +945,22 @@ class TestTwentyQubitCopies:
         cfg = ProblemConfig(2, 20, 20, 20, eta1)
         dense = oracle.helstrom_probability(cfg, self.CAP)
         assert dense == pytest.approx(discrimination.minerror_probability(cfg).p_me, abs=1e-12)
+
+
+class TestSixQuditCopies:
+    # (6; 3,3,3): n^N = 6^9 ~ 1.0e7 and 2 002 label weights in 26 orbits
+    CAP = 6**9
+    CFG = ProblemConfig(6, 3, 3, 3, 0.3)
+
+    def test_one_block_per_orbit(self):
+        orbits = oracle._gram_blocks(self.CFG)
+        assert len(orbits) == 26
+        assert sum(size for size, _ in orbits) == math.comb(9 + 5, 5) == 2002
+
+    def test_helstrom_matches_closed_form(self):
+        dense = oracle.helstrom_probability(self.CFG, self.CAP)
+        closed = discrimination.minerror_probability(self.CFG).p_me
+        assert dense == pytest.approx(closed, abs=1e-12)
+
+    def test_povm_certifies(self):
+        assert oracle.certify_povm(self.CFG, self.CAP).passed()

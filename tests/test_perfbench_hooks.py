@@ -2,7 +2,9 @@
 
 The tracer in ``perfbench/spans.py`` reports a vanished layer as missing
 and keeps running, so a renamed or unimported function would only show up
-as a traced benchmark run with a stray line.  This test fails instead."""
+as a traced benchmark run with a stray line.  This test fails instead.
+The dense workloads' warm-up call must likewise pass the workload's own
+output check, or every benchmark run of them is marked incorrect."""
 
 import importlib.util
 import sys
@@ -10,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _hooks():
-    # the tracer module is read, not imported as a package: no bytecode is
-    # written next to it
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", SPANS)
+def _load(name):
+    """``perfbench/<name>.py``, read by file path rather than imported as a
+    package, so that no bytecode is written next to it."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.modules[spec.name] = module  # dataclasses resolve the module by name
@@ -26,7 +28,11 @@ def _hooks():
     finally:
         sys.dont_write_bytecode = dont_write
         del sys.modules[spec.name]
-    return module.HOOKS
+    return module
+
+
+def _hooks():
+    return _load("spans").HOOKS
 
 
 @pytest.mark.parametrize("hook", _hooks(), ids=lambda h: f"{h.module}.{h.function}")
@@ -40,3 +46,15 @@ def test_hook_resolves(hook):
     module = sys.modules.get(hook.module)
     assert module is not None, f"{hook.module} is not imported"
     assert callable(getattr(module, hook.function, None)), f"{hook.layer} is missing"
+
+
+def test_dense_warm_up_passes_its_check(monkeypatch):
+    # the dense workloads warm up on qubit_copies_op((1, 1, 1)); its output
+    # must pass the workload's own check against the reference
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _load("workloads")
+    monkeypatch.setitem(sys.modules, "reference", _load("reference"))  # the check imports it
+    bench = workloads.QubitCopies(seed=1)
+    bench.ops = [(1, 1, 1)]
+    errors, _ = bench.check([workloads.qubit_copies_op((1, 1, 1))], controls=False)
+    assert errors == []
