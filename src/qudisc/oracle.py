@@ -46,7 +46,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .spectrum import ProblemConfig, canonicalize, jordan_spectrum
 DEFAULT_DIM_CAP = 4096
 SUPPORT_TOL = 1e-9
 GROUP_TOL = 1e-7
-_HAAR_CHUNK = 4096  # draws per chunk: the chunk's temporaries stay in cache
+_HAAR_CHUNK = 1024  # draws per chunk: small temporaries; the stream does not depend on it
 
 
 def _check_cap(dim: int, cap: int | None) -> None:
@@ -143,63 +142,47 @@ def mean_states(cfg: ProblemConfig, cap: int | None = None) -> tuple[np.ndarray,
 
 
 def haar_average(
-    orders: Sequence[int], n: int, samples: int, seed: int, cap: int | None = None
+    cases: Sequence[tuple[int, int]], samples: int, seed: int, cap: int | None = None
 ) -> list[np.ndarray]:
-    """Empirical means of the m-fold tensor power projectors, one per order
-    m in ``orders``, over one stream of Haar-random pure states in C^n;
-    deterministic for a fixed (seed, n, samples), and each order's mean is
-    the same whichever other orders share the call.  Each state is a
-    normalized complex Gaussian vector, drawn as 2n real normals read in
-    complex view.
+    """Empirical means of the m-fold tensor power projectors, one per case
+    (m, n), over one stream of Haar-random pure states; deterministic for a
+    fixed (seed, largest n, samples).  Each draw is 2N real normals read as
+    N complex numbers, N the largest n, and each n normalizes the first n
+    of them: a slice of a standard complex Gaussian vector is again one,
+    so every dimension sees exact Haar draws.
 
     Every entry of psi^(x)m is the monomial of its site string's multiset,
-    so each order accumulates one representative (sorted) string per
-    multiset, a D_m x D_m product per chunk, and is expanded to the full
-    n^m x n^m matrix by an index gather at the end.  Order m's monomials
-    are order m-1's, gathered by the string without its largest label,
-    times that label's amplitude."""
-    _check_cap(n ** max(orders), cap)
+    so each n accumulates its top order on one sorted string per multiset,
+    a D_m x D_m product per chunk, expanded to the full n^m x n^m matrix by
+    an index gather at the end.  Every draw has unit norm, so a lower
+    order's mean is a partial trace of the top order's."""
+    tops = {n: max(m for m, k in cases if k == n) for _, n in cases}
+    _check_cap(max(n**m for n, m in tops.items()), cap)
     if samples < 1:
         raise ValueError("need at least one sample")
-    top = max(orders)
-    # the multiset keys of every order up to the top one, and each key's
-    # string position; a sorted string's key drops its largest label, the
-    # last base-n digit, under // n
-    keys, columns = zip(*(np.unique(_multiset_keys(m, n), return_inverse=True)
-                          for m in range(1, top + 1)))
-    steps = [(np.searchsorted(shorter, key // n), key % n) for shorter, key in zip(keys, keys[1:])]
-    accs = {m: np.zeros((len(keys[m - 1]),) * 2, dtype=complex) for m in orders}
-    rng = np.random.default_rng((seed, n))
-    chunk = np.empty((_HAAR_CHUNK, 2 * n))
+    # per n: its top order's multisets as label digits (a row per site),
+    # the multiset of each site string, and the running sum
+    parts = []
+    for n, m in tops.items():
+        keys, columns = np.unique(_multiset_keys(m, n), return_inverse=True)
+        digits = keys // n ** np.arange(m - 1, -1, -1)[:, None] % n
+        parts.append((n, digits, columns, np.zeros((len(keys),) * 2, dtype=complex)))
+    rng = np.random.default_rng((seed, max(tops)))
+    chunk = np.empty((_HAAR_CHUNK, 2 * max(tops)))
     for start in range(0, samples, _HAAR_CHUNK):
         real = chunk[: min(_HAAR_CHUNK, samples - start)]
         rng.standard_normal(out=real)
-        real /= np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]
-        # one row per label, one column per draw
-        psi = real.view(complex).T
-        cols = psi  # order 1: the labels themselves, in key order
-        for m in range(1, top + 1):
-            if m > 1:
-                parent, last = steps[m - 2]
-                cols = cols[parent]
-                cols *= psi[last]  # in place, as np.prod multiplies: the same bits
-            if m in accs:
-                accs[m] += cols @ cols.conj().T
-    return [(accs[m] / samples)[np.ix_(columns[m - 1], columns[m - 1])] for m in orders]
-
-
-def _positions(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices sorted by label (stably), with each label's first slot in
-    them and its count."""
-    counts = np.bincount(labels)
-    return np.argsort(labels, kind="stable"), np.cumsum(counts) - counts, counts
-
-
-def _members(positions: tuple, labels: np.ndarray, size: int) -> np.ndarray:
-    """``(len(labels), size)`` indices of the given labels, each of which
-    has exactly ``size`` members, in ascending order."""
-    order, starts, _ = positions
-    return order[starts[labels][:, None] + np.arange(size)]
+        draws = real.view(complex).T.copy()  # contiguous: a row per coordinate
+        for n, digits, _, acc in parts:
+            head = real[:, : 2 * n]
+            psi = draws[:n] * (1 / np.sqrt(np.einsum("ij,ij->i", head, head)))
+            cols = psi[digits[0]]
+            for site in digits[1:]:
+                cols *= psi[site]
+            acc += cols @ cols.conj().T
+    means = {n: (acc / samples)[np.ix_(columns, columns)] for n, _, columns, acc in parts}
+    return [means[n].reshape(n**m, n ** (tops[n] - m), n**m, -1).trace(axis1=1, axis2=3)
+            for m, n in cases]
 
 
 def _components(linked: np.ndarray) -> np.ndarray:
@@ -244,12 +227,12 @@ def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> list[tuple[float, in
     one component, the whole matrices."""
     linked = (rho1 != 0) | (rho2 != 0)
     _, component = np.unique(_components(linked | linked.T), return_inverse=True)
-    positions = _positions(component)
-    sizes = positions[2]
+    sizes = np.bincount(component)
+    order, starts = np.argsort(component, kind="stable"), np.cumsum(sizes) - sizes
     cosines, ranks = [], np.zeros((2, len(sizes)), dtype=int)
     for size in sorted(set(sizes.tolist())):
         labels = np.flatnonzero(sizes == size)
-        rows = _members(positions, labels, size)
+        rows = order[starts[labels][:, None] + np.arange(size)]  # each one's members, ascending
         blocks = np.stack([rho[rows[:, :, None], rows[:, None, :]] for rho in (rho1, rho2)])
         values, vectors = hermitian_eig(blocks)
         support = values > SUPPORT_TOL
@@ -306,6 +289,22 @@ def _string_counts(counts: np.ndarray) -> np.ndarray:
     return np.array(strings, dtype=float)[which.ravel()]
 
 
+def _orbits(n: int, total: int) -> list[tuple[tuple[int, ...], int]]:
+    """The orbits of the label weights of ``total`` sites under the label
+    permutations: each orbit's descending weight, a partition of total
+    into at most n parts padded with zeros, in reverse-lexicographic order,
+    and its number of weights, n! over the factorials of the multiplicities
+    of the parts, zeros included."""
+    def partitions(rest: int, parts: int, largest: int) -> list[tuple[int, ...]]:
+        if parts == 0:
+            return [()] if rest == 0 else []
+        return [(first, *tail) for first in range(min(rest, largest), -1, -1)
+                for tail in partitions(rest - first, parts - 1, first)]
+
+    return [(w, math.factorial(n) // math.prod(map(math.factorial, Counter(w).values())))
+            for w in partitions(total, n, total)]
+
+
 def _gram_blocks(cfg: ProblemConfig) -> list[tuple[int, np.ndarray]]:
     """The label-weight blocks of G = B1^T B2, counted from multisets.
 
@@ -321,10 +320,8 @@ def _gram_blocks(cfg: ProblemConfig) -> list[tuple[int, np.ndarray]]:
     of w permutes the rows and columns and keeps every entry, so this
     returns one ``(size, g)`` per orbit of weights: the orbit's number of
     weights and the ``(d1_w, d2_w)`` block of its descending weight."""
-    orbits = Counter(tuple(sorted(np.bincount(labels, minlength=cfg.n).tolist(), reverse=True))
-                     for labels in combinations_with_replacement(range(cfg.n), cfg.total_copies))
     blocks = []
-    for weight, size in orbits.items():
+    for weight, size in _orbits(cfg.n, cfg.total_copies):
         w = np.array(weight)
         below = np.indices(w + 1).reshape(cfg.n, -1).T  # every count row <= w
         m_c, m_a = (below[below.sum(axis=1) == m] for m in (cfg.n_c, cfg.n_a))

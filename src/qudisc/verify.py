@@ -232,29 +232,21 @@ def check_haar(samples: int, seed: int) -> CheckResult:
     2e-6 to 8e-6 per case.  The max residual is the largest |T - 1| over
     the cases and both statistics.
 
-    Cases sharing n share their draws: stream i of dimension n is one call
-    of ``oracle.haar_average`` for all of that dimension's orders.  Each
+    Stream i is one ``oracle.haar_average`` call for every case: each n
+    renormalizes the first n coordinates of the same draws in C^3.  Each
     case still sees 16 independent streams of N iid Haar draws, so its T
-    keeps exactly the law above; the cases become dependent, but the
-    family's false-fail rate is a union bound over the cases and needs no
-    independence.  The means are compared in the full n^m space against
-    ``oracle.symmetrizer``."""
-    orders: dict[int, list[int]] = {}
-    for m, n in HAAR_CASES:
-        orders.setdefault(n, []).append(m)
-    case_streams: dict[tuple[int, int], list[np.ndarray]] = {case: [] for case in HAAR_CASES}
-    for n, ms in orders.items():
-        for i in range(HAAR_STREAMS):
-            for m, mean in zip(ms, oracle.haar_average(ms, n, samples, seed + i)):
-                case_streams[m, n].append(mean)
+    keeps exactly the law above; the cases are dependent, but the family's
+    false-fail rate is a union bound and needs no independence.  The means
+    are compared in the full n^m space against ``oracle.symmetrizer``."""
+    case_streams = zip(*(oracle.haar_average(HAAR_CASES, samples, seed + i)
+                         for i in range(HAAR_STREAMS)))
 
     worst = 0.0
     pooled, means = [], []
-    for m, n in HAAR_CASES:
+    for (m, n), streams in zip(HAAR_CASES, case_streams):
         spread, c = haar_moments(m, n)
         symmetrizer = oracle.symmetrizer(m, n)
         target = symmetrizer / symmetrizer.trace()
-        streams = case_streams[m, n]
 
         def t_stat(mean: np.ndarray, draws: int) -> float:
             return draws * float(np.linalg.norm(mean - target)) ** 2 / spread

@@ -25,7 +25,12 @@ _REFERENCE_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "reference
 _spec = importlib.util.spec_from_file_location("qudisc_reference", _REFERENCE_PATH)
 reference = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = reference  # its dataclasses look their module up
-_spec.loader.exec_module(reference)
+_dont_write = sys.dont_write_bytecode
+sys.dont_write_bytecode = True  # read only: no bytecode next to the benchmark
+try:
+    _spec.loader.exec_module(reference)
+finally:
+    sys.dont_write_bytecode = _dont_write
 
 REL_TOL = 1e-13
 

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -123,18 +124,21 @@ class TestMeanStates:
             assert int(np.sum(np.abs(values - 1 / 6) < 1e-12)) == 6
 
 
-def _kron_average(orders, n, samples, seed):
-    """Reference for ``haar_average``: the same stream of draws, each
-    order's tensor power built in the full n^m space by repeated Kronecker
-    products along the draws."""
-    rng = np.random.default_rng((seed, n))
-    accs = [np.zeros((n**m, n**m), dtype=complex) for m in orders]
+def _kron_average(cases, samples, seed, whole_norm=False):
+    """Reference for ``haar_average``: the same stream of draws in C^N, N
+    the largest n, each case's draws cut to their first n coordinates and
+    renormalized, and every case's tensor power built in the full n^m
+    space by repeated Kronecker products along the draws.  ``whole_norm``
+    divides every cut by the draw's full norm instead: a wrong sampler."""
+    size = max(n for _, n in cases)
+    rng = np.random.default_rng((seed, size))
+    accs = [np.zeros((n**m, n**m), dtype=complex) for m, n in cases]
     for start in range(0, samples, oracle._HAAR_CHUNK):
         count = min(oracle._HAAR_CHUNK, samples - start)
-        real = rng.standard_normal((count, 2 * n))
-        real /= np.sqrt(np.einsum("ij,ij->i", real, real))[:, None]
-        psi = real.view(complex).T.copy()
-        for acc, m in zip(accs, orders):
+        draws = rng.standard_normal((count, 2 * size)).view(complex)
+        for acc, (m, n) in zip(accs, cases):
+            norm = np.linalg.norm(draws[:, : size if whole_norm else n], axis=1)
+            psi = (draws[:, :n] / norm[:, None]).T.copy()
             cols = psi
             for _ in range(m - 1):
                 cols = (cols[:, None, :] * psi[None, :, :]).reshape(-1, count)
@@ -144,21 +148,21 @@ def _kron_average(orders, n, samples, seed):
 
 class TestHaarAverage:
     def test_deterministic(self):
-        a = oracle.haar_average((2,), 2, 500, seed=7)
-        b = oracle.haar_average((2,), 2, 500, seed=7)
+        a = oracle.haar_average(((2, 2),), 500, seed=7)
+        b = oracle.haar_average(((2, 2),), 500, seed=7)
         assert np.array_equal(a[0], b[0])
-        c = oracle.haar_average((2,), 2, 500, seed=8)
+        c = oracle.haar_average(((2, 2),), 500, seed=8)
         assert not np.array_equal(a[0], c[0])
 
     def test_single_sample_is_pure_power(self):
-        (avg,) = oracle.haar_average((3,), 2, 1, seed=1)
+        (avg,) = oracle.haar_average(((3, 2),), 1, seed=1)
         values = np.linalg.eigvalsh(avg)
         assert values[-1] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(values[:-1]).max() < 1e-12
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
-            oracle.haar_average((2,), 2, 0, seed=1)
+            oracle.haar_average(((2, 2),), 0, seed=1)
 
     def test_order_over_cap_raises_before_drawing(self, monkeypatch):
         def no_draws(*args):
@@ -166,34 +170,49 @@ class TestHaarAverage:
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
         with pytest.raises(OracleError, match="exceeds cap 4"):
-            oracle.haar_average((1, 2, 3), 2, 100, seed=1, cap=4)
+            oracle.haar_average(((1, 2), (2, 2), (3, 2)), 100, seed=1, cap=4)
 
     @pytest.mark.parametrize("m,n", verify.HAAR_CASES)
     def test_matches_full_space_reference(self, m, n):
         # several chunks and a partial one
         samples = 2 * oracle._HAAR_CHUNK + 123
-        orders = (1, 2, 3) if n == 2 else (2,)
-        got = oracle.haar_average(orders, n, samples, seed=11)
-        expected = _kron_average(orders, n, samples, seed=11)
-        i = orders.index(m)
+        got = oracle.haar_average(verify.HAAR_CASES, samples, seed=11)
+        expected = _kron_average(verify.HAAR_CASES, samples, seed=11)
+        i = verify.HAAR_CASES.index((m, n))
         assert got[i].shape == (n**m, n**m)
         assert np.abs(got[i] - expected[i]).max() <= 1e-15
 
     def test_order_mean_independent_of_companions(self):
-        together = oracle.haar_average((1, 2, 3), 2, 5000, seed=3)
-        for i, m in enumerate((1, 2, 3)):
-            assert np.array_equal(together[i], oracle.haar_average((m,), 2, 5000, seed=3)[0])
-        assert np.array_equal(together[1], oracle.haar_average((3, 2), 2, 5000, seed=3)[1])
+        # a lower order is a partial trace of its dimension's top order,
+        # which equals the direct mean up to rounding
+        qubits = ((1, 2), (2, 2), (3, 2))
+        together = oracle.haar_average(qubits, 5000, seed=3)
+        for case, mean in zip(qubits, together):
+            assert np.abs(mean - oracle.haar_average((case,), 5000, seed=3)[0]).max() <= 1e-15
+        # the qutrit case sets the stream; the qubit orders stay within rounding
+        shared = oracle.haar_average(verify.HAAR_CASES, 5000, seed=3)
+        for case in qubits:
+            alone = oracle.haar_average((case, (2, 3)), 5000, seed=3)[0]
+            assert np.abs(shared[verify.HAAR_CASES.index(case)] - alone).max() <= 1e-15
+
+    def test_mean_independent_of_chunk_size(self, monkeypatch):
+        samples = 3 * 4096 + 5
+        small = oracle.haar_average(verify.HAAR_CASES, samples, seed=5)
+        monkeypatch.setattr(oracle, "_HAAR_CHUNK", 4096)
+        large = oracle.haar_average(verify.HAAR_CASES, samples, seed=5)
+        for a, b in zip(small, large):
+            assert np.abs(a - b).max() <= 1e-15
 
 
-def _real_average(orders, n, samples, seed, cap=None):
+def _real_average(cases, samples, seed, cap=None):
     """A wrong sampler for the Haar check: real instead of complex Gaussian
-    states.  Its mean is right at m = 1 and wrong from m = 2 on."""
-    rng = np.random.default_rng((seed, n))
-    psi = rng.standard_normal((samples, n))
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    states, cut from one stream like the honest sampler's.  Its mean is
+    right at m = 1 and wrong from m = 2 on."""
+    rng = np.random.default_rng((seed, max(n for _, n in cases)))
+    draws = rng.standard_normal((samples, max(n for _, n in cases)))
     means = []
-    for m in orders:
+    for m, n in cases:
+        psi = draws[:, :n] / np.linalg.norm(draws[:, :n], axis=1, keepdims=True)
         rows = psi
         for _ in range(m - 1):
             rows = (rows[:, :, None] * psi[:, None, :]).reshape(samples, -1)
@@ -231,26 +250,35 @@ class TestHaarGate:
         honest = oracle.haar_average
         monkeypatch.setattr(
             oracle, "haar_average",
-            lambda orders, n, samples, seed, cap=None: honest(orders, n, samples // 2, seed, cap),
+            lambda cases, samples, seed, cap=None: honest(cases, samples // 2, seed, cap),
         )
         result = verify.check_haar(4000, seed=20260826)
         assert not result.passed
         assert result.detail.startswith("variance law")
 
-    def test_one_call_per_dimension_and_stream(self, monkeypatch):
+    @pytest.mark.parametrize("samples", [verify.HAAR_MIN_SAMPLES, 4000, 100_000])
+    def test_slices_need_their_own_norm(self, monkeypatch, samples):
+        # the qubit cut of a qutrit draw divided by the whole draw's norm
+        # is too short: a biased mean from m = 1 on
+        monkeypatch.setattr(
+            oracle, "haar_average",
+            lambda cases, samples, seed, cap=None: _kron_average(cases, samples, seed, True),
+        )
+        result = verify.check_haar(samples, seed=20260826)
+        assert not result.passed
+        assert result.detail.startswith("bias at m=1, n=2")
+
+    def test_one_call_per_stream(self, monkeypatch):
         honest = oracle.haar_average
         calls = []
 
-        def counting(orders, n, samples, seed, cap=None):
-            calls.append((tuple(orders), n, samples))
-            return honest(orders, n, samples, seed, cap)
+        def counting(cases, samples, seed, cap=None):
+            calls.append((tuple(cases), samples))
+            return honest(cases, samples, seed, cap)
 
         monkeypatch.setattr(oracle, "haar_average", counting)
         assert verify.check_haar(1000, seed=20260826).passed
-        dims = {n for _, n in verify.HAAR_CASES}
-        assert len(calls) == len(dims) * verify.HAAR_STREAMS == 2 * verify.HAAR_STREAMS
-        assert sum(samples for *_, samples in calls) == 2 * verify.HAAR_STREAMS * 1000
-        assert {call[:2] for call in calls} == {((1, 2, 3), 2), ((2,), 3)}
+        assert calls == [(verify.HAAR_CASES, 1000)] * verify.HAAR_STREAMS
 
     def test_honest_sampler_passes(self):
         result = verify.check_haar(4000, seed=20260826)
@@ -472,6 +500,15 @@ class TestGramBlocks:
                 block = full[np.ix_(key1 == key, key2 == key)]
                 assert block.shape == g.shape
                 assert np.abs(np.linalg.svd(block, compute_uv=False) - sigma).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_orbits_match_the_weight_count(self, n):
+        # the orbits, their sizes and their order (that of their first
+        # weights) as counted over every weight of up to 12 sites
+        for total in range(1, 13):
+            counted = Counter(tuple(sorted(row.tolist(), reverse=True))
+                              for row in _count_rows(total, n))
+            assert oracle._orbits(n, total) == list(counted.items())
 
     def test_scale_without_register_bases(self, monkeypatch):
         # (4; 3,3,3) has n^N = 262 144 site strings; its register route

@@ -2,11 +2,14 @@
 
 The tracer in ``perfbench/spans.py`` reports a vanished layer as missing
 and keeps running, so a renamed or unimported function would only show up
-as a traced benchmark run with a stray line.  This test fails instead.
+as a traced benchmark run with a stray line.  This test fails instead,
+as it does when a hook sums an argument the function no longer takes,
+which would break the traced run itself.
 The dense workloads' warm-up call must likewise pass the workload's own
 output check, or every benchmark run of them is marked incorrect."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -46,6 +49,16 @@ def test_hook_resolves(hook):
     module = sys.modules.get(hook.module)
     assert module is not None, f"{hook.module} is not imported"
     assert callable(getattr(module, hook.function, None)), f"{hook.layer} is missing"
+
+
+@pytest.mark.parametrize("hook", [h for h in _hooks() if h.amount],
+                         ids=lambda h: f"{h.module}.{h.function}")
+def test_hook_amount_is_a_parameter(hook):
+    import qudisc.cli  # noqa: F401
+    import qudisc.oracle  # noqa: F401
+
+    function = getattr(sys.modules[hook.module], hook.function)
+    assert hook.amount in inspect.signature(function).parameters
 
 
 def test_dense_warm_up_passes_its_check(monkeypatch):
