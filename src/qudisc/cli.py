@@ -13,9 +13,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict
 
-from .discrimination import asymptotic_bounds, minerror_probability, total_failure
+from .discrimination import asymptotic_bounds, minerror_probability, optimal_totals, total_failure
 from .errors import PreconditionError
 from .spectrum import ProblemConfig, canonicalize, jordan_spectrum
 from . import verify as verify_mod
@@ -65,7 +64,7 @@ def cmd_spectrum(args, out) -> int:
     spec = jordan_spectrum(canonical)
     keys = ("k", "overlap", "multiplicity")  # the exact overlap_sq stays out
     payload = {
-        "config": asdict(cfg),
+        "config": vars(cfg),
         "blocks": [{key: getattr(b, key) for key in keys} for b in spec.blocks],
         "d1": spec.d1, "d2": spec.d2, "gap": spec.d2 - spec.d1,
         "swapped": swapped,
@@ -80,8 +79,8 @@ def cmd_unambiguous(args, out) -> int:
     cfg = _config_from_args(args)
     result = total_failure(cfg)
     payload = {
-        "config": asdict(cfg),
-        "blocks": [asdict(b) | {"branch": b.branch.value} for b in result.blocks],
+        "config": vars(cfg),
+        "blocks": [vars(b) | {"branch": b.branch.value} for b in result.blocks],
         "total": result.q_total,
         "swapped": result.swapped,
     }
@@ -96,8 +95,8 @@ def cmd_minerror(args, out) -> int:
     cfg = _config_from_args(args)
     result = minerror_probability(cfg)
     payload = {
-        "config": asdict(cfg),
-        "blocks": [asdict(b) for b in result.blocks],
+        "config": vars(cfg),
+        "blocks": [vars(b) for b in result.blocks],
         "residual_eigenvalue": result.residual_eigenvalue,
         "residual_multiplicity": result.residual_multiplicity,
         "total": result.p_me,
@@ -115,7 +114,7 @@ def cmd_minerror(args, out) -> int:
 def cmd_bounds(args, out) -> int:
     cfg = _config_from_args(args)
     bounds = asymptotic_bounds(cfg)
-    payload = {"config": asdict(cfg), "q0": bounds.q0, "p0": bounds.p0}
+    payload = {"config": vars(cfg), "q0": bounds.q0, "p0": bounds.p0}
     if bounds.q0 is None:
         footer = [("P0", bounds.p0), "Q0 undefined: requires n_a = n_c"]
     else:
@@ -157,10 +156,8 @@ def cmd_sweep(args, out) -> int:
     rows = []
     for n in range(args.dim_min, args.dim_max + 1):
         cfg = ProblemConfig(n, args.na, args.nb, args.nc, args.eta1)
-        spectrum = jordan_spectrum(canonicalize(cfg)[0])
-        values = (n, args.na, args.nb, args.nc, args.eta1,
-                  total_failure(cfg, spectrum).q_total,
-                  minerror_probability(cfg, spectrum).p_me, bounds.q0, bounds.p0)
+        q_opt, p_me = optimal_totals(cfg)
+        values = (n, args.na, args.nb, args.nc, args.eta1, q_opt, p_me, bounds.q0, bounds.p0)
         rows.append(dict(zip(_SWEEP_KEYS, values)))
     csv = [",".join(_SWEEP_KEYS)]
     csv += [",".join(_text(row[key]) for key in _SWEEP_KEYS) for row in rows]

@@ -4,9 +4,12 @@ Per Jordan block the problem is a two-pure-state one with cosine O_k,
 multiplicity d^k and block priors A_k = eta1 d^k/d1, B_k = eta2 d^k/d2:
 unambiguous discrimination with a three-branch optimum in the prior, and
 a 2x2 Helstrom eigenvalue problem for minimum error.  One loop,
-``_solve_blocks``, solves every block for both.  The branch test is exact
-(rational thresholds against the prior); the block priors are floats
-formed by correctly rounded integer division, so no rank is ever
+``_solve_blocks``, solves every block for both.  The branch test is exact:
+the prior's integer ratio is cross-multiplied with the numerator and
+denominator of each rational threshold, so no float meets a Fraction.
+Every float taken from an exact rational (O_k^2, 1 - O_k^2, the Helstrom
+trace eta2/d2 - eta1/d1, the thresholds) is one correctly rounded integer
+division; the block priors are formed the same way, so no rank is ever
 converted to a float on its own, and every sum is cancellation-free
 (no ``(1 - sum)/2`` differences), so tiny optima keep their relative
 accuracy.
@@ -24,6 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorics import binomial
 from .errors import PreconditionError
@@ -45,11 +49,10 @@ class Branch(Enum):
 def boundaries(k: int, spectrum: JordanSpectrum) -> tuple[Fraction, Fraction]:
     """Prior thresholds (c_k, d_k) separating the three unambiguous
     branches; exact rationals, c_k <= d_k with equality iff O_k = 1."""
-    o2 = spectrum.blocks[k].overlap_sq
+    # c_k = d1 O^2 / (d2 + d1 O^2) and d_k = d1 / (d1 + d2 O^2), O^2 = num/den
+    num, den = spectrum.blocks[k].overlap_sq.as_integer_ratio()
     d1, d2 = spectrum.d1, spectrum.d2
-    c_k = Fraction(d1) * o2 / (d2 + d1 * o2)
-    d_k = Fraction(d1, d1 + d2 * o2)
-    return c_k, d_k
+    return Fraction(d1 * num, d2 * den + d1 * num), Fraction(d1 * den, d1 * den + d2 * num)
 
 
 def _helstrom_error(a: float, b: float, o2: float, sin2: float) -> float:
@@ -61,8 +64,7 @@ def _helstrom_error(a: float, b: float, o2: float, sin2: float) -> float:
     return 2.0 * a * (b / denom) * o2 if denom else 0.0
 
 
-@dataclass(frozen=True)
-class _SolvedBlock:
+class _SolvedBlock(NamedTuple):
     """One Jordan block in the canonical labeling.  ``q_block`` and the
     eigenvalues are per Jordan pair; ``q_term`` and ``p_term`` are the
     block's share of Q_opt and P_ME."""
@@ -93,21 +95,26 @@ def _solve_blocks(
     """
     eta1, eta2 = canonical.eta1, canonical.eta2
     d1, d2 = spectrum.d1, spectrum.d2
+    # the priors exactly, eta = num/den
+    num1, den1 = eta1.as_integer_ratio()
+    num2, den2 = eta2.as_integer_ratio()
     # per-pair weights; 1/d underflows to 0.0 where d itself has no float
     a, b = eta1 * (1 / d1), eta2 * (1 / d2)
-    # trace of each pair's 2x2 Helstrom block, exact: b - a cancels
-    c_minus = float(Fraction(eta2) / d2 - Fraction(eta1) / d1)
+    # trace of each pair's 2x2 Helstrom block, b - a, rounded once from its
+    # exact value: the difference cancels
+    c_minus = (num2 * den1 * d1 - num1 * den2 * d2) / (den1 * den2 * d1 * d2)
     solved = []
     for block in spectrum.blocks:
         o = block.overlap
-        o2 = float(block.overlap_sq)
-        sin2 = float(1 - block.overlap_sq)
+        num, den = block.overlap_sq.as_integer_ratio()
+        o2, sin2 = num / den, (den - num) / den
         weight_a = eta1 * (block.multiplicity / d1)
         weight_b = eta2 * (block.multiplicity / d2)
         c_k, d_k = boundaries(block.k, spectrum)
-        if eta1 < c_k:
+        # eta1 against each threshold, cross-multiplied in integers
+        if num1 * c_k.denominator < c_k.numerator * den1:
             branch, q1, q2 = Branch.LOW, 1.0, o2
-        elif eta1 > d_k:
+        elif num1 * d_k.denominator > d_k.numerator * den1:
             # q1 q2 = O_k^2 without a division: O_k^2 underflows to 0.0 at a
             # few hundred copies
             branch, q1, q2 = Branch.HIGH, o2, 1.0
@@ -185,19 +192,21 @@ def total_failure(
     solved = _solve_blocks(canonical, spectrum, printed_high_branch)
     blocks = []
     for s in solved:
-        branch, q1, q2, c_k, d_k = s.branch, s.q1, s.q2, s.c_k, s.d_k
+        branch, q1, q2 = s.branch, s.q1, s.q2
+        (c_num, c_den), (d_num, d_den) = s.c_k.as_integer_ratio(), s.d_k.as_integer_ratio()
         if swapped:
             branch = {Branch.LOW: Branch.HIGH, Branch.HIGH: Branch.LOW}.get(branch, branch)
             q1, q2 = q2, q1
-            c_k, d_k = 1 - d_k, 1 - c_k
+            # the mirrored thresholds are 1 - d_k and 1 - c_k
+            (c_num, c_den), (d_num, d_den) = (d_den - d_num, d_den), (c_den - c_num, c_den)
         blocks.append(
             UnambiguousBlock(
                 k=s.k,
                 branch=branch,
                 q1=q1,
                 q2=q2,
-                c_k=float(c_k),
-                d_k=float(d_k),
+                c_k=c_num / c_den,
+                d_k=d_num / d_den,
                 q_block=s.q_block,
                 multiplicity=s.multiplicity,
             )
@@ -255,6 +264,20 @@ def minerror_probability(
     )
 
 
+def optimal_totals(
+    cfg: ProblemConfig, spectrum: JordanSpectrum | None = None
+) -> tuple[float, float]:
+    """Q_opt and P_ME from one block solve: the same floats, summed in the
+    same order, as ``total_failure(cfg).q_total`` and
+    ``minerror_probability(cfg).p_me``.  A given ``spectrum`` must be that
+    of the canonical config."""
+    canonical, _ = canonicalize(cfg)
+    if spectrum is None:
+        spectrum = jordan_spectrum(canonical)
+    solved = _solve_blocks(canonical, spectrum)
+    return sum(s.q_term for s in solved), sum(s.p_term for s in solved)
+
+
 # --- asymptotic (large-dimension) bounds ------------------------------------
 
 def bound_q0(cfg: ProblemConfig) -> float:
@@ -279,8 +302,9 @@ def bound_p0(cfg: ProblemConfig) -> float:
     ways = 1  # C(N, k)
     acc = 0.0
     for k, o2 in enumerate(overlap_squares(canonical)):
+        o2_num, o2_den = o2.as_integer_ratio()
         half = ways * (total - 2 * k + 1) / (den * (total - k + 1)) / 2
-        acc += _helstrom_error(half, half, float(o2), float(1 - o2))
+        acc += _helstrom_error(half, half, o2_num / o2_den, (o2_den - o2_num) / o2_den)
         ways = ways * (total - k) // (k + 1)
     return acc
 

@@ -135,24 +135,33 @@ class JordanSpectrum:
 
 def jordan_spectrum(cfg: ProblemConfig) -> JordanSpectrum:
     """All Jordan blocks of a canonicalized config, with the bookkeeping
-    identities asserted."""
+    identities checked (also under ``python -O``); a failed identity
+    raises ``AssertionError``."""
     if not cfg.is_canonical:
         raise PreconditionError("jordan_spectrum expects n_a >= n_c; canonicalize first")
     # d^k = g_k (N-2k+1)/(N-k+1), the U(n) dimension of [N-k, k], with
     # g_k = C(N+n-k-1, n-1) C(n+k-2, k).  Every division below is exact; an
-    # inexact one would floor, and the rank-sum assert would catch the loss
+    # inexact one would floor, and the rank-sum check would catch the loss
     total, n = cfg.total_copies, cfg.n
     g = binomial(total + n - 1, n - 1)
+    squares = overlap_squares(cfg)
+    ratios = [o2.as_integer_ratio() for o2 in squares]
     blocks = []
-    for k, o2 in enumerate(overlap_squares(cfg)):
+    for k, (o2, (num, den)) in enumerate(zip(squares, ratios)):
         d_k = g * (total - 2 * k + 1) // (total - k + 1)
-        blocks.append(JordanBlock(k, math.sqrt(o2), o2, d_k))
+        blocks.append(JordanBlock(k, math.sqrt(num / den), o2, d_k))
         g = g * (total - k) * (n + k - 1) // ((total + n - k - 1) * (k + 1))
-    assert blocks[0].overlap_sq == 1
-    assert all(b.overlap_sq > nxt.overlap_sq for b, nxt in zip(blocks, blocks[1:]))
+    if ratios[0][0] != ratios[0][1]:
+        raise AssertionError(f"O_0^2 = {squares[0]}, expected 1")
+    # consecutive O_k^2 as integer numerators over their common denominator
+    if any(p * q_next <= p_next * q for (p, q), (p_next, q_next) in zip(ratios, ratios[1:])):
+        raise AssertionError("the overlaps O_k^2 do not strictly decrease in k")
     d1, d2 = cfg.d1, cfg.d2
-    assert sum(b.multiplicity for b in blocks) == d1
-    assert d1 <= d2
+    rank = sum(b.multiplicity for b in blocks)
+    if rank != d1:
+        raise AssertionError(f"block multiplicities sum to {rank}, not d1 = {d1}")
+    if d1 > d2:
+        raise AssertionError(f"d1 = {d1} exceeds d2 = {d2}")
     return JordanSpectrum(blocks=blocks, d1=d1, d2=d2, k_max=cfg.k_max)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +242,27 @@ class TestSweep:
         assert code == 0
         assert calls == [2, 3, 4, 5]
 
+    def test_one_solve_per_row(self, monkeypatch, capsys):
+        calls = []
+        solve = discrimination._solve_blocks
+
+        def counting(canonical, spectrum, *args):
+            calls.append(canonical.n)
+            return solve(canonical, spectrum, *args)
+
+        monkeypatch.setattr(discrimination, "_solve_blocks", counting)
+        code, out, _ = run(
+            ["sweep", "--dim-max", "5", "--na", "1", "--nb", "2", "--nc", "3", "--eta1", "0.3",
+             "--json"], capsys
+        )
+        assert code == 0
+        assert calls == [2, 3, 4, 5]
+        monkeypatch.undo()
+        for row in json.loads(out):
+            cfg = ProblemConfig(row["n"], 1, 2, 3, 0.3)
+            assert row["Q_opt"].hex() == total_failure(cfg).q_total.hex()
+            assert row["P_ME"].hex() == minerror_probability(cfg).p_me.hex()
+
     def test_bounds_evaluated_once(self, monkeypatch, capsys):
         calls = []
 
@@ -347,6 +369,13 @@ P0 = 0.193813782152
 Q0 undefined: requires n_a = n_c
 """),
 }
+# full --json bytes, captured before the closed-form kernel moved to integer
+# branch tests: the text pins keep 12 digits, these keep every bit
+PINNED_JSON_DIR = Path(__file__).parent / "pinned_json"
+PINNED_JSON = {case: argv for case, (argv, _, _) in PINNED.items()} | {
+    "sweep": ["sweep", "--dim-min", "2", "--dim-max", "4", "--na", "2", "--nb", "3",
+              "--nc", "1", "--eta1", "0.35"],
+}
 # JSON key of each text column, and (label, JSON key) of each footer line
 COLUMNS = {
     "spectrum": ("k", "overlap", "multiplicity"),
@@ -373,6 +402,11 @@ class TestRendering:
     def test_text_output_is_pinned(self, capsys, case):
         argv, code, text = PINNED[case]
         assert run(argv, capsys)[:2] == (code, text)
+
+    @pytest.mark.parametrize("case", list(PINNED_JSON))
+    def test_json_output_is_pinned(self, capsys, case):
+        out = run(PINNED_JSON[case] + ["--json"], capsys)[1]
+        assert out == (PINNED_JSON_DIR / f"{case}.json").read_text()
 
     @pytest.mark.parametrize("case", list(PINNED))
     def test_json_numbers_are_the_text_cells(self, capsys, case):

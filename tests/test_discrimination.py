@@ -1,6 +1,7 @@
 """Closed-form optima: unambiguous branches, Helstrom values, large-n bounds."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,7 @@ from qudisc.discrimination import (
     bound_q0,
     boundaries,
     minerror_probability,
+    optimal_totals,
     total_failure,
 )
 from qudisc.errors import PreconditionError
@@ -47,6 +49,57 @@ class TestBoundaries:
                 c_k, d_k = boundaries(k, spec)
                 assert 0 < c_k <= d_k < 1
                 assert (c_k == d_k) == (spec.blocks[k].overlap_sq == 1)
+
+
+def exact_branch(eta1, c_k, d_k):
+    """The branch of a block by comparing the float prior, as the exact
+    rational it is, with the exact thresholds."""
+    prior = Fraction(eta1)
+    return Branch.LOW if prior < c_k else Branch.HIGH if prior > d_k else Branch.MIDDLE
+
+
+# canonical configs (n_a >= n_c; the mirror image of one with n_a > n_c is
+# swapped), up to 2000 dimensions and 10 copies per register
+THRESHOLD_GRID = [
+    (2, (1, 1, 1)), (3, (2, 1, 1)), (5, (3, 2, 2)), (17, (4, 10, 3)),
+    (2000, (10, 10, 10)), (2000, (10, 3, 7)), (2000, (7, 1, 2)), (101, (10, 10, 1)),
+]
+
+
+class TestBranchAtThresholds:
+    @pytest.mark.parametrize("n,copies", THRESHOLD_GRID)
+    def test_branch_is_the_exact_comparison(self, n, copies):
+        canonical, spec = spectrum_of(ProblemConfig(n, *copies))
+        for k in range(canonical.k_max + 1):
+            c_k, d_k = boundaries(k, spec)
+            for threshold in (float(c_k), float(d_k)):
+                for eta1 in (math.nextafter(threshold, 0.0), threshold,
+                             math.nextafter(threshold, 1.0)):
+                    block = total_failure(ProblemConfig(n, *copies, eta1), spec).blocks[k]
+                    assert block.branch is exact_branch(eta1, c_k, d_k), (k, eta1)
+
+    def test_all_ones_at_its_exact_half(self):
+        # c_0 = d_0 = 1/2 is a float: the prior 0.5 sits on both thresholds
+        below, above = math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)
+        branches = [
+            total_failure(replace(ALL_ONES, eta1=eta1, eta2=1.0 - eta1)).blocks[0].branch
+            for eta1 in (below, 0.5, above)
+        ]
+        assert branches == [Branch.LOW, Branch.MIDDLE, Branch.HIGH]
+
+    @pytest.mark.parametrize("n,copies", THRESHOLD_GRID)
+    def test_reported_thresholds_are_the_rounded_rationals(self, n, copies):
+        canonical, spec = spectrum_of(ProblemConfig(n, *copies, 0.3))
+        n_a, n_b, n_c = copies
+        forward = total_failure(canonical, spec)
+        mirrored = total_failure(ProblemConfig(n, n_c, n_b, n_a, 0.7), spec)
+        assert mirrored.swapped or n_a == n_c
+        for k, fwd, mir in zip(range(canonical.k_max + 1), forward.blocks, mirrored.blocks):
+            c_k, d_k = boundaries(k, spec)
+            assert (fwd.c_k.hex(), fwd.d_k.hex()) == (float(c_k).hex(), float(d_k).hex())
+            if mirrored.swapped:
+                assert (mir.c_k.hex(), mir.d_k.hex()) == (
+                    float(1 - d_k).hex(), float(1 - c_k).hex())
 
 
 class TestOptimalQ:
@@ -303,3 +356,36 @@ class TestAsymptoticBounds:
         assert all(a > b for a, b in zip(q_values, q_values[1:]))
         assert all(a > b for a, b in zip(p_values, p_values[1:]))
         assert q_values[-1] < 0.06 and p_values[-1] < 0.02
+
+
+# the arithmetic and comparison methods of Fraction; constructing one, and
+# reading its numerator and denominator, stay allowed
+FRACTION_OPERATORS = (
+    "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__bool__",
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+    "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__", "__float__",
+)
+
+
+def test_closed_form_solve_does_no_fraction_arithmetic(monkeypatch):
+    """Both optima, and the sweep's pair of totals, from a precomputed
+    spectrum: the branch tests and the floats from the exact rationals are
+    integer work, so no Fraction operator runs."""
+    cases = []
+    for n, copies, eta1 in product(
+        (2, 3, 41, 2000), product((1, 4, 10), repeat=3), (0.0, 0.05, 0.37, 0.5, 0.95, 1.0)
+    ):
+        cfg = ProblemConfig(n, *copies, eta1)
+        cases.append((cfg, jordan_spectrum(canonicalize(cfg)[0])))
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic on the closed-form path")
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, forbidden)
+    for cfg, spec in cases:
+        total_failure(cfg, spec)
+        total_failure(cfg, spec, printed_high_branch=True)
+        minerror_probability(cfg, spec)
+        optimal_totals(cfg, spec)

@@ -1,7 +1,10 @@
 """Jordan-block spectrum: overlaps, multiplicities, 6j symbols."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from itertools import product
 
 import pytest
@@ -185,6 +188,44 @@ class TestJordanSpectrum:
     def test_requires_canonical_config(self):
         with pytest.raises(PreconditionError):
             jordan_spectrum(ProblemConfig(2, 1, 1, 2, 0.5))
+
+    # (2; 2,1,1) has O_k^2 = 1, 1/3 and d1 = 8: each bookkeeping check in
+    # turn is the first to see a broken overlap list
+    @pytest.mark.parametrize("broken,message", [
+        (lambda squares: [o2 / 2 for o2 in squares], "O_0"),
+        (lambda squares: squares[:1] * 2, "strictly decrease"),
+        (lambda squares: squares[:-1], "sum to 5, not d1 = 8"),
+    ], ids=["first-overlap", "decreasing", "rank-sum"])
+    def test_broken_overlaps_raise(self, monkeypatch, broken, message):
+        cfg = ProblemConfig(2, 2, 1, 1)
+        squares = overlap_squares(cfg)
+        monkeypatch.setattr(spectrum, "overlap_squares", lambda _: broken(squares))
+        with pytest.raises(AssertionError, match=message):
+            jordan_spectrum(cfg)
+
+    def test_rank_order_check(self, monkeypatch):
+        # d1 <= d2 does not depend on the overlaps: break d2 itself
+        monkeypatch.setattr(ProblemConfig, "d2", property(lambda self: 7))
+        with pytest.raises(AssertionError, match="d1 = 8 exceeds d2 = 7"):
+            jordan_spectrum(ProblemConfig(2, 2, 1, 1))
+
+    def test_checks_run_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from qudisc import spectrum\n"
+            "squares = spectrum.overlap_squares\n"
+            "spectrum.overlap_squares = lambda cfg: squares(cfg)[:-1]\n"
+            "try:\n"
+            "    spectrum.jordan_spectrum(spectrum.ProblemConfig(2, 2, 1, 1))\n"
+            "except AssertionError as exc:\n"
+            "    print(sys.flags.optimize, exc)\n"
+        )
+        src = Path(spectrum.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-O", "-B", "-c", script], capture_output=True, text=True,
+            cwd=src, check=True,
+        )
+        assert result.stdout == "1 block multiplicities sum to 5, not d1 = 8\n"
 
     def test_binomial_calls_do_not_grow_with_k_max(self, monkeypatch):
         def binomial_calls(cfg):
