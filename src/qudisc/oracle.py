@@ -1,11 +1,15 @@
 """First-principles dense-matrix certification of the closed forms.
 
 Sites are ordered A-block, B-block, C-block, most significant site
-first.  Everything here is deliberately independent of the block formulas
-it checks: the supports are products of symmetric-subspace bases built
-from multisets, principal angles come from an SVD, the Helstrom value
-from diagonalizing the weighted difference operator, and the unambiguous
-POVM is assembled vector by vector from the Jordan pairs.
+first.  The geometry is built without the block formulas it checks: the
+supports are products of symmetric-subspace bases built from multisets,
+principal angles come from an SVD, the Helstrom value from diagonalizing
+the weighted difference operator, and the unambiguous POVM is assembled
+vector by vector from the Jordan pairs.  The closed forms only label:
+``group_by_blocks`` gives block k the next d^k descending cosines and
+certifies that each lies nearer its own O_k than any other, so the
+multiplicities are measured.  The POVM weighs each pair by the optimum of
+its nearest O_k, the same match, and measures the rest in dense frames.
 
 The Haar-averaged states are real symmetric: the symmetrizer is a mean
 of permutation matrices.  The whole dense geometry (supports, angles,
@@ -51,11 +55,10 @@ import numpy as np
 
 from .discrimination import total_failure
 from .errors import OracleError, PreconditionError
-from .spectrum import ProblemConfig, canonicalize, jordan_spectrum
+from .spectrum import JordanSpectrum, ProblemConfig, canonicalize, jordan_spectrum
 
 DEFAULT_DIM_CAP = 4096
 SUPPORT_TOL = 1e-9
-GROUP_TOL = 1e-7
 _HAAR_CHUNK = 1024  # draws per chunk: small temporaries; the stream does not depend on it
 
 
@@ -200,22 +203,10 @@ def _components(linked: np.ndarray) -> np.ndarray:
         labels = reached
 
 
-def _group_cosines(cosines: np.ndarray) -> list[tuple[float, int]]:
-    groups: list[tuple[float, int]] = []
-    for c in cosines:  # already descending
-        if groups and groups[-1][0] - c <= GROUP_TOL:
-            prev, count = groups[-1]
-            groups[-1] = (prev, count + 1)
-        else:
-            groups.append((float(c), 1))
-    return groups
-
-
-def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> list[tuple[float, int]]:
-    """Cosines of the principal angles between the two supports, grouped
-    into (cosine, multiplicity) pairs, largest first.  Supports come from
-    the generic certified eigensolver; use ``jordan_angles`` for the
-    fast config-level route.
+def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
+    """Descending cosines of the principal angles between the supports of
+    two positive semidefinite matrices, min(rank1, rank2) of them, from the
+    generic certified eigensolver; ``jordan_angles`` is the config route.
 
     Both states are block-diagonal on the connected components of their
     joint nonzero pattern, exactly, and so are their supports and the
@@ -242,7 +233,7 @@ def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> list[tuple[float, in
             cosines.append(np.linalg.svd(_adjoint(b1) @ b2, compute_uv=False))
     unpaired = ranks.sum(axis=1).min() - ranks.min(axis=0).sum()
     cosines = np.concatenate([*cosines, np.zeros(unpaired)])
-    return _group_cosines(-np.sort(-np.clip(cosines, 0.0, 1.0)))
+    return -np.sort(-np.clip(cosines, 0.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -400,13 +391,37 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     return _Geometry(dim, span, cosines, blocks, cfg.d2 - len(cosines), completeness)
 
 
+def group_by_blocks(cosines: np.ndarray, spectrum: JordanSpectrum) -> list[tuple[float, int]]:
+    """Match d1 descending cosines to the closed-form Jordan blocks by
+    position, the next d^k to block k, and certify the split: each cosine
+    must lie within half the smallest gap between the O_k of its own O_k,
+    so it is nearest its block.  Per block, returns its cosine farthest
+    from O_k and d^k; raises ``OracleError`` on the wrong count or a
+    cosine at half a gap or more."""
+    if len(cosines) != spectrum.d1:
+        raise OracleError(f"{len(cosines)} cosines for d1 = {spectrum.d1} Jordan directions")
+    overlaps = [b.overlap for b in spectrum.blocks]
+    half_gap = min(o - o_next for o, o_next in zip(overlaps, overlaps[1:])) / 2
+    groups, start = [], 0
+    for block in spectrum.blocks:
+        chunk = cosines[start:start + block.multiplicity]
+        farthest = float(chunk[np.abs(chunk - block.overlap).argmax()])
+        residual = abs(farthest - block.overlap)
+        if residual >= half_gap:
+            raise OracleError(f"block {block.k}: cosine residual {residual:.1e} "
+                              f"reaches half the smallest gap {half_gap:.1e}")
+        groups.append((farthest, block.multiplicity))
+        start += block.multiplicity
+    return groups
+
+
 def jordan_angles(cfg: ProblemConfig, cap: int | None = None) -> list[tuple[float, int]]:
     """Principal angles between the supports of the two dense mean states,
-    via the certified support bases; grouped like ``principal_angles``.
-    The angles do not depend on the orientation."""
+    via the certified support bases, as ``group_by_blocks`` pairs; they do
+    not depend on the orientation."""
     canonical, _ = canonicalize(cfg)
     geometry = _jordan_geometry(canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, cap)
-    return _group_cosines(geometry.cosines)
+    return group_by_blocks(geometry.cosines, jordan_spectrum(canonical))
 
 
 def _shared_geometry(

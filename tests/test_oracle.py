@@ -44,10 +44,14 @@ def _with_kernel(values, cfg):
 
 
 def _assert_same_angles(observed, cosines):
-    expected = oracle._group_cosines(cosines)
-    assert [m for _, m in observed] == [m for _, m in expected]
-    for (co, _), (ce, _) in zip(observed, expected):
-        assert abs(co - ce) <= 1e-12
+    expected = -np.sort(-cosines)
+    assert observed.shape == expected.shape
+    assert np.abs(observed - expected).max(initial=0.0) <= 1e-12
+
+
+def _expanded(groups):
+    """``jordan_angles``' per-block cosines, each repeated d^k times."""
+    return np.repeat([c for c, _ in groups], [m for _, m in groups])
 
 
 class TestSymmetrizer:
@@ -312,9 +316,7 @@ class TestRealOracle:
         assert rho1.dtype == rho2.dtype == np.float64
         real_angles = oracle.principal_angles(rho1, rho2)
         complex_angles = oracle.principal_angles(rho1.astype(complex), rho2.astype(complex))
-        assert [m for _, m in real_angles] == [m for _, m in complex_angles]
-        for (c_real, _), (c_complex, _) in zip(real_angles, complex_angles):
-            assert abs(c_real - c_complex) <= 1e-12
+        _assert_same_angles(real_angles, complex_angles)
 
         real_dtype, real_spectrum, real_min = self._dense_numbers(cfg)
         real_blocks = oracle._gram_blocks
@@ -756,26 +758,16 @@ class TestEigensolver:
 class TestPrincipalAngles:
     def test_all_ones(self):
         angles = oracle.principal_angles(*oracle.mean_states(ALL_ONES))
-        assert angles == [
-            (pytest.approx(1.0, abs=1e-12), 4),
-            (pytest.approx(0.5, abs=1e-12), 2),
-        ]
+        _assert_same_angles(angles, np.repeat([1.0, 0.5], [4, 2]))
 
     def test_2211(self):
         angles = oracle.principal_angles(*oracle.mean_states(ProblemConfig(2, 2, 1, 1, 0.5)))
-        assert angles == [
-            (pytest.approx(1.0, abs=1e-12), 5),
-            (pytest.approx(1 / math.sqrt(3), abs=1e-12), 3),
-        ]
+        _assert_same_angles(angles, np.repeat([1.0, 1 / math.sqrt(3)], [5, 3]))
 
     def test_fast_route_agrees_with_dense_route(self):
         for cfg in (ALL_ONES, ProblemConfig(2, 2, 1, 1, 0.5), ProblemConfig(3, 1, 2, 1, 0.5)):
             dense = oracle.principal_angles(*oracle.mean_states(cfg))
-            fast = oracle.jordan_angles(cfg)
-            assert len(dense) == len(fast)
-            for (cd, md), (cf, mf) in zip(dense, fast):
-                assert md == mf
-                assert cd == pytest.approx(cf, abs=1e-12)
+            _assert_same_angles(dense, _expanded(oracle.jordan_angles(cfg)))
 
     def test_fast_route_handles_swapped_orientation(self):
         mirrored = oracle.jordan_angles(ProblemConfig(2, 1, 1, 2, 0.5))
@@ -784,6 +776,47 @@ class TestPrincipalAngles:
         for (cm, mm), (cf, mf) in zip(mirrored, forward):
             assert mm == mf
             assert cm == pytest.approx(cf, abs=1e-12)
+
+
+class TestGroupByBlocks:
+    # (2; 3,1,3): overlaps 1, 3/4, 1/2, 1/4 with multiplicities 8, 6, 4, 2,
+    # all exact in binary, and so is half the smallest gap, 1/8
+    SPECTRUM = jordan_spectrum(ProblemConfig(2, 3, 1, 3, 0.5))
+    HALF_GAP = 0.125
+
+    @classmethod
+    def _cosines(cls, counts=(8, 6, 4, 2)):
+        return np.repeat([b.overlap for b in cls.SPECTRUM.blocks], counts)
+
+    def test_exact_cosines_give_the_closed_form(self):
+        groups = oracle.group_by_blocks(self._cosines(), self.SPECTRUM)
+        assert groups == [(1.0, 8), (0.75, 6), (0.5, 4), (0.25, 2)]
+
+    def test_reports_each_blocks_farthest_cosine(self):
+        cosines = self._cosines()
+        cosines[8] += 0.5 * self.HALF_GAP  # block 1, first place
+        cosines[13] -= 0.9 * self.HALF_GAP  # block 1, last place
+        groups = oracle.group_by_blocks(cosines, self.SPECTRUM)
+        assert groups[1] == (0.75 - 0.9 * self.HALF_GAP, 6)
+        assert groups[::2] == [(1.0, 8), (0.5, 4)]
+
+    @pytest.mark.parametrize("index,shift", [(7, -1), (8, 1), (13, -1), (19, -1)],
+                             ids=["block-0-down", "block-1-up", "block-1-down", "block-3-down"])
+    def test_cosine_moved_by_half_the_gap(self, index, shift):
+        cosines = self._cosines()
+        cosines[index] += shift * self.HALF_GAP
+        with pytest.raises(OracleError, match="reaches half the smallest gap 1.2e-01"):
+            oracle.group_by_blocks(cosines, self.SPECTRUM)
+
+    def test_cosine_moved_to_the_next_block(self):
+        # one cosine of block 1 sits at O_2: multiplicities 8, 5, 5, 2
+        with pytest.raises(OracleError, match="block 1: cosine residual 2.5e-01"):
+            oracle.group_by_blocks(self._cosines((8, 5, 5, 2)), self.SPECTRUM)
+
+    @pytest.mark.parametrize("counts", [(8, 6, 4, 1), (8, 6, 4, 3)], ids=["short", "long"])
+    def test_wrong_length(self, counts):
+        with pytest.raises(OracleError, match="cosines for d1 = 20"):
+            oracle.group_by_blocks(self._cosines(counts), self.SPECTRUM)
 
 
 class TestComponentSplit:
@@ -938,7 +971,7 @@ class TestCertifyPovm:
         identity_t = pi2.copy()
         for i, s in enumerate(sigma):
             fi, gi = f[:, i], g[:, i]
-            if 1.0 - s <= oracle.GROUP_TOL:
+            if 1.0 - s <= 1e-7:  # the degenerate pairs, cosine 1
                 identity_t += np.outer(fi, fi.conj())
                 continue
             block = min(spectrum.blocks, key=lambda b: abs(b.overlap - s))
@@ -969,8 +1002,23 @@ class TestCertifyPovm:
 
 class TestTwentyQubitCopies:
     # (2; 20,20,20): n^N = 2^60, and 21 Jordan blocks whose closed-form
-    # overlaps lie as close as 1.5e-10, below GROUP_TOL
+    # overlaps lie as close as 1.5e-10
     CAP = 2**61
+
+    def test_every_block_certified(self):
+        cfg = ProblemConfig(2, 20, 20, 20, 0.5)
+        groups = oracle.jordan_angles(cfg, self.CAP)
+        blocks = jordan_spectrum(cfg).blocks
+        assert len(groups) == len(blocks) == 21
+        assert [m for _, m in groups] == [b.multiplicity for b in blocks]
+        # each block's farthest cosine bounds every cosine of the block
+        assert max(abs(c - b.overlap) for (c, _), b in zip(groups, blocks)) <= 1e-9
+
+    def test_forty_copies_are_below_float_resolution(self):
+        # (2; 40,40,40): the overlaps' smallest gap, 3.8e-22, is far below
+        # the cosines' float error, so the position rule cannot certify
+        with pytest.raises(OracleError, match="reaches half the smallest gap 1.9e-22"):
+            oracle.jordan_angles(ProblemConfig(2, 40, 40, 40, 0.5), 2**121)
 
     @pytest.mark.parametrize("eta1", [0.1, 0.5, 0.9])
     def test_povm_certifies(self, eta1):

@@ -71,3 +71,14 @@ def test_dense_warm_up_passes_its_check(monkeypatch):
     bench.ops = [(1, 1, 1)]
     errors, _ = bench.check([workloads.qubit_copies_op((1, 1, 1))], controls=False)
     assert errors == []
+
+
+def test_verify_grid_passes_its_check(monkeypatch):
+    # one default `qudisc verify` and its --inject-q-fault control must pass
+    # the verify_grid workload's own check, or every benchmark run of it is
+    # marked incorrect
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _load("workloads")
+    bench = workloads.VerifyGrid(seed=1)
+    errors, _ = bench.check([bench.run(op) for op in bench.ops], controls=True)
+    assert errors == []

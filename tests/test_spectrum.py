@@ -11,7 +11,7 @@ import pytest
 from sympy import Rational
 from sympy.physics.wigner import wigner_6j as sympy_6j
 
-from qudisc import spectrum
+from qudisc import spectrum, verify
 from qudisc.combinatorics import Partition, unitary_dim
 from qudisc.errors import PreconditionError
 from qudisc.spectrum import (
@@ -208,6 +208,17 @@ class TestJordanSpectrum:
         monkeypatch.setattr(ProblemConfig, "d2", property(lambda self: 7))
         with pytest.raises(AssertionError, match="d1 = 8 exceeds d2 = 7"):
             jordan_spectrum(ProblemConfig(2, 2, 1, 1))
+
+    def test_broken_identity_is_a_verify_fail_line(self, monkeypatch):
+        # d1 one too large at n = 3 only: the family reports the first
+        # n = 3 config and the identity's message instead of raising
+        honest = ProblemConfig.d1
+        monkeypatch.setattr(ProblemConfig, "d1", property(lambda c: honest.fget(c) + (c.n == 3)))
+        result = verify.check_combinatorics()
+        assert result.line() == (
+            "FAIL combinatorial identities: max residual 1.000e+00 "
+            "(n=3 copies=(1,1,1): block multiplicities sum to 18, not d1 = 19)"
+        )
 
     def test_checks_run_under_optimize(self):
         script = (
