@@ -182,7 +182,9 @@ def _add_config_flags(parser: argparse.ArgumentParser, with_dim: bool = True,
                             help="prior of the first hypothesis (eta2 = 1 - eta1)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, by name, the subcommand parsers it hands
+    off to."""
     parser = argparse.ArgumentParser(
         prog="qudisc",
         description="Optimal programmable discrimination of two unknown qudit states",
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, with_dim=False)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", help="write output to this path instead of stdout")
-    return parser
+    return parser, sub.choices
 
 
 _HANDLERS = {
@@ -234,7 +236,7 @@ _HANDLERS = {
 }
 
 
-_PARSER = build_parser()
+_PARSER, _SUBPARSERS = build_parser()
 
 
 def _check_writable(path: str) -> None:
@@ -254,8 +256,15 @@ def _check_writable(path: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  An unwritable ``--out`` path fails before any
     work; the output is rendered in memory first, so a rejected flag or a
-    raised precondition error leaves an existing ``--out`` file as it was."""
-    args = _PARSER.parse_args(argv)
+    raised precondition error leaves an existing ``--out`` file as it was.
+    A named subcommand's flags are parsed once, by its own parser: an
+    unrecognized one is reported under that parser's usage line."""
+    argv = sys.argv[1:] if argv is None else argv
+    subparser = _SUBPARSERS.get(argv[0]) if argv else None
+    if subparser is None:  # no command, -h or an unknown command
+        args = _PARSER.parse_args(argv)
+    else:
+        args = subparser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
     if args.out:
         try:
             _check_writable(args.out)

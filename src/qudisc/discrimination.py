@@ -5,12 +5,15 @@ multiplicity d^k and block priors A_k = eta1 d^k/d1, B_k = eta2 d^k/d2:
 unambiguous discrimination with a three-branch optimum in the prior, and
 a 2x2 Helstrom eigenvalue problem for minimum error.  One loop,
 ``_solve_blocks``, solves every block for both.  The branch test is exact:
-the prior's integer ratio is cross-multiplied with the numerator and
-denominator of each rational threshold, so no float meets a Fraction.
-Every float taken from an exact rational (O_k^2, 1 - O_k^2, the Helstrom
-trace eta2/d2 - eta1/d1, the thresholds) is one correctly rounded integer
-division; the block priors are formed the same way, so no rank is ever
-converted to a float on its own, and every sum is cancellation-free
+each threshold is an unreduced integer ``(numerator, denominator)`` pair,
+formed from O_k^2's numerator over the spectrum's common denominator, and
+the prior's integer ratio is cross-multiplied with it, so the solve builds
+no ``Fraction`` and no float meets a rational; ``boundaries`` is the
+reduced ``Fraction`` view of the same thresholds.  Every float taken from
+an exact rational (O_k^2, 1 - O_k^2, the Helstrom trace eta2/d2 - eta1/d1,
+the thresholds) is one correctly rounded integer division, whether or not
+the ratio is reduced; the block priors are formed the same way, so no rank
+is ever converted to a float on its own, and every sum is cancellation-free
 (no ``(1 - sum)/2`` differences), so tiny optima keep their relative
 accuracy.
 
@@ -36,7 +39,7 @@ from .spectrum import (
     ProblemConfig,
     canonicalize,
     jordan_spectrum,
-    overlap_squares,
+    overlap_numerators,
 )
 
 
@@ -46,13 +49,21 @@ class Branch(Enum):
     HIGH = "HIGH"
 
 
+_Ratio = tuple[int, int]
+
+
+def _thresholds(o2: _Ratio, d1: int, d2: int) -> tuple[_Ratio, _Ratio]:
+    """(c_k, d_k) as unreduced integer ratios for O_k^2 = num/den."""
+    # c_k = d1 O^2 / (d2 + d1 O^2) and d_k = d1 / (d1 + d2 O^2)
+    num, den = o2
+    return (d1 * num, d2 * den + d1 * num), (d1 * den, d1 * den + d2 * num)
+
+
 def boundaries(k: int, spectrum: JordanSpectrum) -> tuple[Fraction, Fraction]:
     """Prior thresholds (c_k, d_k) separating the three unambiguous
     branches; exact rationals, c_k <= d_k with equality iff O_k = 1."""
-    # c_k = d1 O^2 / (d2 + d1 O^2) and d_k = d1 / (d1 + d2 O^2), O^2 = num/den
-    num, den = spectrum.blocks[k].overlap_sq.as_integer_ratio()
-    d1, d2 = spectrum.d1, spectrum.d2
-    return Fraction(d1 * num, d2 * den + d1 * num), Fraction(d1 * den, d1 * den + d2 * num)
+    c_k, d_k = _thresholds(spectrum.blocks[k].overlap_sq_ratio, spectrum.d1, spectrum.d2)
+    return Fraction(*c_k), Fraction(*d_k)
 
 
 def _helstrom_error(a: float, b: float, o2: float, sin2: float) -> float:
@@ -72,8 +83,8 @@ class _SolvedBlock(NamedTuple):
     k: int
     multiplicity: int
     branch: Branch
-    c_k: Fraction
-    d_k: Fraction
+    c_k: _Ratio
+    d_k: _Ratio
     q1: float
     q2: float
     q_block: float
@@ -106,15 +117,15 @@ def _solve_blocks(
     solved = []
     for block in spectrum.blocks:
         o = block.overlap
-        num, den = block.overlap_sq.as_integer_ratio()
+        num, den = block.overlap_sq_ratio
         o2, sin2 = num / den, (den - num) / den
         weight_a = eta1 * (block.multiplicity / d1)
         weight_b = eta2 * (block.multiplicity / d2)
-        c_k, d_k = boundaries(block.k, spectrum)
+        c_k, d_k = _thresholds(block.overlap_sq_ratio, d1, d2)
         # eta1 against each threshold, cross-multiplied in integers
-        if num1 * c_k.denominator < c_k.numerator * den1:
+        if num1 * c_k[1] < c_k[0] * den1:
             branch, q1, q2 = Branch.LOW, 1.0, o2
-        elif num1 * d_k.denominator > d_k.numerator * den1:
+        elif num1 * d_k[1] > d_k[0] * den1:
             # q1 q2 = O_k^2 without a division: O_k^2 underflows to 0.0 at a
             # few hundred copies
             branch, q1, q2 = Branch.HIGH, o2, 1.0
@@ -193,7 +204,7 @@ def total_failure(
     blocks = []
     for s in solved:
         branch, q1, q2 = s.branch, s.q1, s.q2
-        (c_num, c_den), (d_num, d_den) = s.c_k.as_integer_ratio(), s.d_k.as_integer_ratio()
+        (c_num, c_den), (d_num, d_den) = s.c_k, s.d_k
         if swapped:
             branch = {Branch.LOW: Branch.HIGH, Branch.HIGH: Branch.LOW}.get(branch, branch)
             q1, q2 = q2, q1
@@ -301,8 +312,8 @@ def bound_p0(cfg: ProblemConfig) -> float:
     den = binomial(total, canonical.n_c)
     ways = 1  # C(N, k)
     acc = 0.0
-    for k, o2 in enumerate(overlap_squares(canonical)):
-        o2_num, o2_den = o2.as_integer_ratio()
+    nums, o2_den = overlap_numerators(canonical)
+    for k, o2_num in enumerate(nums):
         half = ways * (total - 2 * k + 1) / (den * (total - k + 1)) / 2
         acc += _helstrom_error(half, half, o2_num / o2_den, (o2_den - o2_num) / o2_den)
         ways = ways * (total - k) // (k + 1)

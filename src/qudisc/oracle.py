@@ -391,6 +391,13 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     return _Geometry(dim, span, cosines, blocks, cfg.d2 - len(cosines), completeness)
 
 
+def _half_gap(spectrum: JordanSpectrum) -> float:
+    """Half the smallest gap between consecutive O_k: a float cosine
+    closer than this to some O_k is nearest that block alone."""
+    overlaps = [b.overlap for b in spectrum.blocks]
+    return min(o - o_next for o, o_next in zip(overlaps, overlaps[1:])) / 2
+
+
 def group_by_blocks(cosines: np.ndarray, spectrum: JordanSpectrum) -> list[tuple[float, int]]:
     """Match d1 descending cosines to the closed-form Jordan blocks by
     position, the next d^k to block k, and certify the split: each cosine
@@ -400,8 +407,7 @@ def group_by_blocks(cosines: np.ndarray, spectrum: JordanSpectrum) -> list[tuple
     cosine at half a gap or more."""
     if len(cosines) != spectrum.d1:
         raise OracleError(f"{len(cosines)} cosines for d1 = {spectrum.d1} Jordan directions")
-    overlaps = [b.overlap for b in spectrum.blocks]
-    half_gap = min(o - o_next for o, o_next in zip(overlaps, overlaps[1:])) / 2
+    half_gap = _half_gap(spectrum)
     groups, start = [], 0
     for block in spectrum.blocks:
         chunk = cosines[start:start + block.multiplicity]
@@ -516,7 +522,10 @@ def certify_povms(
     Pi2 those orthogonal to the state-1 vector plus the unpaired part of
     supp(rho2); Pi0 is the remainder of the joint-support identity.
     Each block's degenerate pair (cosine 1) carries no unambiguous
-    information and falls entirely into Pi0.
+    information and falls entirely into Pi0.  Each live pair takes the
+    block of the nearest O_k, which must lie closer than half the smallest
+    gap between the O_k (the bound of ``group_by_blocks``), or
+    ``OracleError`` is raised: float noise cannot label the pair.
 
     ``printed_high_branch`` is the negative control: it builds the POVM
     from the erratum q1 = O_k, which must break the failure-probability
@@ -526,6 +535,7 @@ def certify_povms(
     spectrum = jordan_spectrum(canonical[0])
     live = [b for b in spectrum.blocks if b.k]  # O_0 = 1 is the degenerate pair
     overlaps = np.array([b.overlap for b in live])
+    half_gap = _half_gap(spectrum)
     results = [total_failure(c, spectrum, printed_high_branch=printed_high_branch)
                for c in canonical]
     # per prior and live block k, the weights of Pi1 and Pi2 on its pair directions
@@ -538,7 +548,12 @@ def certify_povms(
     err12, err21, failure = np.zeros((3, priors))
     for b in geo.blocks:
         # each pair takes the block of the nearest closed-form overlap
-        nearest = np.abs(b.pair_cosines[:, None] - overlaps).argmin(axis=-1)
+        distances = np.abs(b.pair_cosines[:, None] - overlaps)
+        nearest = distances.argmin(axis=-1)
+        residual = float(distances.min(axis=-1).max(initial=0.0))
+        if residual >= half_gap:
+            raise OracleError(f"pair cosine residual {residual:.1e} "
+                              f"reaches half the smallest gap {half_gap:.1e}")
         pair_weights = weights[:, nearest]
         m1 = (b.sp2 * pair_weights[:, None, :, 0]) @ _adjoint(b.sp2)
         m2 = (b.sp1 * pair_weights[:, None, :, 1]) @ _adjoint(b.sp1) + b.unpaired

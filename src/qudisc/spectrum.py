@@ -4,9 +4,12 @@ The two averaged inputs are maximally mixed on products of symmetric
 subspaces.  Their supports decompose into two-row blocks indexed by
 k = 0..min(n_A, n_C); each block carries a single principal-angle cosine
 O_k with multiplicity d^k.  Both come from one exact integer walk over k,
-each block stepped from the one before by small-integer ratios; overlaps
-are exact rationals under the square root.  The Racah 6j evaluation
-provides an independent path to the same numbers.
+each block stepped from the one before by small-integer ratios.  Every
+O_k^2 is an exact rational, kept as an unreduced integer numerator over
+the one denominator C(n1, n_b) C(n2, n_b) that all blocks share, so the
+walk, its checks and the closed-form solve build no ``Fraction``; the
+reduced ``Fraction`` view is formed only on request.  The Racah 6j
+evaluation provides an independent path to the same numbers.
 """
 
 from __future__ import annotations
@@ -101,28 +104,43 @@ def canonicalize(cfg: ProblemConfig) -> tuple[ProblemConfig, bool]:
     return swapped, True
 
 
-def overlap_squares(cfg: ProblemConfig) -> list[Fraction]:
+def overlap_numerators(cfg: ProblemConfig) -> tuple[list[int], int]:
     """Exact squared principal-angle cosines O_k^2, k = 0..k_max, of a
-    config in either labeling.
+    config in either labeling, as integer numerators over one common
+    denominator, unreduced.
 
     O_k^2 = C(n1-k, n_b) C(n2-k, n_b) / (C(n1, n_b) C(n2, n_b)); the
     numerator steps by (n_a-k)(n_c-k) / ((n1-k)(n2-k)), an exact integer
     division."""
     den = binomial(cfg.n1, cfg.n_b) * binomial(cfg.n2, cfg.n_b)
     num = den
-    squares = []
+    nums = []
     for k in range(cfg.k_max + 1):
-        squares.append(Fraction(num, den))
+        nums.append(num)
         num = num * (cfg.n_a - k) * (cfg.n_c - k) // ((cfg.n1 - k) * (cfg.n2 - k))
-    return squares
+    return nums, den
+
+
+def overlap_squares(cfg: ProblemConfig) -> list[Fraction]:
+    """The O_k^2 of :func:`overlap_numerators` as reduced fractions."""
+    nums, den = overlap_numerators(cfg)
+    return [Fraction(num, den) for num in nums]
 
 
 @dataclass(frozen=True)
 class JordanBlock:
+    """One Jordan block; ``overlap_sq_ratio`` is O_k^2 as the unreduced
+    ``(numerator, denominator)`` pair of :func:`overlap_numerators`."""
+
     k: int
     overlap: float
-    overlap_sq: Fraction
+    overlap_sq_ratio: tuple[int, int]
     multiplicity: int
+
+    @property
+    def overlap_sq(self) -> Fraction:
+        """O_k^2 as a reduced fraction."""
+        return Fraction(*self.overlap_sq_ratio)
 
 
 @dataclass(frozen=True)
@@ -144,17 +162,16 @@ def jordan_spectrum(cfg: ProblemConfig) -> JordanSpectrum:
     # inexact one would floor, and the rank-sum check would catch the loss
     total, n = cfg.total_copies, cfg.n
     g = binomial(total + n - 1, n - 1)
-    squares = overlap_squares(cfg)
-    ratios = [o2.as_integer_ratio() for o2 in squares]
+    nums, den = overlap_numerators(cfg)
     blocks = []
-    for k, (o2, (num, den)) in enumerate(zip(squares, ratios)):
+    for k, num in enumerate(nums):
         d_k = g * (total - 2 * k + 1) // (total - k + 1)
-        blocks.append(JordanBlock(k, math.sqrt(num / den), o2, d_k))
+        blocks.append(JordanBlock(k, math.sqrt(num / den), (num, den), d_k))
         g = g * (total - k) * (n + k - 1) // ((total + n - k - 1) * (k + 1))
-    if ratios[0][0] != ratios[0][1]:
-        raise AssertionError(f"O_0^2 = {squares[0]}, expected 1")
-    # consecutive O_k^2 as integer numerators over their common denominator
-    if any(p * q_next <= p_next * q for (p, q), (p_next, q_next) in zip(ratios, ratios[1:])):
+    if nums[0] != den:
+        raise AssertionError(f"O_0^2 = {Fraction(nums[0], den)}, expected 1")
+    # one common denominator: the numerators alone must strictly decrease
+    if any(p <= p_next for p, p_next in zip(nums, nums[1:])):
         raise AssertionError("the overlaps O_k^2 do not strictly decrease in k")
     d1, d2 = cfg.d1, cfg.d2
     rank = sum(b.multiplicity for b in blocks)

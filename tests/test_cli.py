@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -440,3 +441,33 @@ def test_missing_subcommand_raises_system_exit():
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])
     assert excinfo.value.code == 2
+
+
+def test_unknown_subcommand_raises_system_exit(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["nope"])
+    assert excinfo.value.code == 2
+    assert "qudisc: error: argument command: invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_unknown_flag_is_reported_by_its_subcommand(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["spectrum", "-n", "2", "--na", "1", "--nb", "1", "--nc", "1", "--bogus"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qudisc spectrum ")
+    assert err.endswith("qudisc spectrum: error: unrecognized arguments: --bogus\n")
+
+
+def test_one_argparse_pass_per_call(monkeypatch, capsys):
+    parsed = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(parser, *args, **kwargs):
+        parsed.append(parser.prog)
+        return parse(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    code, out, _ = run(["unambiguous", "-n", "2", "--na", "1", "--nb", "1", "--nc", "1"], capsys)
+    assert (code, parsed) == (0, ["qudisc unambiguous"])
+    assert f"Q_opt = {5 / 6:.12g}" in out

@@ -9,6 +9,7 @@ import pytest
 
 from qudisc.discrimination import (
     Branch,
+    asymptotic_bounds,
     bound_p0,
     bound_q0,
     boundaries,
@@ -358,9 +359,10 @@ class TestAsymptoticBounds:
         assert q_values[-1] < 0.06 and p_values[-1] < 0.02
 
 
-# the arithmetic and comparison methods of Fraction; constructing one, and
-# reading its numerator and denominator, stay allowed
+# construction and the arithmetic and comparison methods of Fraction;
+# reading a numerator and denominator stays allowed
 FRACTION_OPERATORS = (
+    "__new__",
     "__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__bool__",
     "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
     "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
@@ -369,23 +371,34 @@ FRACTION_OPERATORS = (
 
 
 def test_closed_form_solve_does_no_fraction_arithmetic(monkeypatch):
-    """Both optima, and the sweep's pair of totals, from a precomputed
-    spectrum: the branch tests and the floats from the exact rationals are
-    integer work, so no Fraction operator runs."""
-    cases = []
-    for n, copies, eta1 in product(
-        (2, 3, 41, 2000), product((1, 4, 10), repeat=3), (0.0, 0.05, 0.37, 0.5, 0.95, 1.0)
-    ):
-        cfg = ProblemConfig(n, *copies, eta1)
-        cases.append((cfg, jordan_spectrum(canonicalize(cfg)[0])))
+    """The spectrum walk, both optima, the sweep's pair of totals and the
+    bounds: every exact rational is an integer pair over the spectrum's
+    common denominator, so no Fraction is built and no Fraction operator
+    runs."""
+    cases = [
+        ProblemConfig(n, *copies, eta1)
+        for n, copies, eta1 in product(
+            (2, 3, 41, 2000), product((1, 4, 10), repeat=3), (0.0, 0.05, 0.37, 0.5, 0.95, 1.0)
+        )
+    ]
 
     def forbidden(*args):
         raise AssertionError("Fraction arithmetic on the closed-form path")
 
     for name in FRACTION_OPERATORS:
         monkeypatch.setattr(Fraction, name, forbidden)
-    for cfg, spec in cases:
+    for cfg in cases:
+        spec = jordan_spectrum(canonicalize(cfg)[0])
         total_failure(cfg, spec)
         total_failure(cfg, spec, printed_high_branch=True)
         minerror_probability(cfg, spec)
         optimal_totals(cfg, spec)
+        asymptotic_bounds(cfg)
+
+
+def test_many_copy_totals_keep_their_bits():
+    # every float taken from an exact ratio is one correctly rounded
+    # division, reduced or not, so the totals keep these bits
+    cfg = ProblemConfig(2, 3000, 3000, 3000, 0.3)
+    assert total_failure(cfg).q_total.hex() == "0x1.f6055e1ed5203p-11"
+    assert minerror_probability(cfg).p_me.hex() == "0x1.8739b6e212bb6p-13"

@@ -952,6 +952,12 @@ class TestCertifyPovm:
         with pytest.raises(OracleError):
             oracle.certify_povm(ProblemConfig(2, 3, 3, 3, 0.5), cap=256)
 
+    def test_ambiguous_pair_label_raises(self):
+        # at (2; 40,40,40) the smallest gap between the O_k is 3.8e-22, far
+        # below float resolution: float noise would pick each pair's block
+        with pytest.raises(OracleError, match="reaches half the smallest gap"):
+            oracle.certify_povm(ProblemConfig(2, 40, 40, 40, 0.3), 2**121)
+
     def test_lowrank_assembly_matches_dense_operators(self):
         # rebuild the three POVM elements densely from public pieces and
         # compare every certified quantity against the frame computation

@@ -82,3 +82,14 @@ def test_verify_grid_passes_its_check(monkeypatch):
     bench = workloads.VerifyGrid(seed=1)
     errors, _ = bench.check([bench.run(op) for op in bench.ops], controls=True)
     assert errors == []
+
+
+def test_closed_form_round_passes_its_check(monkeypatch):
+    # one seed-1 closed_form round must pass the workload's own check, or
+    # every benchmark run of it is marked incorrect
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _load("workloads")
+    monkeypatch.setitem(sys.modules, "reference", _load("reference"))  # the check imports it
+    bench = workloads.ClosedForm(seed=1)
+    errors, _ = bench.check([bench.run(op) for op in bench.ops], controls=False)
+    assert errors == []

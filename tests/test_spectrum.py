@@ -18,6 +18,7 @@ from qudisc.spectrum import (
     ProblemConfig,
     canonicalize,
     jordan_spectrum,
+    overlap_numerators,
     overlap_squares,
     overlap_via_6j,
     sym_space_dim,
@@ -102,7 +103,10 @@ class TestOverlap:
         assert blocks_of(5, 1, 1, 1)[1].overlap == pytest.approx(0.5)
 
     def test_2211_k1(self):
-        # C(2,1)C(1,1)/(C(3,1)C(2,1)) = 1/3
+        # C(2,1)C(1,1)/(C(3,1)C(2,1)) = 1/3, unreduced over the common
+        # denominator C(3,1)C(2,1) = 6 of every block
+        assert overlap_numerators(ProblemConfig(2, 2, 1, 1, 0.5)) == ([6, 2], 6)
+        assert blocks_of(2, 2, 1, 1)[1].overlap_sq_ratio == (2, 6)
         assert blocks_of(2, 2, 1, 1)[1].overlap_sq == Fraction(1, 3)
 
     def test_overlap_is_dimension_independent(self):
@@ -190,16 +194,16 @@ class TestJordanSpectrum:
             jordan_spectrum(ProblemConfig(2, 1, 1, 2, 0.5))
 
     # (2; 2,1,1) has O_k^2 = 1, 1/3 and d1 = 8: each bookkeeping check in
-    # turn is the first to see a broken overlap list
+    # turn is the first to see a broken integer walk
     @pytest.mark.parametrize("broken,message", [
-        (lambda squares: [o2 / 2 for o2 in squares], "O_0"),
-        (lambda squares: squares[:1] * 2, "strictly decrease"),
-        (lambda squares: squares[:-1], "sum to 5, not d1 = 8"),
+        (lambda nums, den: (nums, 2 * den), "O_0"),
+        (lambda nums, den: (nums[:1] * 2, den), "strictly decrease"),
+        (lambda nums, den: (nums[:-1], den), "sum to 5, not d1 = 8"),
     ], ids=["first-overlap", "decreasing", "rank-sum"])
     def test_broken_overlaps_raise(self, monkeypatch, broken, message):
         cfg = ProblemConfig(2, 2, 1, 1)
-        squares = overlap_squares(cfg)
-        monkeypatch.setattr(spectrum, "overlap_squares", lambda _: broken(squares))
+        walk = overlap_numerators(cfg)
+        monkeypatch.setattr(spectrum, "overlap_numerators", lambda _: broken(*walk))
         with pytest.raises(AssertionError, match=message):
             jordan_spectrum(cfg)
 
@@ -224,8 +228,8 @@ class TestJordanSpectrum:
         script = (
             "import sys\n"
             "from qudisc import spectrum\n"
-            "squares = spectrum.overlap_squares\n"
-            "spectrum.overlap_squares = lambda cfg: squares(cfg)[:-1]\n"
+            "walk = spectrum.overlap_numerators\n"
+            "spectrum.overlap_numerators = lambda cfg: (walk(cfg)[0][:-1], walk(cfg)[1])\n"
             "try:\n"
             "    spectrum.jordan_spectrum(spectrum.ProblemConfig(2, 2, 1, 1))\n"
             "except AssertionError as exc:\n"
