@@ -5,11 +5,11 @@ first.  The geometry is built without the block formulas it checks: the
 supports are products of symmetric-subspace bases built from multisets,
 principal angles come from an SVD, the Helstrom value from diagonalizing
 the weighted difference operator, and the unambiguous POVM is assembled
-vector by vector from the Jordan pairs.  The closed forms only label:
-``group_by_blocks`` gives block k the next d^k descending cosines and
-certifies that each lies nearer its own O_k than any other, so the
-multiplicities are measured.  The POVM weighs each pair by the optimum of
-its nearest O_k, the same match, and measures the rest in dense frames.
+vector by vector from the Jordan pairs.  The closed forms only label,
+by one rule: ``block_labels`` gives a cosine the block of its nearest O_k,
+nearer than half the smallest gap between the O_k.  ``group_by_blocks``
+counts the labels by orbit weight against d^k exactly, and the POVM
+weighs each live pair by its label's optimum, measuring the rest densely.
 
 The Haar-averaged states are real symmetric: the symmetrizer is a mean
 of permutation matrices.  The whole dense geometry (supports, angles,
@@ -241,8 +241,8 @@ class _Block:
     """The weight blocks of one orbit of label weights, as one (d1_w, d2_w)
     block reduced in an orthonormal frame of its share of the joint span
     supp(rho1)+supp(rho2), of size s = d1_w + d2_w - 1.  Only the
-    p = d1_w - 1 live pairs carry pair fields; the degenerate pair (the
-    block's symmetric vector) has none."""
+    p = d1_w - 1 live pairs carry pair vectors; the degenerate pair (the
+    block's symmetric vector, cosine 1) has none."""
 
     size: int  # weights in the orbit: every orbit total is the block's times size
     r1: np.ndarray  # (s, s) rho1 in the block frame
@@ -251,7 +251,7 @@ class _Block:
     unpaired: np.ndarray  # (s, s) projector on supp(rho2) directions with no partner
     sp1: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho1 direction
     sp2: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho2 direction
-    pair_cosines: np.ndarray  # (p,) cosines of the live pairs
+    cosines: np.ndarray  # (d1_w,) descending cosines of every pair, the degenerate one first
 
 
 @dataclass(frozen=True)
@@ -264,9 +264,7 @@ class _Geometry:
 
     dim: int
     span_rank: int
-    cosines: np.ndarray  # paired singular values of every weight block, descending
     blocks: tuple[_Block, ...]  # one per orbit
-    unpaired_rank: int
     completeness_residual: float
 
 
@@ -326,7 +324,7 @@ def _gram_blocks(cfg: ProblemConfig) -> list[tuple[int, np.ndarray]]:
     return blocks
 
 
-def _weight_block(size: int, g: np.ndarray, d1: int, d2: int) -> tuple[_Block, np.ndarray]:
+def _weight_block(size: int, g: np.ndarray, d1: int, d2: int) -> _Block:
     """Certify and reduce the weight block ``g`` of G = B1^T B2 of an orbit
     of ``size`` weights.  Its basis columns [B1_w B2_w] have the Gram
     matrix K = [[I, G], [G^T, I]].  The two supports share exactly the
@@ -335,7 +333,7 @@ def _weight_block(size: int, g: np.ndarray, d1: int, d2: int) -> tuple[_Block, n
     eigenpairs.  C's two column blocks are the bases' coordinates in an
     orthonormal frame of their joint span, and C^T C must match K to
     1e-10.  The rank check leaves SVD pair 0, at cosine 1, the only
-    degenerate pair.  Returns the ``_Block`` and its singular values."""
+    degenerate pair."""
     size1, size2 = g.shape
     span = size1 + size2 - 1
     gram = np.block([[np.eye(size1), g], [_adjoint(g), np.eye(size2)]])
@@ -363,7 +361,7 @@ def _weight_block(size: int, g: np.ndarray, d1: int, d2: int) -> tuple[_Block, n
     unpaired = g_extra @ _adjoint(g_extra)
     identity = f @ _adjoint(f) + sp1 @ _adjoint(sp1) + unpaired
     r1, r2 = b1 @ _adjoint(b1) / d1, b2 @ _adjoint(b2) / d2
-    return _Block(size, r1, r2, identity, unpaired, sp1, sp2, sigma[1:]), sigma
+    return _Block(size, r1, r2, identity, unpaired, sp1, sp2, sigma)
 
 
 @lru_cache(maxsize=64)
@@ -381,53 +379,59 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     if columns != [cfg.d1, cfg.d2]:
         raise OracleError(f"support bases have {columns} columns, expected {cfg.d1}, {cfg.d2}")
 
-    blocks, sigmas = zip(*(_weight_block(size, g, cfg.d1, cfg.d2) for size, g in orbits))
+    blocks = tuple(_weight_block(size, g, cfg.d1, cfg.d2) for size, g in orbits)
     span = sum(b.size * len(b.identity) for b in blocks)
     # the POVM elements always sum to the identity on the joint support by
     # construction, so the completeness residual is prior-independent
     completeness = max(float(np.abs(b.identity - np.eye(len(b.identity))).max()) for b in blocks)
-    cosines = -np.sort(-np.concatenate([np.tile(s, b.size) for b, s in zip(blocks, sigmas)]))
-    # every column of b2 lies in one block: the rest of supp(rho2) is unpaired
-    return _Geometry(dim, span, cosines, blocks, cfg.d2 - len(cosines), completeness)
+    return _Geometry(dim, span, blocks, completeness)
 
 
-def _half_gap(spectrum: JordanSpectrum) -> float:
-    """Half the smallest gap between consecutive O_k: a float cosine
-    closer than this to some O_k is nearest that block alone."""
-    overlaps = [b.overlap for b in spectrum.blocks]
-    return min(o - o_next for o, o_next in zip(overlaps, overlaps[1:])) / 2
+def block_labels(cosines: np.ndarray, spectrum: JordanSpectrum) -> np.ndarray:
+    """The Jordan block k of each cosine: the block of its nearest O_k.  A
+    label is certified only if the cosine lies closer to that O_k than half
+    the smallest gap between the O_k, so that float noise cannot pick it;
+    otherwise ``OracleError`` is raised."""
+    overlaps = np.array([b.overlap for b in spectrum.blocks])
+    half_gap = float((overlaps[:-1] - overlaps[1:]).min()) / 2
+    distances = np.abs(cosines[:, None] - overlaps)
+    labels = distances.argmin(axis=1)
+    residual = float(distances.min(axis=1).max(initial=0.0))
+    if residual >= half_gap:
+        raise OracleError(f"cosine residual {residual:.1e} "
+                          f"reaches half the smallest gap {half_gap:.1e}")
+    return labels
 
 
-def group_by_blocks(cosines: np.ndarray, spectrum: JordanSpectrum) -> list[tuple[float, int]]:
-    """Match d1 descending cosines to the closed-form Jordan blocks by
-    position, the next d^k to block k, and certify the split: each cosine
-    must lie within half the smallest gap between the O_k of its own O_k,
-    so it is nearest its block.  Per block, returns its cosine farthest
-    from O_k and d^k; raises ``OracleError`` on the wrong count or a
-    cosine at half a gap or more."""
-    if len(cosines) != spectrum.d1:
-        raise OracleError(f"{len(cosines)} cosines for d1 = {spectrum.d1} Jordan directions")
-    half_gap = _half_gap(spectrum)
-    groups, start = [], 0
+def group_by_blocks(cosines: np.ndarray, spectrum: JordanSpectrum,
+                    weights: np.ndarray | int = 1) -> list[tuple[float, int]]:
+    """Count the cosines of each closed-form Jordan block, each labelled
+    by ``block_labels`` and counted ``weights`` times (the size of the
+    orbit it stands for), and certify every count against d^k exactly.
+    Per block, returns its cosine farthest from O_k and d^k; raises
+    ``OracleError`` on an uncertified label or a wrong count."""
+    labels = block_labels(cosines, spectrum)
+    groups = []
     for block in spectrum.blocks:
-        chunk = cosines[start:start + block.multiplicity]
-        farthest = float(chunk[np.abs(chunk - block.overlap).argmax()])
-        residual = abs(farthest - block.overlap)
-        if residual >= half_gap:
-            raise OracleError(f"block {block.k}: cosine residual {residual:.1e} "
-                              f"reaches half the smallest gap {half_gap:.1e}")
-        groups.append((farthest, block.multiplicity))
-        start += block.multiplicity
+        own = labels == block.k
+        count = int((own * weights).sum())
+        if count != block.multiplicity:
+            raise OracleError(f"block {block.k} holds {count} cosines, "
+                              f"expected d^k = {block.multiplicity}")
+        farthest = cosines[own][np.abs(cosines[own] - block.overlap).argmax()]
+        groups.append((float(farthest), block.multiplicity))
     return groups
 
 
 def jordan_angles(cfg: ProblemConfig, cap: int | None = None) -> list[tuple[float, int]]:
     """Principal angles between the supports of the two dense mean states,
-    via the certified support bases, as ``group_by_blocks`` pairs; they do
-    not depend on the orientation."""
+    via the certified support bases, as ``group_by_blocks`` pairs, each orbit
+    block's cosines counted once per weight of its orbit; orientation-free."""
     canonical, _ = canonicalize(cfg)
     geometry = _jordan_geometry(canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, cap)
-    return group_by_blocks(geometry.cosines, jordan_spectrum(canonical))
+    cosines = [b.cosines for b in geometry.blocks]
+    sizes = np.repeat([b.size for b in geometry.blocks], [len(c) for c in cosines])
+    return group_by_blocks(np.concatenate(cosines), jordan_spectrum(canonical), sizes)
 
 
 def _shared_geometry(
@@ -523,9 +527,9 @@ def certify_povms(
     supp(rho2); Pi0 is the remainder of the joint-support identity.
     Each block's degenerate pair (cosine 1) carries no unambiguous
     information and falls entirely into Pi0.  Each live pair takes the
-    block of the nearest O_k, which must lie closer than half the smallest
-    gap between the O_k (the bound of ``group_by_blocks``), or
-    ``OracleError`` is raised: float noise cannot label the pair.
+    block that ``block_labels`` certifies for its cosine; an uncertified
+    label, or a live pair labelled with the degenerate block 0, raises
+    ``OracleError``.
 
     ``printed_high_branch`` is the negative control: it builds the POVM
     from the erratum q1 = O_k, which must break the failure-probability
@@ -533,28 +537,23 @@ def certify_povms(
     """
     canonical, _, geo, eta1, eta2 = _shared_geometry(cfgs, cap)
     spectrum = jordan_spectrum(canonical[0])
-    live = [b for b in spectrum.blocks if b.k]  # O_0 = 1 is the degenerate pair
-    overlaps = np.array([b.overlap for b in live])
-    half_gap = _half_gap(spectrum)
     results = [total_failure(c, spectrum, printed_high_branch=printed_high_branch)
                for c in canonical]
-    # per prior and live block k, the weights of Pi1 and Pi2 on its pair directions
-    q_by_k = [{b.k: (b.q1, b.q2) for b in result.blocks} for result in results]
-    weights = np.array([[[(1.0 - q) / (1.0 - float(b.overlap_sq)) for q in qs[b.k]]
-                         for b in live] for qs in q_by_k])
+    # per prior and live block k, the weights of Pi1 and Pi2 on its pair
+    # directions (block 0, O_0 = 1, is the degenerate pair)
+    ratios = [b.overlap_sq_ratio for b in spectrum.blocks[1:]]
+    weights = np.array([[[(1.0 - q) / (1.0 - num / den) for q in (b.q1, b.q2)]
+                         for b, (num, den) in zip(result.blocks[1:], ratios)]
+                        for result in results])
 
     priors = len(cfgs)
     min_eig = np.full(priors, np.inf)
     err12, err21, failure = np.zeros((3, priors))
     for b in geo.blocks:
-        # each pair takes the block of the nearest closed-form overlap
-        distances = np.abs(b.pair_cosines[:, None] - overlaps)
-        nearest = distances.argmin(axis=-1)
-        residual = float(distances.min(axis=-1).max(initial=0.0))
-        if residual >= half_gap:
-            raise OracleError(f"pair cosine residual {residual:.1e} "
-                              f"reaches half the smallest gap {half_gap:.1e}")
-        pair_weights = weights[:, nearest]
+        labels = block_labels(b.cosines[1:], spectrum)
+        if not labels.all():
+            raise OracleError("a live pair's cosine is labelled with the degenerate block 0")
+        pair_weights = weights[:, labels - 1]
         m1 = (b.sp2 * pair_weights[:, None, :, 0]) @ _adjoint(b.sp2)
         m2 = (b.sp1 * pair_weights[:, None, :, 1]) @ _adjoint(b.sp1) + b.unpaired
         m0 = b.identity - m1 - m2
@@ -577,7 +576,7 @@ def certify_povms(
             error_rho2_pi1=float(err21[i]),
             failure_probability=float(failure[i]),
             expected_failure=honest.q_total,
-            unpaired_rank=geo.unpaired_rank,
+            unpaired_rank=spectrum.d2 - spectrum.d1,
         ))
     return reports
 

@@ -121,12 +121,6 @@ def overlap_numerators(cfg: ProblemConfig) -> tuple[list[int], int]:
     return nums, den
 
 
-def overlap_squares(cfg: ProblemConfig) -> list[Fraction]:
-    """The O_k^2 of :func:`overlap_numerators` as reduced fractions."""
-    nums, den = overlap_numerators(cfg)
-    return [Fraction(num, den) for num in nums]
-
-
 @dataclass(frozen=True)
 class JordanBlock:
     """One Jordan block; ``overlap_sq_ratio`` is O_k^2 as the unreduced
@@ -232,7 +226,7 @@ def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
 
 def overlap_via_6j(k: int, cfg: ProblemConfig) -> float:
     """Block overlap through the angular-momentum recoupling route; must
-    agree with the square root of :func:`overlap_squares` to 1e-12."""
+    agree with sqrt(num / den) of :func:`overlap_numerators` to 1e-12."""
     if not 0 <= k <= cfg.k_max:
         raise ValueError(f"block index {k} outside 0..{cfg.k_max}")
     half = Fraction(1, 2)

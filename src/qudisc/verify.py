@@ -12,9 +12,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-import numpy as np
-
-from . import oracle
 from .combinatorics import Partition, unitary_dim
 from .discrimination import (
     bound_p0,
@@ -113,9 +110,10 @@ def check_six_j() -> CheckResult:
 
 def check_principal_angles(max_total_dim: int) -> CheckResult:
     """Dense principal angles vs the closed-form (O_k, d^k) spectrum: both
-    support routes' cosines are matched to the blocks by position
-    (``oracle.group_by_blocks``, which certifies the multiplicities), and
-    every cosine must lie within 1e-9 of its O_k."""
+    support routes' cosines are labelled with their nearest blocks and
+    counted (``oracle.group_by_blocks``, which certifies the
+    multiplicities), and every cosine must lie within 1e-9 of its O_k."""
+    from . import oracle
     worst = 0.0
     count = 0
     for cfg in certification_grid(max_total_dim):
@@ -141,6 +139,7 @@ def _priors(base: ProblemConfig, priors: tuple[float, ...]) -> list[ProblemConfi
 def check_min_error(max_total_dim: int) -> CheckResult:
     """Dense trace-norm Helstrom value vs the closed form, every prior of
     a config from one spectrum and one batched oracle call."""
+    from . import oracle
     worst = 0.0
     count = 0
     for base in certification_grid(max_total_dim):
@@ -162,6 +161,7 @@ def check_povm(max_total_dim: int, inject_q_fault: bool = False) -> CheckResult:
     failure probability equal to the closed-form optimum.  Every prior of
     a config is certified by one batched oracle call; the first failing
     (config, prior) is reported."""
+    from . import oracle
     worst = 0.0
     count = 0
     for base in certification_grid(max_total_dim):
@@ -223,6 +223,8 @@ def check_haar(samples: int, seed: int) -> CheckResult:
     keeps exactly the law above; the cases are dependent, but the family's
     false-fail rate is a union bound and needs no independence.  The means
     are compared in the full n^m space against ``oracle.symmetrizer``."""
+    import numpy as np
+    from . import oracle
     case_streams = zip(*(oracle.haar_average(HAAR_CASES, samples, seed + i)
                          for i in range(HAAR_STREAMS)))
 

@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -471,3 +473,14 @@ def test_one_argparse_pass_per_call(monkeypatch, capsys):
     code, out, _ = run(["unambiguous", "-n", "2", "--na", "1", "--nb", "1", "--nc", "1"], capsys)
     assert (code, parsed) == (0, ["qudisc unambiguous"])
     assert f"Q_opt = {5 / 6:.12g}" in out
+
+
+def test_import_loads_no_numpy():
+    # only the dense verify families need the oracle and numpy, and they
+    # import both when they run; verify itself is loaded with the CLI
+    script = ("import sys, qudisc.cli; "
+              "print(*(m in sys.modules for m in ('qudisc.verify', 'qudisc.oracle', 'numpy')))")
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True,
+                            cwd=src, check=True)
+    assert result.stdout == "True False False\n"

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from qudisc import oracle
 from qudisc.discrimination import (
     Branch,
     asymptotic_bounds,
@@ -371,10 +372,10 @@ FRACTION_OPERATORS = (
 
 
 def test_closed_form_solve_does_no_fraction_arithmetic(monkeypatch):
-    """The spectrum walk, both optima, the sweep's pair of totals and the
-    bounds: every exact rational is an integer pair over the spectrum's
-    common denominator, so no Fraction is built and no Fraction operator
-    runs."""
+    """The spectrum walk, both optima, the sweep's pair of totals, the
+    bounds and the dense POVM's pair weights: every exact rational is an
+    integer pair over the spectrum's common denominator, so no Fraction is
+    built and no Fraction operator runs."""
     cases = [
         ProblemConfig(n, *copies, eta1)
         for n, copies, eta1 in product(
@@ -394,6 +395,10 @@ def test_closed_form_solve_does_no_fraction_arithmetic(monkeypatch):
         minerror_probability(cfg, spec)
         optimal_totals(cfg, spec)
         asymptotic_bounds(cfg)
+    for n, copies in ((2, (1, 1, 1)), (3, (2, 1, 1)), (2, (1, 2, 3))):
+        for inject in (False, True):
+            oracle.certify_povms([ProblemConfig(n, *copies, eta1) for eta1 in (0.0, 0.37, 1.0)],
+                                 printed_high_branch=inject)
 
 
 def test_many_copy_totals_keep_their_bits():

@@ -1,5 +1,6 @@
 """Dense-matrix oracle: states, supports, angles, spectra, POVM assembly."""
 
+import dataclasses
 import math
 import re
 import time
@@ -52,6 +53,12 @@ def _assert_same_angles(observed, cosines):
 def _expanded(groups):
     """``jordan_angles``' per-block cosines, each repeated d^k times."""
     return np.repeat([c for c, _ in groups], [m for _, m in groups])
+
+
+def _tiled_cosines(geometry):
+    """The d1 paired cosines of every weight block, descending: each orbit
+    block's cosines repeated once per weight of its orbit."""
+    return -np.sort(-np.concatenate([np.tile(b.cosines, b.size) for b in geometry.blocks]))
 
 
 class TestSymmetrizer:
@@ -527,8 +534,9 @@ class TestGramBlocks:
             oracle._jordan_geometry.cache_clear()
         blocks = jordan_spectrum(ProblemConfig(4, 3, 3, 3)).blocks
         expected = np.sort(np.concatenate([np.full(b.multiplicity, b.overlap) for b in blocks]))
-        assert geometry.cosines.shape == expected.shape == (1680,)
-        assert np.abs(np.sort(geometry.cosines) - expected).max() <= 1e-12
+        cosines = _tiled_cosines(geometry)
+        assert cosines.shape == expected.shape == (1680,)
+        assert np.abs(np.sort(cosines) - expected).max() <= 1e-12
 
 
 def _count_rows(m, n):
@@ -579,8 +587,9 @@ class TestStackedGeometry:
         )
         assert geometry.span_rank == sum(len(r1) for r1, _, _ in blocks)
         cosines = -np.sort(-np.concatenate([sigma for *_, sigma in blocks]))
-        assert geometry.cosines.shape == cosines.shape
-        assert np.abs(geometry.cosines - cosines).max() <= 1e-15
+        tiled = _tiled_cosines(geometry)
+        assert tiled.shape == cosines.shape
+        assert np.abs(tiled - cosines).max() <= 1e-15
 
         priors = [ProblemConfig(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, eta1)
                   for eta1 in verify.GRID_PRIORS]
@@ -599,11 +608,10 @@ class TestStackedGeometry:
         # its symmetric vector
         with pytest.raises(OracleError, match="weight block spans 2 directions, expected 1"):
             oracle._weight_block(1, np.array([[1 / math.sqrt(2)]]), 1, 1)
-        block, sigma = oracle._weight_block(3, np.array([[1.0]]), 1, 1)
+        block = oracle._weight_block(3, np.array([[1.0]]), 1, 1)
         assert block.size == 3
-        assert sigma.shape == (1,) and abs(sigma[0] - 1.0) <= 1e-15
+        assert block.cosines.shape == (1,) and abs(block.cosines[0] - 1.0) <= 1e-15
         assert block.sp1.shape == block.sp2.shape == (1, 0)
-        assert block.pair_cosines.shape == (0,)
         assert np.abs(block.identity - 1.0).max() <= 1e-15
 
     def test_one_block_per_orbit(self):
@@ -621,8 +629,8 @@ class TestStackedGeometry:
                 assert block.size == size and size1 <= size2
                 assert block.r1.shape == (size1 + size2 - 1, size1 + size2 - 1)
                 assert block.sp1.shape == block.sp2.shape == (size1 + size2 - 1, size1 - 1)
-                assert block.pair_cosines.shape == (size1 - 1,)
-                assert np.all(block.pair_cosines < 1.0 - 1e-7)
+                assert block.cosines.shape == (size1,)
+                assert np.all(block.cosines[1:] < 1.0 - 1e-7)
             span = sum(size * (sum(g.shape) - 1) for size, g in orbits)
             assert geometry.span_rank == span
 
@@ -809,14 +817,97 @@ class TestGroupByBlocks:
             oracle.group_by_blocks(cosines, self.SPECTRUM)
 
     def test_cosine_moved_to_the_next_block(self):
-        # one cosine of block 1 sits at O_2: multiplicities 8, 5, 5, 2
-        with pytest.raises(OracleError, match="block 1: cosine residual 2.5e-01"):
+        # one cosine of block 1 sits at O_2, so it is labelled 2:
+        # multiplicities 8, 5, 5, 2
+        with pytest.raises(OracleError, match=r"block 1 holds 5 cosines, expected d\^k = 6"):
             oracle.group_by_blocks(self._cosines((8, 5, 5, 2)), self.SPECTRUM)
 
     @pytest.mark.parametrize("counts", [(8, 6, 4, 1), (8, 6, 4, 3)], ids=["short", "long"])
     def test_wrong_length(self, counts):
-        with pytest.raises(OracleError, match="cosines for d1 = 20"):
+        with pytest.raises(OracleError,
+                           match=rf"block 3 holds {counts[3]} cosines, expected d\^k = 2"):
             oracle.group_by_blocks(self._cosines(counts), self.SPECTRUM)
+
+    def test_weights_count_each_cosine(self):
+        # one cosine per block, counted d^k times, is the whole spectrum
+        overlaps = self._cosines((1, 1, 1, 1))
+        groups = oracle.group_by_blocks(overlaps, self.SPECTRUM, np.array([8, 6, 4, 2]))
+        assert groups == [(1.0, 8), (0.75, 6), (0.5, 4), (0.25, 2)]
+        with pytest.raises(OracleError, match=r"block 2 holds 3 cosines, expected d\^k = 4"):
+            oracle.group_by_blocks(overlaps, self.SPECTRUM, np.array([8, 6, 3, 2]))
+
+    @pytest.mark.parametrize("cfg", [*DEFAULT_GRID, ProblemConfig(2, 20, 20, 20)],
+                             ids=_config_id)
+    def test_labels_match_the_position_split(self, cfg):
+        # the d1 descending cosines, labelled one by one, fall into the
+        # blocks by position: the first d^0 into block 0, the next d^1
+        # into block 1, and so on
+        canonical, _ = canonicalize(cfg)
+        geometry = oracle._jordan_geometry(
+            canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, 2**61
+        )
+        spectrum = jordan_spectrum(canonical)
+        position = np.repeat([b.k for b in spectrum.blocks],
+                             [b.multiplicity for b in spectrum.blocks])
+        assert np.array_equal(oracle.block_labels(_tiled_cosines(geometry), spectrum), position)
+
+    @staticmethod
+    def _with_moved_cosine(monkeypatch, cfg, pick):
+        """Serve ``cfg``'s geometry with the first live cosine of its first
+        orbit block of size > 1 replaced by ``pick(its label, spectrum)``;
+        returns that label and the orbit's size."""
+        canonical, _ = canonicalize(cfg)
+        spectrum = jordan_spectrum(canonical)
+        geometry = oracle._jordan_geometry(
+            canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
+        )
+        index, block = next((i, b) for i, b in enumerate(geometry.blocks)
+                            if b.size > 1 and len(b.cosines) > 1)
+        label = int(oracle.block_labels(block.cosines, spectrum)[1])
+        cosines = block.cosines.copy()
+        cosines[1] = pick(label, spectrum)
+        blocks = list(geometry.blocks)
+        blocks[index] = dataclasses.replace(block, cosines=cosines)
+        moved = dataclasses.replace(geometry, blocks=tuple(blocks))
+        monkeypatch.setattr(oracle, "_jordan_geometry", lambda *args: moved)
+        return label, block.size
+
+    def test_orbit_cosine_moved_to_the_next_block(self, monkeypatch):
+        # negative control: one cosine of an orbit block moves onto the
+        # next O_k, so its block loses the orbit's size in its count
+        cfg = ProblemConfig(3, 2, 1, 2, 0.5)
+        spectrum = jordan_spectrum(cfg)
+        label, size = self._with_moved_cosine(
+            monkeypatch, cfg, lambda k, spectrum: spectrum.blocks[k + 1].overlap)
+        assert size > 1 and label < spectrum.k_max
+        d_k = spectrum.blocks[label].multiplicity
+        with pytest.raises(OracleError, match=rf"block {label} holds {d_k - size} cosines, "
+                                              rf"expected d\^k = {d_k}"):
+            oracle.jordan_angles(cfg)
+
+    def test_live_pair_labelled_degenerate_raises(self, monkeypatch):
+        # a live pair's cosine moved onto O_0 = 1 carries no unambiguous
+        # information: the POVM cannot weigh it
+        cfg = ProblemConfig(3, 2, 1, 2, 0.5)
+        self._with_moved_cosine(monkeypatch, cfg, lambda k, spectrum: 1.0)
+        with pytest.raises(OracleError, match="labelled with the degenerate block 0"):
+            oracle.certify_povm(cfg)
+
+    def test_geometry_holds_no_array_of_d1_entries(self):
+        # (10; 3,3,3) has d1 = 1 101 100 Jordan directions in 26 orbit
+        # blocks; none of the geometry's arrays grows with d1
+        cfg = ProblemConfig(10, 3, 3, 3)
+        oracle._jordan_geometry.cache_clear()
+        try:
+            geometry = oracle._jordan_geometry(10, 3, 3, 3, 10**9)
+            groups = oracle.jordan_angles(cfg, 10**9)
+        finally:
+            oracle._jordan_geometry.cache_clear()
+        assert [m for _, m in groups] == [b.multiplicity for b in jordan_spectrum(cfg).blocks]
+        arrays = [value for b in geometry.blocks for value in vars(b).values()
+                  if isinstance(value, np.ndarray)]
+        assert not any(isinstance(value, np.ndarray) for value in vars(geometry).values())
+        assert max(a.size for a in arrays) < cfg.d1
 
 
 class TestComponentSplit:
@@ -1022,7 +1113,7 @@ class TestTwentyQubitCopies:
 
     def test_forty_copies_are_below_float_resolution(self):
         # (2; 40,40,40): the overlaps' smallest gap, 3.8e-22, is far below
-        # the cosines' float error, so the position rule cannot certify
+        # the cosines' float error, so no cosine's label can be certified
         with pytest.raises(OracleError, match="reaches half the smallest gap 1.9e-22"):
             oracle.jordan_angles(ProblemConfig(2, 40, 40, 40, 0.5), 2**121)
 
