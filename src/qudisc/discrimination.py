@@ -27,6 +27,7 @@ is kept available as a negative control for the verifier.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -64,6 +65,15 @@ def boundaries(k: int, spectrum: JordanSpectrum) -> tuple[Fraction, Fraction]:
     branches; exact rationals, c_k <= d_k with equality iff O_k = 1."""
     c_k, d_k = _thresholds(spectrum.blocks[k].overlap_sq_ratio, spectrum.d1, spectrum.d2)
     return Fraction(*c_k), Fraction(*d_k)
+
+
+def _normal(name: str, total: float, cfg: ProblemConfig | None = None) -> float:
+    """``total``, or ``PreconditionError`` naming it if it lies below the
+    normal float range (a silent 0 or lost digits); a ``cfg`` prior of 0 or
+    1 makes no error at all, so its 0.0 is exact."""
+    if total < sys.float_info.min and not (cfg and total == 0.0 and 0.0 in (cfg.eta1, cfg.eta2)):
+        raise PreconditionError(f"{name} = {total!r} lies below the normal float range")
+    return total
 
 
 def _helstrom_error(a: float, b: float, o2: float, sin2: float) -> float:
@@ -225,7 +235,7 @@ def total_failure(
     return UnambiguousResult(
         config=cfg,
         blocks=tuple(blocks),
-        q_total=sum(s.q_term for s in solved),
+        q_total=_normal("Q_opt", sum(s.q_term for s in solved)),
         swapped=swapped,
     )
 
@@ -270,7 +280,7 @@ def minerror_probability(
         ),
         residual_eigenvalue=canonical.eta2 * (1 / spectrum.d2),
         residual_multiplicity=spectrum.d2 - spectrum.d1,
-        p_me=sum(s.p_term for s in solved),
+        p_me=_normal("P_ME", sum(s.p_term for s in solved), canonical),
         swapped=swapped,
     )
 
@@ -286,7 +296,8 @@ def optimal_totals(
     if spectrum is None:
         spectrum = jordan_spectrum(canonical)
     solved = _solve_blocks(canonical, spectrum)
-    return sum(s.q_term for s in solved), sum(s.p_term for s in solved)
+    return (_normal("Q_opt", sum(s.q_term for s in solved)),
+            _normal("P_ME", sum(s.p_term for s in solved), canonical))
 
 
 # --- asymptotic (large-dimension) bounds ------------------------------------
@@ -299,7 +310,7 @@ def bound_q0(cfg: ProblemConfig) -> float:
     if cfg.n_a != cfg.n_c:
         raise PreconditionError("Q0 is defined for n_a == n_c only")
     denominator = math.prod(range(cfg.n_b + 2, cfg.n_b + 2 * cfg.n_a + 1, 2))
-    return (math.factorial(cfg.n_a) << cfg.n_a) / denominator
+    return _normal("Q0", (math.factorial(cfg.n_a) << cfg.n_a) / denominator)
 
 
 def bound_p0(cfg: ProblemConfig) -> float:
@@ -317,7 +328,7 @@ def bound_p0(cfg: ProblemConfig) -> float:
         half = ways * (total - 2 * k + 1) / (den * (total - k + 1)) / 2
         acc += _helstrom_error(half, half, o2_num / o2_den, (o2_den - o2_num) / o2_den)
         ways = ways * (total - k) // (k + 1)
-    return acc
+    return _normal("P0", acc)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,12 @@ config's states onto the other's with rho1 and rho2 exchanged.  It forms
 no array with n^N rows.  Both mean states commute with the diagonal torus
 of U(n), so the cross-Gram matrix G = B1^T B2 of the support bases
 sym(AB) x sym(C) and sym(A) x sym(BC) is block-diagonal by label weight,
-and ``_gram_blocks`` counts each block from multisets.  They also commute
+and ``_gram_block`` counts each block from multisets.  They also commute
 with label permutations, and the blocks of one orbit of weights are
 row-and-column permutations of one matrix, so one block per orbit is
-certified and every total is weighted by the orbit's size.  The supports
-meet in the totally symmetric subspace sym(ABC), which holds exactly one
+certified, reduced once for every config that shares it
+(``_orbit_block``), and every total is weighted by the orbit's size.
+The supports meet in the totally symmetric subspace sym(ABC), one
 vector per label weight, so every block has one degenerate pair (cosine
 1) and spans d1_w + d2_w - 1 directions.  Each block's Gram matrix
 K = [[I, G], [G^T, I]] is checked to have that rank and factored as
@@ -37,18 +38,18 @@ span, and supports, angles, Lambda and the POVM all live in these
 frames.  Lambda and the POVM take every prior of a config in one batched
 ``hermitian_eig`` call per block.
 
-The dense states of ``mean_states`` feed only the independent second
-route, ``principal_angles``.  The Haar sampler's means are compared in
-the full n^m space against ``symmetrizer``, which stays an independent
-check of the multiset basis.
+``check_gram_counts`` checks the integer counts behind the entries
+exactly against the n^N site strings.  The Haar sampler's means are
+compared in the full n^m space against ``symmetrizer``, which stays an
+independent check of the multiset basis.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -58,8 +59,8 @@ from .errors import OracleError, PreconditionError
 from .spectrum import JordanSpectrum, ProblemConfig, canonicalize, jordan_spectrum
 
 DEFAULT_DIM_CAP = 4096
-SUPPORT_TOL = 1e-9
 _HAAR_CHUNK = 1024  # draws per chunk: small temporaries; the stream does not depend on it
+_FACTORIALS = np.array([math.factorial(k) for k in range(21)])  # int64: 20! < 2^63
 
 
 def _check_cap(dim: int, cap: int | None) -> None:
@@ -188,54 +189,6 @@ def haar_average(
             for m, n in cases]
 
 
-def _components(linked: np.ndarray) -> np.ndarray:
-    """The connected component of every vertex of a symmetric boolean
-    adjacency matrix, numbered by its smallest vertex: each vertex takes
-    the smallest label among itself and its neighbours, then its label's
-    label, until nothing changes."""
-    labels = np.arange(len(linked))
-    while True:
-        reached = np.where(linked, labels, len(labels)).min(axis=1)
-        reached = np.minimum(reached, labels)
-        reached = reached[reached]
-        if np.array_equal(reached, labels):
-            return labels
-        labels = reached
-
-
-def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
-    """Descending cosines of the principal angles between the supports of
-    two positive semidefinite matrices, min(rank1, rank2) of them, from the
-    generic certified eigensolver; ``jordan_angles`` is the config route.
-
-    Both states are block-diagonal on the connected components of their
-    joint nonzero pattern, exactly, and so are their supports and the
-    supports' cross-Gram matrix.  Each component is certified and
-    eigensolved on its own, the components of one size (of both states)
-    in one stacked call, and takes its own SVD.  The min(d1, d2) cosines
-    of the whole supports are the components' cosines plus a zero for
-    every pair the components leave out.  A pattern without zeros is
-    one component, the whole matrices."""
-    linked = (rho1 != 0) | (rho2 != 0)
-    _, component = np.unique(_components(linked | linked.T), return_inverse=True)
-    sizes = np.bincount(component)
-    order, starts = np.argsort(component, kind="stable"), np.cumsum(sizes) - sizes
-    cosines, ranks = [], np.zeros((2, len(sizes)), dtype=int)
-    for size in sorted(set(sizes.tolist())):
-        labels = np.flatnonzero(sizes == size)
-        rows = order[starts[labels][:, None] + np.arange(size)]  # each one's members, ascending
-        blocks = np.stack([rho[rows[:, :, None], rows[:, None, :]] for rho in (rho1, rho2)])
-        values, vectors = hermitian_eig(blocks)
-        support = values > SUPPORT_TOL
-        ranks[:, labels] = support.sum(axis=-1)
-        for i in range(len(labels)):
-            b1, b2 = (vectors[j, i][:, support[j, i]] for j in range(2))
-            cosines.append(np.linalg.svd(_adjoint(b1) @ b2, compute_uv=False))
-    unpaired = ranks.sum(axis=1).min() - ranks.min(axis=0).sum()
-    cosines = np.concatenate([*cosines, np.zeros(unpaired)])
-    return -np.sort(-np.clip(cosines, 0.0, 1.0))
-
-
 @dataclass(frozen=True)
 class _Block:
     """The weight blocks of one orbit of label weights, as one (d1_w, d2_w)
@@ -245,7 +198,7 @@ class _Block:
     block's symmetric vector, cosine 1) has none."""
 
     size: int  # weights in the orbit: every orbit total is the block's times size
-    r1: np.ndarray  # (s, s) rho1 in the block frame
+    r1: np.ndarray  # (s, s) rho1 in the block frame; in an ``_orbit_block``, d1 = 1
     r2: np.ndarray
     identity: np.ndarray  # (s, s) span identity rebuilt from the Jordan pieces
     unpaired: np.ndarray  # (s, s) projector on supp(rho2) directions with no partner
@@ -270,12 +223,15 @@ class _Geometry:
 
 def _string_counts(counts: np.ndarray) -> np.ndarray:
     """The number of site strings of the multiset of each label-count row,
-    the multinomial m!/prod(c!), or 0 where a count is negative: exact,
-    computed once per distinct row and rounded once."""
-    distinct, which = np.unique(counts, axis=0, return_inverse=True)
-    strings = [math.factorial(sum(row)) // math.prod(map(math.factorial, row)) if min(row) >= 0
-               else 0 for row in distinct.tolist()]
-    return np.array(strings, dtype=float)[which.ravel()]
+    m!/prod(c!), or 0 where a count is negative, as exact integers: int64
+    up to 20 sites, Python ints (an object array) above."""
+    valid = (counts >= 0).all(axis=1)
+    safe = np.where(valid[:, None], counts, 0)
+    sites = safe.sum(axis=1)
+    top = int(sites.max(initial=0))
+    table = (_FACTORIALS if top < len(_FACTORIALS)
+             else np.array([math.factorial(k) for k in range(top + 1)], dtype=object))
+    return np.where(valid, table[sites] // table[safe].prod(axis=1), 0)
 
 
 def _orbits(n: int, total: int) -> list[tuple[tuple[int, ...], int]]:
@@ -294,46 +250,71 @@ def _orbits(n: int, total: int) -> list[tuple[tuple[int, ...], int]]:
             for w in partitions(total, n, total)]
 
 
-def _gram_blocks(cfg: ProblemConfig) -> list[tuple[int, np.ndarray]]:
-    """The label-weight blocks of G = B1^T B2, counted from multisets.
-
-    B1's columns are the pairs (M_AB, M_C) and B2's the pairs (M_A, M_BC);
-    a pair's label weight is the sum of its two count rows.  Both bases'
-    columns are normalized sums of site strings, so the entry of a
-    (M_AB, M_C) row and a (M_A, M_BC) column of one weight w counts the
-    strings they share, |M_A| |M_B| |M_C| with M_B = M_AB - M_A, over the
-    four norms: |M_B| sqrt(|M_A| |M_C| / (|M_AB| |M_BC|)) when M_B >= 0,
-    and 0 otherwise (M_BC - M_C = M_B then holds by the weight).  The rows
-    are the M_C <= w of n_c labels, with M_AB = w - M_C, and the columns
-    the M_A <= w of n_a labels, with M_BC = w - M_A.  Permuting the labels
-    of w permutes the rows and columns and keeps every entry, so this
-    returns one ``(size, g)`` per orbit of weights: the orbit's number of
-    weights and the ``(d1_w, d2_w)`` block of its descending weight."""
-    blocks = []
-    for weight, size in _orbits(cfg.n, cfg.total_copies):
-        w = np.array(weight)
-        below = np.indices(w + 1).reshape(cfg.n, -1).T  # every count row <= w
-        m_c, m_a = (below[below.sum(axis=1) == m] for m in (cfg.n_c, cfg.n_a))
-        m_b = w - m_c[:, None, :] - m_a[None, :, :]
-        rows = [m_c, w - m_c, m_a, w - m_a, m_b.reshape(-1, cfg.n)]
-        strings_c, strings_ab, strings_a, strings_bc, strings_b = np.split(
-            _string_counts(np.concatenate(rows)), np.cumsum([len(r) for r in rows[:-1]]))
-        g = strings_b.reshape(m_b.shape[:2]) * np.sqrt(
-            strings_a * strings_c[:, None] / (strings_ab[:, None] * strings_bc))
-        blocks.append((size, g))
-    return blocks
+def _block_counts(weight: Sequence[int], n_a: int, n_c: int) -> tuple[np.ndarray, ...]:
+    """The exact string counts of the block of G = B1^T B2 of weight w.
+    B1's columns are the pairs (M_AB, M_C) and B2's the pairs (M_A, M_BC),
+    of weight M_AB + M_C and M_A + M_BC.  The block's rows are the M_C <= w
+    of n_c labels and its columns the M_A <= w of n_a labels, both in
+    ``np.indices`` order.  Returns those count rows, |M_C| and |M_AB| per
+    row, |M_A| and |M_BC| per column, and the matrix of |M_B|,
+    M_B = M_AB - M_A, 0 where M_B has a negative count."""
+    w = np.array(weight)
+    below = np.indices(w + 1).reshape(len(w), -1).T  # every count row <= w
+    sites = below.sum(axis=1)
+    m_c, m_a = below[sites == n_c], below[sites == n_a]
+    r, c = len(m_c), len(m_a)
+    m_b = w - m_c[:, None, :] - m_a
+    s = _string_counts(np.concatenate([m_c, w - m_c, m_a, w - m_a, m_b.reshape(r * c, -1)]))
+    return (m_c, m_a, s[:r], s[r:2 * r], s[2 * r:2 * r + c], s[2 * r + c:2 * (r + c)],
+            s[2 * (r + c):].reshape(r, c))
 
 
-def _weight_block(size: int, g: np.ndarray, d1: int, d2: int) -> _Block:
-    """Certify and reduce the weight block ``g`` of G = B1^T B2 of an orbit
-    of ``size`` weights.  Its basis columns [B1_w B2_w] have the Gram
-    matrix K = [[I, G], [G^T, I]].  The two supports share exactly the
+def _gram_block(weight: Sequence[int], n_a: int, n_c: int) -> np.ndarray:
+    """The ``(d1_w, d2_w)`` block of G = B1^T B2 of weight w.  Both bases'
+    columns are normalized sums of site strings, so an entry is the number
+    of strings its two columns share, |M_A| |M_B| |M_C|, over their norms:
+    |M_B| sqrt(|M_A| |M_C| / (|M_AB| |M_BC|)), each count rounded once."""
+    strings_c, strings_ab, strings_a, strings_bc, strings_b = (
+        counts.astype(float) for counts in _block_counts(weight, n_a, n_c)[2:])
+    return strings_b * np.sqrt(strings_a * strings_c[:, None] / (strings_ab[:, None] * strings_bc))
+
+
+def check_gram_counts(cfg: ProblemConfig, cap: int | None = None) -> None:
+    """Check the counts behind every Gram entry of ``cfg``, for every label
+    weight, in exact integers against its n^N site strings, each in the
+    (weight, M_C, M_A) cell of its registers' label counts.  A cell must
+    hold |M_A| |M_B| |M_C| strings, a row (a B1 column) |M_AB| |M_C| and a
+    column (a B2 column) |M_A| |M_BC|, the squared norms, and no string
+    may lie outside the blocks; ``OracleError`` at the first mismatch."""
+    n, total = cfg.n, cfg.total_copies
+    _check_cap(n**total, cap)
+    sites = np.indices((n,) * total).reshape(total, -1)  # a row per site, A first
+    a, b, c = ((register[:, :, None] == np.arange(n)).sum(axis=0)
+               for register in np.split(sites, [cfg.n_a, cfg.n_a + cfg.n_b]))
+    cells = Counter(zip(*(map(tuple, rows.tolist()) for rows in (a + b + c, c, a))))
+    for w in sorted({w for w, _, _ in cells}):
+        m_c, m_a, s_c, s_ab, s_a, s_bc, s_b = _block_counts(w, cfg.n_a, cfg.n_c)
+        strings = np.array([[cells.pop((w, row, col), 0) for col in map(tuple, m_a.tolist())]
+                            for row in map(tuple, m_c.tolist())]).reshape(s_b.shape)
+        for name, counted, enumerated in (("cell", s_a * s_b * s_c[:, None], strings),
+                                          ("B1 column", s_ab * s_c, strings.sum(axis=1)),
+                                          ("B2 column", s_a * s_bc, strings.sum(axis=0))):
+            if counted.tolist() != enumerated.tolist():
+                raise OracleError(f"{name} string counts {counted.tolist()} of weight {w} "
+                                  f"differ from the site strings' {enumerated.tolist()}")
+    if cells:
+        raise OracleError(f"{sum(cells.values())} site strings lie outside every Gram block")
+
+
+def _weight_block(g: np.ndarray) -> _Block:
+    """Certify and reduce the weight block ``g`` of G = B1^T B2, as one
+    weight's block with d1 = d2 = 1.  Its basis columns [B1_w B2_w] have
+    the Gram matrix K = [[I, G], [G^T, I]].  The supports share exactly the
     block's symmetric vector, so K must have rank s = d1_w + d2_w - 1
     (eigenvalues above 1e-12); it is factored as C^T C on its top s
-    eigenpairs.  C's two column blocks are the bases' coordinates in an
-    orthonormal frame of their joint span, and C^T C must match K to
-    1e-10.  The rank check leaves SVD pair 0, at cosine 1, the only
-    degenerate pair."""
+    eigenpairs, C holding the bases in an orthonormal frame of their joint
+    span, and C^T C must match K to 1e-10.  The rank check leaves SVD pair
+    0, at cosine 1, the only degenerate pair."""
     size1, size2 = g.shape
     span = size1 + size2 - 1
     gram = np.block([[np.eye(size1), g], [_adjoint(g), np.eye(size2)]])
@@ -360,31 +341,43 @@ def _weight_block(size: int, g: np.ndarray, d1: int, d2: int) -> _Block:
     sp2 = (f_live - g_live * cos) / norm
     unpaired = g_extra @ _adjoint(g_extra)
     identity = f @ _adjoint(f) + sp1 @ _adjoint(sp1) + unpaired
-    r1, r2 = b1 @ _adjoint(b1) / d1, b2 @ _adjoint(b2) / d2
-    return _Block(size, r1, r2, identity, unpaired, sp1, sp2, sigma)
+    return _Block(1, b1 @ _adjoint(b1), b2 @ _adjoint(b2), identity, unpaired, sp1, sp2, sigma)
+
+
+@lru_cache(maxsize=256)
+def _orbit_block(gram: Callable, parts: tuple[int, ...], n_a: int, n_c: int) -> _Block:
+    """The reduced block of every orbit whose weights have the nonzero
+    counts ``parts``, at any n (zero counts add no rows or columns).  The
+    key holds ``gram`` (``_gram_block``): a replacement keys its own."""
+    return _weight_block(gram(parts, n_a, n_c))
 
 
 @lru_cache(maxsize=64)
 def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _Geometry:
     """Build and certify the dense geometry for one canonical copy
     configuration (n_a >= n_c) from the weight blocks of G = B1^T B2, one
-    block per orbit of weights, each total weighted by the orbit's size."""
+    block per orbit of weights (of its descending weight: permuting the
+    labels permutes a block's rows and columns), each total weighted by
+    the orbit's size; the config divides the shared r1 and r2 by d1 and d2."""
     cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
     if not cfg.is_canonical:
         raise PreconditionError("_jordan_geometry expects n_a >= n_c; canonicalize first")
     dim = n ** cfg.total_copies
     _check_cap(dim, cap)
-    orbits = _gram_blocks(cfg)
-    columns = [sum(size * g.shape[axis] for size, g in orbits) for axis in (0, 1)]
+    blocks = []
+    for weight, size in _orbits(n, cfg.total_copies):
+        unit = _orbit_block(_gram_block, tuple(p for p in weight if p), n_a, n_c)
+        blocks.append(replace(unit, size=size, r1=unit.r1 / cfg.d1, r2=unit.r2 / cfg.d2))
+    # a block spans d1_w + d2_w - 1 directions and holds d1_w pairs
+    columns = [sum(b.size * len(b.cosines) for b in blocks),
+               sum(b.size * (len(b.identity) + 1 - len(b.cosines)) for b in blocks)]
     if columns != [cfg.d1, cfg.d2]:
         raise OracleError(f"support bases have {columns} columns, expected {cfg.d1}, {cfg.d2}")
-
-    blocks = tuple(_weight_block(size, g, cfg.d1, cfg.d2) for size, g in orbits)
     span = sum(b.size * len(b.identity) for b in blocks)
     # the POVM elements always sum to the identity on the joint support by
     # construction, so the completeness residual is prior-independent
     completeness = max(float(np.abs(b.identity - np.eye(len(b.identity))).max()) for b in blocks)
-    return _Geometry(dim, span, blocks, completeness)
+    return _Geometry(dim, span, tuple(blocks), completeness)
 
 
 def block_labels(cosines: np.ndarray, spectrum: JordanSpectrum) -> np.ndarray:

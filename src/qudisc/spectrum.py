@@ -176,7 +176,7 @@ def jordan_spectrum(cfg: ProblemConfig) -> JordanSpectrum:
     return JordanSpectrum(blocks=blocks, d1=d1, d2=d2, k_max=cfg.k_max)
 
 
-# --- Racah 6j evaluation (exact rational internals) ------------------------
+# --- Racah 6j evaluation (exact integer internals) --------------------------
 
 def _as_twice(j) -> int:
     """Half-integer -> doubled integer; rejects anything else."""
@@ -191,37 +191,35 @@ def _triad_ok(a: int, b: int, c: int) -> bool:
     return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
 
 
-def _delta_sq(a: int, b: int, c: int) -> Fraction:
-    fac = math.factorial
-    return Fraction(
-        fac((a + b - c) // 2) * fac((a - b + c) // 2) * fac((-a + b + c) // 2),
-        fac((a + b + c) // 2 + 1),
-    )
-
-
-def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
-    """Racah single-sum 6j symbol; 0 on any non-coupling triad.
-
-    The alternating sum and the triangle factors are carried as exact
-    rationals, with a single square root at the float boundary.
-    """
-    a, b, c, d, e, f = (_as_twice(j) for j in (j1, j2, j3, j4, j5, j6))
+def _racah_6j(a: int, b: int, c: int, d: int, e: int, f: int) -> float:
+    """The 6j symbol of doubled arguments by Racah's single sum; 0 on any
+    non-coupling triad.  In each term (t - s)! divides (high - s)! and
+    (p - t)! divides (p - low)!, so the sum is carried as integers over
+    one common denominator, and the triangle factors as one integer ratio:
+    each is rounded once, with a single square root at the float boundary."""
     triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
     if not all(_triad_ok(*t) for t in triads):
         return 0.0
     fac = math.factorial
     triad_sums = [sum(t) // 2 for t in triads]
     pair_sums = [(a + b + d + e) // 2, (b + c + e + f) // 2, (a + c + d + f) // 2]
-    series = Fraction(0)
-    for t in range(max(triad_sums), min(pair_sums) + 1):
-        term = Fraction(
-            fac(t + 1),
-            math.prod(fac(t - s) for s in triad_sums)
-            * math.prod(fac(p - t) for p in pair_sums),
-        )
+    low, high = max(triad_sums), min(pair_sums)
+    den = math.prod(fac(high - s) for s in triad_sums) * math.prod(fac(p - low) for p in pair_sums)
+    series = 0
+    for t in range(low, high + 1):
+        term = fac(t + 1) * den // (math.prod(fac(t - s) for s in triad_sums)
+                                    * math.prod(fac(p - t) for p in pair_sums))
         series += -term if t % 2 else term
-    radicand = math.prod((_delta_sq(*t) for t in triads), start=Fraction(1))
-    return float(series) * math.sqrt(float(radicand))
+    radicand_num = math.prod(fac((x + y - z) // 2) * fac((x - y + z) // 2) * fac((y + z - x) // 2)
+                             for x, y, z in triads)
+    radicand_den = math.prod(fac((x + y + z) // 2 + 1) for x, y, z in triads)
+    return series / den * math.sqrt(radicand_num / radicand_den)
+
+
+def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
+    """Racah single-sum 6j symbol; 0 on any non-coupling triad.  Exact
+    integer internals, with a single square root at the float boundary."""
+    return _racah_6j(*(_as_twice(j) for j in (j1, j2, j3, j4, j5, j6)))
 
 
 def overlap_via_6j(k: int, cfg: ProblemConfig) -> float:
@@ -229,13 +227,10 @@ def overlap_via_6j(k: int, cfg: ProblemConfig) -> float:
     agree with sqrt(num / den) of :func:`overlap_numerators` to 1e-12."""
     if not 0 <= k <= cfg.k_max:
         raise ValueError(f"block index {k} outside 0..{cfg.k_max}")
-    half = Fraction(1, 2)
-    j_a, j_b, j_c = cfg.n_a * half, cfg.n_b * half, cfg.n_c * half
-    j_ab, j_bc = cfg.n1 * half, cfg.n2 * half
-    J = cfg.total_copies * half - k
-    phase_exponent = j_a + j_b + j_c + J  # always an integer here
-    assert phase_exponent.denominator == 1
-    sign = -1.0 if int(phase_exponent) % 2 else 1.0
+    # doubled arguments {j_a j_b j_ab; j_c J j_bc}, J = N/2 - k; the phase
+    # (-1)^(j_a + j_b + j_c + J) is (-1)^(N - k)
+    sign = -1.0 if (cfg.total_copies - k) % 2 else 1.0
     prefactor = math.sqrt((cfg.n1 + 1) * (cfg.n2 + 1))
-    return sign * prefactor * wigner_6j(j_a, j_b, j_ab, j_c, J, j_bc)
+    return sign * prefactor * _racah_6j(cfg.n_a, cfg.n_b, cfg.n1, cfg.n_c,
+                                        cfg.total_copies - 2 * k, cfg.n2)
 

@@ -36,7 +36,7 @@ HAAR_CASES = ((1, 2), (2, 2), (2, 3), (3, 2))
 HAAR_STREAMS = 16
 HAAR_MIN_SAMPLES = 1000  # the CLI floor; at one draw every stream T is 1 for any sampler
 HAAR_Z = 4.75  # normal deviate of each Haar window edge
-_DENSE_CROSSCHECK_DIM = 256  # full-eigh route re-run on the small configs
+_COUNTED_DIM = 256  # Gram counts checked against every site string up to here
 
 
 @dataclass(frozen=True)
@@ -109,25 +109,24 @@ def check_six_j() -> CheckResult:
 
 
 def check_principal_angles(max_total_dim: int) -> CheckResult:
-    """Dense principal angles vs the closed-form (O_k, d^k) spectrum: both
-    support routes' cosines are labelled with their nearest blocks and
-    counted (``oracle.group_by_blocks``, which certifies the
-    multiplicities), and every cosine must lie within 1e-9 of its O_k."""
+    """Dense principal angles vs the closed-form (O_k, d^k) spectrum: the
+    cosines are labelled with their nearest blocks and counted
+    (``oracle.group_by_blocks``, which certifies the multiplicities), and
+    every cosine must lie within 1e-9 of its O_k.  Up to n^N = 256 the
+    Gram counts of the canonical configs are first checked exactly."""
     from . import oracle
     worst = 0.0
     count = 0
     for cfg in certification_grid(max_total_dim):
         spectrum = jordan_spectrum(canonicalize(cfg)[0])
         try:
-            routes = [oracle.jordan_angles(cfg, max_total_dim)]
-            if cfg.n ** cfg.total_copies <= _DENSE_CROSSCHECK_DIM:
-                # second, slower support route: full certified eigensolve
-                dense = oracle.principal_angles(*oracle.mean_states(cfg, max_total_dim))
-                routes.append(oracle.group_by_blocks(dense, spectrum))
+            # a mirrored config has its canonical mirror's blocks, which the grid holds too
+            if cfg.is_canonical and cfg.n ** cfg.total_copies <= _COUNTED_DIM:
+                oracle.check_gram_counts(cfg)
+            groups = oracle.jordan_angles(cfg, max_total_dim)
         except OracleError as exc:
             return _config_failure("principal angles", cfg, exc)
-        for groups in routes:
-            worst = max(worst, *(abs(c - b.overlap) for (c, _), b in zip(groups, spectrum.blocks)))
+        worst = max(worst, *(abs(c - b.overlap) for (c, _), b in zip(groups, spectrum.blocks)))
         count += 1
     return CheckResult("principal angles", worst <= 1e-9, worst, f"{count} configs")
 

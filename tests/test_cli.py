@@ -143,6 +143,26 @@ class TestBounds:
         assert code == 3
         assert json.loads(out)["q0"] is None
 
+    def test_many_copies_keep_their_digits(self, capsys):
+        code, out, _ = run(["bounds", "--na", "500", "--nb", "500", "--nc", "500"], capsys)
+        assert code == 0
+        assert "Q0 = 1.52841043267e-206" in out
+
+    @pytest.mark.parametrize("argv,name", [
+        (["bounds", "--na", "1000", "--nb", "1000", "--nc", "1000"], "Q0"),  # exactly 1.02e-413
+        (["bounds", "--na", "1000", "--nb", "1000", "--nc", "999"], "P0"),
+        (["minerror", "-n", "10000", "--na", "600", "--nb", "600", "--nc", "600"], "P_ME"),
+        (["unambiguous", "-n", "10000", "--na", "800", "--nb", "800", "--nc", "800"], "Q_opt"),
+        (["sweep", "--dim-min", "10000", "--dim-max", "10000",
+          "--na", "600", "--nb", "600", "--nc", "601"], "P0"),
+    ], ids=["q0", "p0", "p_me", "q_opt-subnormal", "sweep-p0"])
+    def test_total_below_the_float_range_exits_3(self, capsys, argv, name):
+        # no silent 0, and no subnormal with lost digits
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {name} = ") and "below the normal float range" in err
+
     def test_prior_flag_rejected(self):
         # the bounds are even-prior limits: a prior flag would be ignored
         with pytest.raises(SystemExit) as excinfo:
@@ -168,14 +188,15 @@ class TestVerify:
         # a degenerate Gram entry moved by -1e-6 breaks the rank check of
         # every config's first block: each dense family reports the first
         # config as a failure, and the other families still run
-        honest = oracle._gram_blocks
+        honest = oracle._gram_block
 
-        def nudged(cfg):
-            blocks = honest(cfg)
-            blocks[0][1][0, 0] -= 1e-6
-            return blocks
+        def nudged(parts, n_a, n_c):
+            g = honest(parts, n_a, n_c)
+            if len(parts) == 1:  # the first orbit, of weight (N, 0, ...)
+                g[0, 0] -= 1e-6
+            return g
 
-        monkeypatch.setattr(oracle, "_gram_blocks", nudged)
+        monkeypatch.setattr(oracle, "_gram_block", nudged)
         oracle._jordan_geometry.cache_clear()
         try:
             code, out, _ = run(self.ARGS, capsys)

@@ -407,3 +407,18 @@ def test_many_copy_totals_keep_their_bits():
     cfg = ProblemConfig(2, 3000, 3000, 3000, 0.3)
     assert total_failure(cfg).q_total.hex() == "0x1.f6055e1ed5203p-11"
     assert minerror_probability(cfg).p_me.hex() == "0x1.8739b6e212bb6p-13"
+
+
+def test_totals_below_the_float_range_raise():
+    # P_ME of (10000; 600,600,600) and Q0 of 1000 copies are far below the
+    # smallest normal float: no silent 0
+    cfg = ProblemConfig(10000, 600, 600, 600, 0.5)
+    for solve in (minerror_probability, optimal_totals):
+        with pytest.raises(PreconditionError, match="^P_ME = 0.0 lies below the normal float"):
+            solve(cfg)
+    with pytest.raises(PreconditionError, match="^Q0 = 0.0 lies below the normal float"):
+        asymptotic_bounds(ProblemConfig(2, 1000, 1000, 1000, 0.5))
+    # a certain prior makes no error at all: its P_ME is a true 0
+    for eta1 in (0.0, 1.0):
+        assert minerror_probability(ProblemConfig(2, 2, 1, 1, eta1)).p_me == 0.0
+        assert optimal_totals(ProblemConfig(2, 2, 1, 1, eta1))[1] == 0.0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from sympy.utilities.iterables import multiset_permutations
 
+from dense_route import SUPPORT_TOL, components, principal_angles
 from qudisc import discrimination, oracle, verify
 from qudisc.discrimination import total_failure
 from qudisc.errors import OracleError, PreconditionError
@@ -28,7 +29,7 @@ def _support(rho):
     """Orthonormal columns spanning the support of one whole matrix, from
     numpy's eigensolver."""
     values, vectors = np.linalg.eigh(rho)
-    return vectors[:, values > oracle.SUPPORT_TOL]
+    return vectors[:, values > SUPPORT_TOL]
 
 
 def _full_angles(rho1, rho2):
@@ -53,6 +54,13 @@ def _assert_same_angles(observed, cosines):
 def _expanded(groups):
     """``jordan_angles``' per-block cosines, each repeated d^k times."""
     return np.repeat([c for c, _ in groups], [m for _, m in groups])
+
+
+def _gram_blocks(cfg):
+    """One ``(size, g)`` per orbit of label weights: the orbit's number of
+    weights and ``oracle._gram_block`` of its descending weight."""
+    return [(size, oracle._gram_block(weight, cfg.n_a, cfg.n_c))
+            for weight, size in oracle._orbits(cfg.n, cfg.total_copies)]
 
 
 def _tiled_cosines(geometry):
@@ -321,15 +329,13 @@ class TestRealOracle:
     def test_agrees_with_complex_arithmetic(self, cfg, monkeypatch):
         rho1, rho2 = oracle.mean_states(cfg)
         assert rho1.dtype == rho2.dtype == np.float64
-        real_angles = oracle.principal_angles(rho1, rho2)
-        complex_angles = oracle.principal_angles(rho1.astype(complex), rho2.astype(complex))
+        real_angles = principal_angles(rho1, rho2)
+        complex_angles = principal_angles(rho1.astype(complex), rho2.astype(complex))
         _assert_same_angles(real_angles, complex_angles)
 
         real_dtype, real_spectrum, real_min = self._dense_numbers(cfg)
-        real_blocks = oracle._gram_blocks
-        monkeypatch.setattr(oracle, "_gram_blocks", lambda c: [
-            (size, g.astype(complex)) for size, g in real_blocks(c)
-        ])
+        real_block = oracle._gram_block
+        monkeypatch.setattr(oracle, "_gram_block", lambda *args: real_block(*args).astype(complex))
         try:
             complex_dtype, complex_spectrum, complex_min = self._dense_numbers(cfg)
         finally:
@@ -380,28 +386,33 @@ class TestCanonicalGeometry:
 
     @staticmethod
     def _nudged(monkeypatch, nudge):
-        """Patch ``_gram_blocks`` to apply ``nudge`` to every config's blocks."""
-        honest = oracle._gram_blocks
+        """Patch ``_gram_block`` to apply ``nudge(parts, g)`` to every
+        orbit block it forms, ``parts`` its weight's nonzero counts."""
+        honest = oracle._gram_block
 
-        def nudged(cfg):
-            blocks = honest(cfg)
-            nudge(blocks)
-            return blocks
+        def nudged(parts, n_a, n_c):
+            g = honest(parts, n_a, n_c)
+            nudge(parts, g)
+            return g
 
-        monkeypatch.setattr(oracle, "_gram_blocks", nudged)
+        monkeypatch.setattr(oracle, "_gram_block", nudged)
 
     @classmethod
     def _nudged_entry(cls, monkeypatch, delta, block=0, entry=(0, 0)):
-        """Move one entry of one orbit's block by delta."""
-        def nudge(blocks):
-            blocks[block][1][entry] += delta
+        """Move one entry of the all-ones config's orbit block ``block`` by
+        delta."""
+        weight, _ = oracle._orbits(ALL_ONES.n, ALL_ONES.total_copies)[block]
+
+        def nudge(parts, g):
+            if parts == tuple(p for p in weight if p):
+                g[entry] += delta
 
         cls._nudged(monkeypatch, nudge)
 
     def test_indefinite_gram_rejected(self, monkeypatch):
         # an entry above 1 is no inner product of unit vectors: K has a
         # negative eigenvalue, which no frame C^T C reproduces
-        first = oracle._gram_blocks(canonicalize(ALL_ONES)[0])[0][1][0, 0]
+        first = _gram_blocks(canonicalize(ALL_ONES)[0])[0][1][0, 0]
         assert first == pytest.approx(1.0, abs=1e-15)
         self._nudged_entry(monkeypatch, 0.5)
         with pytest.raises(OracleError, match="misses the support Gram matrix"):
@@ -414,19 +425,28 @@ class TestCanonicalGeometry:
     def test_nudged_entry_breaks_the_symmetric_vector(self, monkeypatch, block, entry, message):
         # every entry of a block meets its symmetric vector, so moving any
         # one of them splits the shared direction: K gains a rank
-        g = oracle._gram_blocks(canonicalize(ALL_ONES)[0])[block][1]
+        g = _gram_blocks(canonicalize(ALL_ONES)[0])[block][1]
         assert g.shape == (block + 1, block + 1) and g[entry] == (0.0 if block else 1.0)
         self._nudged_entry(monkeypatch, -1e-6, block, entry)
         with pytest.raises(OracleError, match="weight block " + message):
             oracle._jordan_geometry(2, 1, 1, 1, None)
 
+    def test_patched_block_meets_no_stale_reduction(self, monkeypatch):
+        # the honest reductions stay cached; a replaced _gram_block keys its own
+        oracle._jordan_geometry(2, 1, 1, 1, None)
+        self._nudged_entry(monkeypatch, 0.5)
+        oracle._jordan_geometry.cache_clear()
+        with pytest.raises(OracleError, match="misses the support Gram matrix"):
+            oracle._jordan_geometry(2, 1, 1, 1, None)
+
     def test_nudged_entry_fails_principal_angles(self, monkeypatch):
-        # move the entries of the first block with a live pair along that
-        # pair only: the symmetric vector stays shared, one cosine is off by 1e-6
-        def nudge(blocks):
-            g = next(g for _, g in blocks if min(g.shape) > 1)
-            u, _, vh = np.linalg.svd(g)
-            g -= 1e-6 * np.outer(u[:, 1], vh[1])
+        # move the entries of every block with a live pair along its first
+        # live pair only: the symmetric vector stays shared, one cosine of
+        # the block is off by 1e-6
+        def nudge(parts, g):
+            if min(g.shape) > 1:
+                u, _, vh = np.linalg.svd(g)
+                g -= 1e-6 * np.outer(u[:, 1], vh[1])
 
         self._nudged(monkeypatch, nudge)
         result = verify.check_principal_angles(64)
@@ -495,7 +515,7 @@ class TestGramBlocks:
         orbits = {}
         for key, weight in enumerate(weights.tolist()):
             orbits.setdefault(tuple(sorted(weight, reverse=True)), []).append(key)
-        blocks = oracle._gram_blocks(canonical)
+        blocks = _gram_blocks(canonical)
         assert [size for size, _ in blocks] == [len(keys) for keys in orbits.values()]
         assert sum(size for size, _ in blocks) == math.comb(total + n - 1, n - 1)
         for (_, g), (descending, keys) in zip(blocks, orbits.items()):
@@ -537,6 +557,78 @@ class TestGramBlocks:
         cosines = _tiled_cosines(geometry)
         assert cosines.shape == expected.shape == (1680,)
         assert np.abs(np.sort(cosines) - expected).max() <= 1e-12
+
+
+@pytest.fixture
+def fresh_oracle_caches():
+    """Empty the orbit reductions and the geometries before and after a
+    test whose patch reaches below ``_gram_block``, the function that keys
+    the orbit reductions."""
+    for cache in (oracle._orbit_block, oracle._jordan_geometry):
+        cache.cache_clear()
+    yield
+    for cache in (oracle._orbit_block, oracle._jordan_geometry):
+        cache.cache_clear()
+
+
+class TestGramCounts:
+    @pytest.mark.parametrize("cfg", DEFAULT_GRID, ids=_config_id)
+    def test_counts_match_the_site_strings(self, cfg):
+        # both orientations: the geometry uses the canonical one
+        for oriented in (cfg, canonicalize(cfg)[0]):
+            oracle.check_gram_counts(oriented, 1024)
+
+    def test_every_weight_is_counted(self, monkeypatch):
+        # all C(N + n - 1, n - 1) label weights, not one per orbit
+        honest, weights = oracle._block_counts, []
+
+        def recording(weight, n_a, n_c):
+            weights.append(weight)
+            return honest(weight, n_a, n_c)
+
+        monkeypatch.setattr(oracle, "_block_counts", recording)
+        oracle.check_gram_counts(ProblemConfig(3, 2, 1, 1))
+        assert len(weights) == len(set(weights)) == math.comb(4 + 2, 2)
+
+    @pytest.mark.parametrize("index,name", [(6, "cell"), (3, "B1 column"), (5, "B2 column")],
+                             ids=["m_b", "m_ab", "m_bc"])
+    def test_count_moved_by_one_string_fails(self, monkeypatch, fresh_oracle_caches,
+                                             index, name):
+        # negative control: one integer count of one weight of (2; 1,1,1)
+        # moves by one string, |M_B| of a Gram entry or one factor of a
+        # squared norm
+        honest = oracle._block_counts
+
+        def moved(weight, n_a, n_c):
+            counts = honest(weight, n_a, n_c)
+            if (tuple(weight), n_a, n_c) == ((1, 2), 1, 1):
+                counts[index].flat[0] += 1
+            return counts
+
+        monkeypatch.setattr(oracle, "_block_counts", moved)
+        with pytest.raises(OracleError, match=f"^{name} string counts .* of weight \\(1, 2\\)"):
+            oracle.check_gram_counts(ALL_ONES)
+        result = verify.check_principal_angles(64)
+        assert not result.passed
+        assert result.line().startswith("FAIL principal angles: max residual 1.000e+00 "
+                                        f"(n=2 copies=(1,1,1): {name} string counts")
+
+    def test_stray_strings_fail(self, monkeypatch):
+        # a block that leaves out its first row, with its column norms cut
+        # to match, leaves that row's strings in no block
+        honest = oracle._block_counts
+
+        def short(weight, n_a, n_c):
+            m_c, m_a, s_c, s_ab, s_a, s_bc, s_b = honest(weight, n_a, n_c)
+            return m_c[1:], m_a, s_c[1:], s_ab[1:], s_a, s_bc - s_b[0] * s_c[0], s_b[1:]
+
+        monkeypatch.setattr(oracle, "_block_counts", short)
+        with pytest.raises(OracleError, match="^5 site strings lie outside every Gram block$"):
+            oracle.check_gram_counts(ALL_ONES)
+
+    def test_cap_enforced(self):
+        with pytest.raises(OracleError, match="exceeds cap 64"):
+            oracle.check_gram_counts(ProblemConfig(2, 3, 1, 3), 64)
 
 
 def _count_rows(m, n):
@@ -607,9 +699,9 @@ class TestStackedGeometry:
         # pair at cosine 1/sqrt(2) would span two; no weight block lacks
         # its symmetric vector
         with pytest.raises(OracleError, match="weight block spans 2 directions, expected 1"):
-            oracle._weight_block(1, np.array([[1 / math.sqrt(2)]]), 1, 1)
-        block = oracle._weight_block(3, np.array([[1.0]]), 1, 1)
-        assert block.size == 3
+            oracle._weight_block(np.array([[1 / math.sqrt(2)]]))
+        block = oracle._weight_block(np.array([[1.0]]))
+        assert block.size == 1  # one weight; _jordan_geometry sets the orbit's size
         assert block.cosines.shape == (1,) and abs(block.cosines[0] - 1.0) <= 1e-15
         assert block.sp1.shape == block.sp2.shape == (1, 0)
         assert np.abs(block.identity - 1.0).max() <= 1e-15
@@ -622,7 +714,7 @@ class TestStackedGeometry:
             geometry = oracle._jordan_geometry(
                 canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
             )
-            orbits = oracle._gram_blocks(canonical)
+            orbits = _gram_blocks(canonical)
             assert len(geometry.blocks) == len(orbits)
             for block, (size, g) in zip(geometry.blocks, orbits):
                 size1, size2 = g.shape
@@ -695,6 +787,25 @@ class TestBatchedPriors:
             f"failed at n={cfg.n} copies=({cfg.n_a},{cfg.n_b},{cfg.n_c}) eta1={eta1}"
         )
 
+    def test_default_grid_reduces_each_distinct_orbit_block_once(self):
+        # the 36 canonical configs of the default grid have 163 orbit
+        # blocks, 96 of them distinct: a block depends only on its weight's
+        # nonzero counts and on (n_a, n_c)
+        canonical = {canonicalize(cfg)[0] for cfg in DEFAULT_GRID}
+        orbits = sum(len(oracle._orbits(c.n, c.total_copies)) for c in canonical)
+        for cache in (oracle._orbit_block, oracle._jordan_geometry):
+            cache.cache_clear()
+        try:
+            for check in (verify.check_principal_angles, verify.check_min_error,
+                          verify.check_povm):
+                assert check(1024).passed
+            info = oracle._orbit_block.cache_info()
+        finally:
+            oracle._jordan_geometry.cache_clear()
+        assert (len(canonical), orbits) == (36, 163)
+        assert info.misses == info.currsize == 96
+        assert info.hits == orbits - 96
+
     def test_dense_families_build_each_geometry_once(self):
         cap = oracle.DEFAULT_DIM_CAP
         oracle._jordan_geometry.cache_clear()
@@ -765,16 +876,16 @@ class TestEigensolver:
 
 class TestPrincipalAngles:
     def test_all_ones(self):
-        angles = oracle.principal_angles(*oracle.mean_states(ALL_ONES))
+        angles = principal_angles(*oracle.mean_states(ALL_ONES))
         _assert_same_angles(angles, np.repeat([1.0, 0.5], [4, 2]))
 
     def test_2211(self):
-        angles = oracle.principal_angles(*oracle.mean_states(ProblemConfig(2, 2, 1, 1, 0.5)))
+        angles = principal_angles(*oracle.mean_states(ProblemConfig(2, 2, 1, 1, 0.5)))
         _assert_same_angles(angles, np.repeat([1.0, 1 / math.sqrt(3)], [5, 3]))
 
     def test_fast_route_agrees_with_dense_route(self):
         for cfg in (ALL_ONES, ProblemConfig(2, 2, 1, 1, 0.5), ProblemConfig(3, 1, 2, 1, 0.5)):
-            dense = oracle.principal_angles(*oracle.mean_states(cfg))
+            dense = principal_angles(*oracle.mean_states(cfg))
             _assert_same_angles(dense, _expanded(oracle.jordan_angles(cfg)))
 
     def test_fast_route_handles_swapped_orientation(self):
@@ -914,7 +1025,7 @@ class TestComponentSplit:
     @pytest.mark.parametrize("cfg", list(verify.certification_grid(256)), ids=_config_id)
     def test_matches_full_eigh_route(self, cfg):
         rho1, rho2 = oracle.mean_states(cfg)
-        _assert_same_angles(oracle.principal_angles(rho1, rho2), _full_angles(rho1, rho2))
+        _assert_same_angles(principal_angles(rho1, rho2), _full_angles(rho1, rho2))
 
     @staticmethod
     def _psd(rng, size, rank):
@@ -939,17 +1050,17 @@ class TestComponentSplit:
         perm = rng.permutation(dim)
         rho1, rho2, planted = rho1[np.ix_(perm, perm)], rho2[np.ix_(perm, perm)], planted[perm]
 
-        labels = oracle._components((rho1 != 0) | (rho2 != 0))
+        labels = components((rho1 != 0) | (rho2 != 0))
         assert np.array_equal(labels[:, None] == labels, planted[:, None] == planted)
         cosines = _full_angles(rho1, rho2)
         assert len(cosines) == 11 and np.sum(cosines < 1e-12) == 3
-        _assert_same_angles(oracle.principal_angles(rho1, rho2), cosines)
+        _assert_same_angles(principal_angles(rho1, rho2), cosines)
 
     def test_dense_pair_is_one_component(self, monkeypatch):
         rng = np.random.default_rng(7)
         rho1, rho2 = self._psd(rng, 12, 5), self._psd(rng, 12, 7)
         assert np.all(rho1 != 0) and np.all(rho2 != 0)
-        assert not oracle._components((rho1 != 0) | (rho2 != 0)).any()
+        assert not components((rho1 != 0) | (rho2 != 0)).any()
         calls = []
         honest = oracle.hermitian_eig
 
@@ -958,7 +1069,7 @@ class TestComponentSplit:
             return honest(m)
 
         monkeypatch.setattr(oracle, "hermitian_eig", counting)
-        _assert_same_angles(oracle.principal_angles(rho1, rho2), _full_angles(rho1, rho2))
+        _assert_same_angles(principal_angles(rho1, rho2), _full_angles(rho1, rho2))
         assert calls == [(2, 1, 12, 12)]
 
 
@@ -1135,7 +1246,7 @@ class TestSixQuditCopies:
     CFG = ProblemConfig(6, 3, 3, 3, 0.3)
 
     def test_one_block_per_orbit(self):
-        orbits = oracle._gram_blocks(self.CFG)
+        orbits = _gram_blocks(self.CFG)
         assert len(orbits) == 26
         assert sum(size for size, _ in orbits) == math.comb(9 + 5, 5) == 2002
 

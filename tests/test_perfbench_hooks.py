@@ -93,3 +93,17 @@ def test_closed_form_round_passes_its_check(monkeypatch):
     bench = workloads.ClosedForm(seed=1)
     errors, _ = bench.check([bench.run(op) for op in bench.ops], controls=False)
     assert errors == []
+
+
+def test_clear_caches_empties_the_oracle_caches(monkeypatch):
+    # every benchmark operation starts as a fresh process would, with no
+    # geometry and no shared orbit reduction left over
+    from qudisc import ProblemConfig, oracle
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _load("workloads")
+    caches = (oracle._orbit_block, oracle._jordan_geometry)
+    oracle.jordan_angles(ProblemConfig(2, 1, 1, 1))
+    assert all(cache.cache_info().currsize for cache in caches)
+    workloads.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]

@@ -299,3 +299,44 @@ def test_recoupling_route_matches_binomial_route():
             nums, den = overlap_numerators(cfg)
             for k, num in enumerate(nums):
                 assert overlap_via_6j(k, cfg) == pytest.approx(math.sqrt(num / den), abs=1e-12)
+
+
+def test_six_j_family_does_no_fraction_arithmetic(monkeypatch):
+    # the recoupling route runs on integers over one common denominator
+    from test_discrimination import FRACTION_OPERATORS
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in the 6j family")
+
+    for name in FRACTION_OPERATORS:
+        monkeypatch.setattr(Fraction, name, forbidden)
+    result = verify.check_six_j()
+    assert result.passed and result.detail == "920 overlaps"
+
+
+def _racah_by_fractions(a, b, c, d, e, f):
+    """The 6j symbol of doubled arguments, Racah's sum carried term by term
+    as reduced rationals and each total rounded once: a rational
+    reference for the integer sum."""
+    fac = math.factorial
+    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
+    triad_sums = [sum(t) // 2 for t in triads]
+    pair_sums = [(a + b + d + e) // 2, (b + c + e + f) // 2, (a + c + d + f) // 2]
+    series = sum(Fraction((-1) ** t * fac(t + 1),
+                          math.prod(fac(t - s) for s in triad_sums)
+                          * math.prod(fac(p - t) for p in pair_sums))
+                 for t in range(max(triad_sums), min(pair_sums) + 1))
+    radicand = math.prod(Fraction(fac((x + y - z) // 2) * fac((x - y + z) // 2)
+                                  * fac((y + z - x) // 2), fac((x + y + z) // 2 + 1))
+                         for x, y, z in triads)
+    return float(series) * math.sqrt(float(radicand))
+
+
+def test_six_j_keeps_its_bits():
+    # every ratio is rounded once either way, so the grid's overlaps agree
+    # bit for bit with the rational construction
+    for n_a, n_b, n_c in product(range(1, 5), repeat=3):
+        cfg = ProblemConfig(2, n_a, n_b, n_c, 0.5)
+        for k in range(cfg.k_max + 1):
+            args = (n_a, n_b, cfg.n1, n_c, cfg.total_copies - 2 * k, cfg.n2)
+            assert spectrum._racah_6j(*args) == _racah_by_fractions(*args)
