@@ -15,7 +15,7 @@ import os
 import sys
 
 from .discrimination import asymptotic_bounds, minerror_probability, optimal_totals, total_failure
-from .errors import PreconditionError
+from .errors import PreconditionError, refused_as_none
 from .spectrum import ProblemConfig, canonicalize, jordan_spectrum
 from . import verify as verify_mod
 
@@ -115,15 +115,16 @@ def cmd_bounds(args, out) -> int:
     cfg = _config_from_args(args)
     bounds = asymptotic_bounds(cfg)
     payload = {"config": vars(cfg), "q0": bounds.q0, "p0": bounds.p0}
-    if bounds.q0 is None:
-        footer = [("P0", bounds.p0), "Q0 undefined: requires n_a = n_c"]
-    else:
-        footer = [("Q0", bounds.q0), ("P0", bounds.p0)]
-    _emit(out, args.json, payload, footer=footer)
-    if bounds.q0 is None:
-        print("error: Q0 requires n_a = n_c", file=sys.stderr)
-        return EXIT_PRECONDITION
-    return EXIT_OK
+    footer = [(name, value) for name, value in (("Q0", bounds.q0), ("P0", bounds.p0))
+              if value is not None]
+    errors = list(bounds.refused)
+    if cfg.n_a != cfg.n_c:
+        footer.append("Q0 undefined: requires n_a = n_c")
+        errors.insert(0, "Q0 requires n_a = n_c")
+    _emit(out, args.json, payload, footer=footer + list(bounds.refused))
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    return EXIT_PRECONDITION if errors else EXIT_OK
 
 
 def cmd_verify(args, out) -> int:
@@ -153,16 +154,22 @@ def cmd_sweep(args, out) -> int:
         raise ValueError("need 2 <= dim-min <= dim-max")
     # Q0 and P0 are the n -> infinity limits: one evaluation serves every row
     bounds = asymptotic_bounds(ProblemConfig(args.dim_min, args.na, args.nb, args.nc, args.eta1))
-    rows = []
+    errors, rows = list(bounds.refused), []
     for n in range(args.dim_min, args.dim_max + 1):
         cfg = ProblemConfig(n, args.na, args.nb, args.nc, args.eta1)
-        q_opt, p_me = optimal_totals(cfg)
+        try:
+            q_opt, p_me = optimal_totals(cfg)
+        except PreconditionError:  # a total below the float range: keep the other one
+            q_opt = refused_as_none(lambda: total_failure(cfg).q_total, errors)
+            p_me = refused_as_none(lambda: minerror_probability(cfg).p_me, errors)
         values = (n, args.na, args.nb, args.nc, args.eta1, q_opt, p_me, bounds.q0, bounds.p0)
         rows.append(dict(zip(_SWEEP_KEYS, values)))
     csv = [",".join(_SWEEP_KEYS)]
     csv += [",".join(_text(row[key]) for key in _SWEEP_KEYS) for row in rows]
     _emit(out, args.json, rows, footer=csv)
-    return EXIT_OK
+    for error in dict.fromkeys(errors):  # each once: its empty cells show the rows
+        print(f"error: {error}", file=sys.stderr)
+    return EXIT_PRECONDITION if errors else EXIT_OK
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, with_dim: bool = True,

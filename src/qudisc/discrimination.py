@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .combinatorics import binomial
-from .errors import PreconditionError
+from .errors import PreconditionError, refused_as_none
 from .spectrum import (
     JordanSpectrum,
     ProblemConfig,
@@ -72,7 +72,7 @@ def _normal(name: str, total: float, cfg: ProblemConfig | None = None) -> float:
     normal float range (a silent 0 or lost digits); a ``cfg`` prior of 0 or
     1 makes no error at all, so its 0.0 is exact."""
     if total < sys.float_info.min and not (cfg and total == 0.0 and 0.0 in (cfg.eta1, cfg.eta2)):
-        raise PreconditionError(f"{name} = {total!r} lies below the normal float range")
+        raise PreconditionError(f"{name} lies below the normal float range")
     return total
 
 
@@ -334,10 +334,14 @@ def bound_p0(cfg: ProblemConfig) -> float:
 @dataclass(frozen=True)
 class AsymptoticBounds:
     q0: float | None
-    p0: float
+    p0: float | None
+    refused: tuple[str, ...] = ()  # the error of each bound below the normal float range
 
 
 def asymptotic_bounds(cfg: ProblemConfig) -> AsymptoticBounds:
-    """Both large-n bounds; Q0 is None when n_a != n_c (undefined there)."""
-    q0 = bound_q0(cfg) if cfg.n_a == cfg.n_c else None
-    return AsymptoticBounds(q0=q0, p0=bound_p0(cfg))
+    """Both large-n bounds.  Q0 is None when n_a != n_c (undefined there);
+    a bound below the normal float range is None too, its error in
+    ``refused``, so the other one is still given."""
+    refused = []
+    q0 = refused_as_none(lambda: bound_q0(cfg), refused) if cfg.n_a == cfg.n_c else None
+    return AsymptoticBounds(q0, refused_as_none(lambda: bound_p0(cfg), refused), tuple(refused))

@@ -13,3 +13,13 @@ class PreconditionError(QudiscError):
 class OracleError(QudiscError):
     """A dense-matrix certification step failed its own sanity checks
     (non-Hermitian input, eigensolver residual too large, dimension cap)."""
+
+
+def refused_as_none(total, refused: list[str]):
+    """``total()``, or None after appending the message of the
+    ``PreconditionError`` it raised to ``refused``."""
+    try:
+        return total()
+    except PreconditionError as exc:
+        refused.append(str(exc))
+        return None

@@ -60,7 +60,6 @@ from .spectrum import JordanSpectrum, ProblemConfig, canonicalize, jordan_spectr
 
 DEFAULT_DIM_CAP = 4096
 _HAAR_CHUNK = 1024  # draws per chunk: small temporaries; the stream does not depend on it
-_FACTORIALS = np.array([math.factorial(k) for k in range(21)])  # int64: 20! < 2^63
 
 
 def _check_cap(dim: int, cap: int | None) -> None:
@@ -198,8 +197,8 @@ class _Block:
     block's symmetric vector, cosine 1) has none."""
 
     size: int  # weights in the orbit: every orbit total is the block's times size
-    r1: np.ndarray  # (s, s) rho1 in the block frame; in an ``_orbit_block``, d1 = 1
-    r2: np.ndarray
+    r1: np.ndarray  # (s, s) projector on supp(rho1) in the block frame: rho1 is r1 / d1
+    r2: np.ndarray  # (s, s) projector on supp(rho2): rho2 is r2 / d2
     identity: np.ndarray  # (s, s) span identity rebuilt from the Jordan pieces
     unpaired: np.ndarray  # (s, s) projector on supp(rho2) directions with no partner
     sp1: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho1 direction
@@ -219,18 +218,18 @@ class _Geometry:
     span_rank: int
     blocks: tuple[_Block, ...]  # one per orbit
     completeness_residual: float
+    d1: int  # the ranks that scale every block's r1 and r2 to rho1 and rho2
+    d2: int
 
 
 def _string_counts(counts: np.ndarray) -> np.ndarray:
     """The number of site strings of the multiset of each label-count row,
-    m!/prod(c!), or 0 where a count is negative, as exact integers: int64
-    up to 20 sites, Python ints (an object array) above."""
+    m!/prod(c!), or 0 where a count is negative, as exact Python integers
+    (an object array)."""
     valid = (counts >= 0).all(axis=1)
     safe = np.where(valid[:, None], counts, 0)
     sites = safe.sum(axis=1)
-    top = int(sites.max(initial=0))
-    table = (_FACTORIALS if top < len(_FACTORIALS)
-             else np.array([math.factorial(k) for k in range(top + 1)], dtype=object))
+    table = np.array([math.factorial(m) for m in range(sites.max(initial=0) + 1)], dtype=object)
     return np.where(valid, table[sites] // table[safe].prod(axis=1), 0)
 
 
@@ -279,7 +278,7 @@ def _gram_block(weight: Sequence[int], n_a: int, n_c: int) -> np.ndarray:
     return strings_b * np.sqrt(strings_a * strings_c[:, None] / (strings_ab[:, None] * strings_bc))
 
 
-def check_gram_counts(cfg: ProblemConfig, cap: int | None = None) -> None:
+def check_gram_counts(cfg: ProblemConfig) -> None:
     """Check the counts behind every Gram entry of ``cfg``, for every label
     weight, in exact integers against its n^N site strings, each in the
     (weight, M_C, M_A) cell of its registers' label counts.  A cell must
@@ -287,7 +286,7 @@ def check_gram_counts(cfg: ProblemConfig, cap: int | None = None) -> None:
     column (a B2 column) |M_A| |M_BC|, the squared norms, and no string
     may lie outside the blocks; ``OracleError`` at the first mismatch."""
     n, total = cfg.n, cfg.total_copies
-    _check_cap(n**total, cap)
+    _check_cap(n**total, None)
     sites = np.indices((n,) * total).reshape(total, -1)  # a row per site, A first
     a, b, c = ((register[:, :, None] == np.arange(n)).sum(axis=0)
                for register in np.split(sites, [cfg.n_a, cfg.n_a + cfg.n_b]))
@@ -308,7 +307,7 @@ def check_gram_counts(cfg: ProblemConfig, cap: int | None = None) -> None:
 
 def _weight_block(g: np.ndarray) -> _Block:
     """Certify and reduce the weight block ``g`` of G = B1^T B2, as one
-    weight's block with d1 = d2 = 1.  Its basis columns [B1_w B2_w] have
+    weight's block.  Its basis columns [B1_w B2_w] have
     the Gram matrix K = [[I, G], [G^T, I]].  The supports share exactly the
     block's symmetric vector, so K must have rank s = d1_w + d2_w - 1
     (eigenvalues above 1e-12); it is factored as C^T C on its top s
@@ -348,8 +347,13 @@ def _weight_block(g: np.ndarray) -> _Block:
 def _orbit_block(gram: Callable, parts: tuple[int, ...], n_a: int, n_c: int) -> _Block:
     """The reduced block of every orbit whose weights have the nonzero
     counts ``parts``, at any n (zero counts add no rows or columns).  The
-    key holds ``gram`` (``_gram_block``): a replacement keys its own."""
-    return _weight_block(gram(parts, n_a, n_c))
+    key holds ``gram`` (``_gram_block``): a replacement keys its own.  Every
+    config that shares the block reads its arrays, so they are read-only."""
+    block = _weight_block(gram(parts, n_a, n_c))
+    for array in (block.r1, block.r2, block.identity, block.unpaired, block.sp1, block.sp2,
+                  block.cosines):
+        array.setflags(write=False)
+    return block
 
 
 @lru_cache(maxsize=64)
@@ -358,7 +362,7 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     configuration (n_a >= n_c) from the weight blocks of G = B1^T B2, one
     block per orbit of weights (of its descending weight: permuting the
     labels permutes a block's rows and columns), each total weighted by
-    the orbit's size; the config divides the shared r1 and r2 by d1 and d2."""
+    the orbit's size."""
     cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
     if not cfg.is_canonical:
         raise PreconditionError("_jordan_geometry expects n_a >= n_c; canonicalize first")
@@ -367,7 +371,7 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     blocks = []
     for weight, size in _orbits(n, cfg.total_copies):
         unit = _orbit_block(_gram_block, tuple(p for p in weight if p), n_a, n_c)
-        blocks.append(replace(unit, size=size, r1=unit.r1 / cfg.d1, r2=unit.r2 / cfg.d2))
+        blocks.append(replace(unit, size=size))
     # a block spans d1_w + d2_w - 1 directions and holds d1_w pairs
     columns = [sum(b.size * len(b.cosines) for b in blocks),
                sum(b.size * (len(b.identity) + 1 - len(b.cosines)) for b in blocks)]
@@ -377,7 +381,7 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     # the POVM elements always sum to the identity on the joint support by
     # construction, so the completeness residual is prior-independent
     completeness = max(float(np.abs(b.identity - np.eye(len(b.identity))).max()) for b in blocks)
-    return _Geometry(dim, span, tuple(blocks), completeness)
+    return _Geometry(dim, span, tuple(blocks), completeness, cfg.d1, cfg.d2)
 
 
 def block_labels(cosines: np.ndarray, spectrum: JordanSpectrum) -> np.ndarray:
@@ -456,7 +460,8 @@ def lambda_spectra(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> np.
     so its eigenvalues are negated."""
     _, swapped, geometry, eta1, eta2 = _shared_geometry(cfgs, cap)
     values = np.concatenate([
-        np.tile(hermitian_eig(eta2 * b.r2 - eta1 * b.r1)[0], b.size) for b in geometry.blocks
+        np.tile(hermitian_eig(eta2 * (b.r2 / geometry.d2) - eta1 * (b.r1 / geometry.d1))[0], b.size)
+        for b in geometry.blocks
     ], axis=1)
     return np.sort(-values if swapped else values, axis=1)
 
@@ -552,9 +557,10 @@ def certify_povms(
         m0 = b.identity - m1 - m2
         values = hermitian_eig(np.stack([m0, m1, m2], axis=1))[0]
         min_eig = np.minimum(min_eig, values.min(axis=(1, 2)))
-        err12 += b.size * np.einsum("ij,pji->p", b.r1, m2).real
-        err21 += b.size * np.einsum("ij,pji->p", b.r2, m1).real
-        failure += b.size * np.einsum("pij,pji->p", eta1 * b.r1 + eta2 * b.r2, m0).real
+        r1, r2 = b.r1 / geo.d1, b.r2 / geo.d2
+        err12 += b.size * np.einsum("ij,pji->p", r1, m2).real
+        err21 += b.size * np.einsum("ij,pji->p", r2, m1).real
+        failure += b.size * np.einsum("pij,pji->p", eta1 * r1 + eta2 * r2, m0).real
     if geo.dim > geo.span_rank:  # zero eigenvalues outside the joint span
         min_eig = np.minimum(min_eig, 0.0)
     reports = []

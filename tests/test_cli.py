@@ -149,19 +149,42 @@ class TestBounds:
         assert "Q0 = 1.52841043267e-206" in out
 
     @pytest.mark.parametrize("argv,name", [
-        (["bounds", "--na", "1000", "--nb", "1000", "--nc", "1000"], "Q0"),  # exactly 1.02e-413
-        (["bounds", "--na", "1000", "--nb", "1000", "--nc", "999"], "P0"),
         (["minerror", "-n", "10000", "--na", "600", "--nb", "600", "--nc", "600"], "P_ME"),
         (["unambiguous", "-n", "10000", "--na", "800", "--nb", "800", "--nc", "800"], "Q_opt"),
-        (["sweep", "--dim-min", "10000", "--dim-max", "10000",
-          "--na", "600", "--nb", "600", "--nc", "601"], "P0"),
-    ], ids=["q0", "p0", "p_me", "q_opt-subnormal", "sweep-p0"])
+    ], ids=["p_me", "q_opt-subnormal"])
     def test_total_below_the_float_range_exits_3(self, capsys, argv, name):
-        # no silent 0, and no subnormal with lost digits
+        # no silent 0, and no subnormal with lost digits (Q_opt: 6.9e-322)
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: {name} lies below the normal float range\n"
+
+    def test_bounds_below_the_float_range_exit_3(self, capsys):
+        # the exact Q0 of 1000 copies each is 1.02e-413: no bound is printed
+        code, out, err = run(["bounds", "--na", "1000", "--nb", "1000", "--nc", "1000"], capsys)
+        refused = [f"{name} lies below the normal float range" for name in ("Q0", "P0")]
+        assert code == 3
+        assert out.splitlines() == refused
+        assert err.splitlines() == [f"error: {line}" for line in refused]
+
+    def test_bound_below_the_float_range_keeps_the_other(self, capsys):
+        # P0 of 600 copies each is below the float range, Q0 is not
+        argv = ["bounds", "--na", "600", "--nb", "600", "--nc", "600"]
         code, out, err = run(argv, capsys)
         assert code == 3
-        assert out == ""
-        assert err.startswith(f"error: {name} = ") and "below the normal float range" in err
+        assert out.splitlines() == ["Q0 = 5.73606185928e-248",
+                                    "P0 lies below the normal float range"]
+        assert err == "error: P0 lies below the normal float range\n"
+        code, out, _ = run(argv + ["--json"], capsys)
+        assert code == 3
+        assert (json.loads(out)["q0"], json.loads(out)["p0"]) == (5.736061859280887e-248, None)
+
+    def test_unequal_programs_with_p0_below_the_float_range(self, capsys):
+        code, out, err = run(["bounds", "--na", "1000", "--nb", "1000", "--nc", "999"], capsys)
+        assert code == 3
+        assert out.splitlines() == ["Q0 undefined: requires n_a = n_c",
+                                    "P0 lies below the normal float range"]
+        assert err.splitlines() == ["error: Q0 requires n_a = n_c",
+                                    "error: P0 lies below the normal float range"]
 
     def test_prior_flag_rejected(self):
         # the bounds are even-prior limits: a prior flag would be ignored
@@ -243,6 +266,18 @@ class TestSweep:
         assert code == 0
         for row in out.splitlines()[1:]:
             assert row.split(",")[7] == ""
+
+    def test_totals_below_the_float_range_leave_their_cells_empty(self, capsys):
+        # P_ME and P0 of 600 copies each are below the float range, Q_opt
+        # is not: every row keeps its Q_opt, and each refused quantity is
+        # named once
+        code, out, err = run(["sweep", "--dim-min", "9999", "--dim-max", "10000",
+                              "--na", "600", "--nb", "600", "--nc", "601"], capsys)
+        assert code == 3
+        assert out.splitlines()[1:] == ["9999,600,600,601,0.5,1.43027604399e-240,,,",
+                                        "10000,600,600,601,0.5,1.42791043428e-240,,,"]
+        assert err.splitlines() == [f"error: {name} lies below the normal float range"
+                                    for name in ("P0", "P_ME")]
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["sweep", "--dim-max", "40", "--na", "2", "--nb", "3", "--nc", "1",

@@ -414,10 +414,14 @@ def test_totals_below_the_float_range_raise():
     # smallest normal float: no silent 0
     cfg = ProblemConfig(10000, 600, 600, 600, 0.5)
     for solve in (minerror_probability, optimal_totals):
-        with pytest.raises(PreconditionError, match="^P_ME = 0.0 lies below the normal float"):
+        with pytest.raises(PreconditionError, match="^P_ME lies below the normal float"):
             solve(cfg)
-    with pytest.raises(PreconditionError, match="^Q0 = 0.0 lies below the normal float"):
-        asymptotic_bounds(ProblemConfig(2, 1000, 1000, 1000, 0.5))
+    with pytest.raises(PreconditionError, match="^Q0 lies below the normal float"):
+        bound_q0(ProblemConfig(2, 1000, 1000, 1000, 0.5))
+    # the pair of bounds refuses each one on its own: Q0 of 600 copies is kept
+    bounds = asymptotic_bounds(ProblemConfig(2, 600, 600, 600, 0.5))
+    assert (bounds.q0, bounds.p0) == (bound_q0(ProblemConfig(2, 600, 600, 600, 0.5)), None)
+    assert bounds.refused == ("P0 lies below the normal float range",)
     # a certain prior makes no error at all: its P_ME is a true 0
     for eta1 in (0.0, 1.0):
         assert minerror_probability(ProblemConfig(2, 2, 1, 1, eta1)).p_me == 0.0

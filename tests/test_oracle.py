@@ -576,7 +576,7 @@ class TestGramCounts:
     def test_counts_match_the_site_strings(self, cfg):
         # both orientations: the geometry uses the canonical one
         for oriented in (cfg, canonicalize(cfg)[0]):
-            oracle.check_gram_counts(oriented, 1024)
+            oracle.check_gram_counts(oriented)
 
     def test_every_weight_is_counted(self, monkeypatch):
         # all C(N + n - 1, n - 1) label weights, not one per orbit
@@ -627,8 +627,9 @@ class TestGramCounts:
             oracle.check_gram_counts(ALL_ONES)
 
     def test_cap_enforced(self):
-        with pytest.raises(OracleError, match="exceeds cap 64"):
-            oracle.check_gram_counts(ProblemConfig(2, 3, 1, 3), 64)
+        # 2^13 site strings, over the default cap: refused before any count
+        with pytest.raises(OracleError, match="dense dimension 8192 exceeds cap 4096"):
+            oracle.check_gram_counts(ProblemConfig(2, 5, 4, 4))
 
 
 def _count_rows(m, n):
@@ -805,6 +806,19 @@ class TestBatchedPriors:
         assert (len(canonical), orbits) == (36, 163)
         assert info.misses == info.currsize == 96
         assert info.hits == orbits - 96
+
+    def test_shared_orbit_block_is_read_only(self):
+        # the configs (3; 2,1,1) and (4; 2,1,1) share every array of the
+        # block of the counts (2, 1, 1), with no copy per config: an in-place
+        # edit through one must not reach the other
+        unit = oracle._orbit_block(oracle._gram_block, (2, 1, 1), 2, 1)
+        arrays = ("r1", "r2", "identity", "unpaired", "sp1", "sp2", "cosines")
+        for n, orbit in ((3, 3), (4, 3)):  # the orbits of weight (2, 1, 1[, 0])
+            block = oracle._jordan_geometry(n, 2, 1, 1, None).blocks[orbit]
+            assert all(getattr(block, name) is getattr(unit, name) for name in arrays)
+        for name in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(unit, name)[...] = 0.0
 
     def test_dense_families_build_each_geometry_once(self):
         cap = oracle.DEFAULT_DIM_CAP
