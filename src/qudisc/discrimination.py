@@ -287,17 +287,20 @@ def minerror_probability(
 
 def optimal_totals(
     cfg: ProblemConfig, spectrum: JordanSpectrum | None = None
-) -> tuple[float, float]:
-    """Q_opt and P_ME from one block solve: the same floats, summed in the
-    same order, as ``total_failure(cfg).q_total`` and
-    ``minerror_probability(cfg).p_me``.  A given ``spectrum`` must be that
-    of the canonical config."""
+) -> tuple[float | None, float | None, tuple[str, ...]]:
+    """(Q_opt, P_ME, refused) from one block solve: the same floats, summed
+    in the same order, as ``total_failure(cfg).q_total`` and
+    ``minerror_probability(cfg).p_me``.  A total below the normal float
+    range is None, its error in ``refused``, so the other one is still
+    given.  A given ``spectrum`` must be that of the canonical config."""
     canonical, _ = canonicalize(cfg)
     if spectrum is None:
         spectrum = jordan_spectrum(canonical)
-    solved = _solve_blocks(canonical, spectrum)
-    return (_normal("Q_opt", sum(s.q_term for s in solved)),
-            _normal("P_ME", sum(s.p_term for s in solved), canonical))
+    solved, refused = _solve_blocks(canonical, spectrum), []
+    q_opt = refused_as_none(lambda: _normal("Q_opt", sum(s.q_term for s in solved)), refused)
+    p_me = refused_as_none(
+        lambda: _normal("P_ME", sum(s.p_term for s in solved), canonical), refused)
+    return q_opt, p_me, tuple(refused)
 
 
 # --- asymptotic (large-dimension) bounds ------------------------------------

@@ -62,7 +62,7 @@ DEFAULT_DIM_CAP = 4096
 _HAAR_CHUNK = 1024  # draws per chunk: small temporaries; the stream does not depend on it
 
 
-def _check_cap(dim: int, cap: int | None) -> None:
+def _check_cap(dim: int, cap: int | None = None) -> None:
     limit = DEFAULT_DIM_CAP if cap is None else cap
     if dim > limit:
         raise OracleError(f"dense dimension {dim} exceeds cap {limit}")
@@ -122,19 +122,18 @@ def _sym_basis(m: int, n: int) -> np.ndarray:
     return basis
 
 
-def symmetrizer(m: int, n: int, cap: int | None = None) -> np.ndarray:
+def symmetrizer(m: int, n: int) -> np.ndarray:
     """Projector onto the fully symmetric subspace of m copies of C^n
     (real: the mean of the m! site permutations)."""
-    _check_cap(n**m, cap)
+    _check_cap(n**m)
     basis = _sym_basis(m, n)
     return basis @ basis.T
 
 
-def mean_states(cfg: ProblemConfig, cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def mean_states(cfg: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
     """The two Haar-averaged inputs as dense density matrices: maximally
     mixed on sym(AB) x sym(C) and on sym(A) x sym(BC)."""
-    dim = cfg.n ** cfg.total_copies
-    _check_cap(dim, cap)
+    _check_cap(cfg.n ** cfg.total_copies)
     ab, c, a, bc = (_sym_basis(m, cfg.n) for m in (cfg.n1, cfg.n_c, cfg.n_a, cfg.n2))
     rho1 = _kron(ab @ ab.T, c @ c.T) / cfg.d1
     rho2 = _kron(a @ a.T, bc @ bc.T) / cfg.d2
@@ -144,9 +143,7 @@ def mean_states(cfg: ProblemConfig, cap: int | None = None) -> tuple[np.ndarray,
     return rho1, rho2
 
 
-def haar_average(
-    cases: Sequence[tuple[int, int]], samples: int, seed: int, cap: int | None = None
-) -> list[np.ndarray]:
+def haar_average(cases: Sequence[tuple[int, int]], samples: int, seed: int) -> list[np.ndarray]:
     """Empirical means of the m-fold tensor power projectors, one per case
     (m, n), over one stream of Haar-random pure states; deterministic for a
     fixed (seed, largest n, samples).  Each draw is 2N real normals read as
@@ -160,7 +157,7 @@ def haar_average(
     an index gather at the end.  Every draw has unit norm, so a lower
     order's mean is a partial trace of the top order's."""
     tops = {n: max(m for m, k in cases if k == n) for _, n in cases}
-    _check_cap(max(n**m for n, m in tops.items()), cap)
+    _check_cap(max(n**m for n, m in tops.items()))
     if samples < 1:
         raise ValueError("need at least one sample")
     # per n: its top order's multisets as label digits (a row per site),
@@ -286,7 +283,7 @@ def check_gram_counts(cfg: ProblemConfig) -> None:
     column (a B2 column) |M_A| |M_BC|, the squared norms, and no string
     may lie outside the blocks; ``OracleError`` at the first mismatch."""
     n, total = cfg.n, cfg.total_copies
-    _check_cap(n**total, None)
+    _check_cap(n**total)
     sites = np.indices((n,) * total).reshape(total, -1)  # a row per site, A first
     a, b, c = ((register[:, :, None] == np.arange(n)).sum(axis=0)
                for register in np.split(sites, [cfg.n_a, cfg.n_a + cfg.n_b]))

@@ -7,9 +7,8 @@ O_k with multiplicity d^k.  Both come from one exact integer walk over k,
 each block stepped from the one before by small-integer ratios.  Every
 O_k^2 is an exact rational, kept as an unreduced integer numerator over
 the one denominator C(n1, n_b) C(n2, n_b) that all blocks share, so the
-walk, its checks and the closed-form solve build no ``Fraction``; the
-reduced ``Fraction`` view is formed only on request.  The Racah 6j
-evaluation provides an independent path to the same numbers.
+walk, its checks and the closed-form solve build no ``Fraction``.  The
+Racah 6j evaluation provides an independent path to the same numbers.
 """
 
 from __future__ import annotations
@@ -130,11 +129,6 @@ class JordanBlock:
     overlap: float
     overlap_sq_ratio: tuple[int, int]
     multiplicity: int
-
-    @property
-    def overlap_sq(self) -> Fraction:
-        """O_k^2 as a reduced fraction."""
-        return Fraction(*self.overlap_sq_ratio)
 
 
 @dataclass(frozen=True)

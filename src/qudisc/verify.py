@@ -26,6 +26,7 @@ from .spectrum import (
     jordan_spectrum,
     overlap_numerators,
     overlap_via_6j,
+    sym_space_dim,
 )
 
 GRID_DIMS = (2, 3, 4)
@@ -45,12 +46,9 @@ class CheckResult:
     passed: bool
     max_residual: float
     detail: str
-    gating: bool = True
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        if not self.gating:
-            status = "INFO"
         return f"{status} {self.name}: max residual {self.max_residual:.3e} ({self.detail})"
 
 
@@ -196,7 +194,7 @@ def _chi2_quantile(k: float, z: float) -> float:
 def haar_moments(m: int, n: int) -> tuple[float, float]:
     """(1 - 1/D_m, 1/D_2m - 1/D_m^2): the squared distance of every draw
     from the Haar mean, and the variance of the draws' cross terms."""
-    d_m, d_2m = (math.comb(n + k - 1, k) for k in (m, 2 * m))
+    d_m, d_2m = sym_space_dim(m, n), sym_space_dim(2 * m, n)
     return 1 - 1 / d_m, 1 / d_2m - 1 / d_m**2
 
 

@@ -322,6 +322,23 @@ class TestSweep:
             assert row["Q_opt"].hex() == total_failure(cfg).q_total.hex()
             assert row["P_ME"].hex() == minerror_probability(cfg).p_me.hex()
 
+    def test_one_solve_per_row_with_a_refused_total(self, monkeypatch, capsys):
+        # P_ME of every row is refused, Q_opt is kept: still one solve a row
+        calls = []
+        solve = discrimination._solve_blocks
+
+        def counting(canonical, spectrum, *args):
+            calls.append(canonical.n)
+            return solve(canonical, spectrum, *args)
+
+        monkeypatch.setattr(discrimination, "_solve_blocks", counting)
+        code, out, _ = run(["sweep", "--dim-min", "9999", "--dim-max", "10000",
+                            "--na", "600", "--nb", "600", "--nc", "601"], capsys)
+        assert code == 3
+        assert calls == [9999, 10000]
+        assert [row.split(",")[5:7] for row in out.splitlines()[1:]] == [
+            ["1.43027604399e-240", ""], ["1.42791043428e-240", ""]]
+
     def test_bounds_evaluated_once(self, monkeypatch, capsys):
         calls = []
 

@@ -50,7 +50,7 @@ class TestBoundaries:
             for k in range(cfg.k_max + 1):
                 c_k, d_k = boundaries(k, spec)
                 assert 0 < c_k <= d_k < 1
-                assert (c_k == d_k) == (spec.blocks[k].overlap_sq == 1)
+                assert (c_k == d_k) == (Fraction(*spec.blocks[k].overlap_sq_ratio) == 1)
 
 
 def exact_branch(eta1, c_k, d_k):
@@ -133,7 +133,7 @@ class TestOptimalQ:
                 cfg, spec = spectrum_of(ProblemConfig(3, *copies, eta1))
                 for block in total_failure(cfg, spec).blocks:
                     q1, q2 = block.q1, block.q2
-                    o2 = float(spec.blocks[block.k].overlap_sq)
+                    o2 = float(Fraction(*spec.blocks[block.k].overlap_sq_ratio))
                     assert q1 * q2 == pytest.approx(o2, abs=1e-12)
                     assert o2 - 1e-12 <= q1 <= 1 + 1e-12
                     assert o2 - 1e-12 <= q2 <= 1 + 1e-12
@@ -413,9 +413,11 @@ def test_totals_below_the_float_range_raise():
     # P_ME of (10000; 600,600,600) and Q0 of 1000 copies are far below the
     # smallest normal float: no silent 0
     cfg = ProblemConfig(10000, 600, 600, 600, 0.5)
-    for solve in (minerror_probability, optimal_totals):
-        with pytest.raises(PreconditionError, match="^P_ME lies below the normal float"):
-            solve(cfg)
+    with pytest.raises(PreconditionError, match="^P_ME lies below the normal float"):
+        minerror_probability(cfg)
+    # the one solve of both totals returns the refusal and keeps Q_opt
+    assert optimal_totals(cfg) == (total_failure(cfg).q_total, None,
+                                   ("P_ME lies below the normal float range",))
     with pytest.raises(PreconditionError, match="^Q0 lies below the normal float"):
         bound_q0(ProblemConfig(2, 1000, 1000, 1000, 0.5))
     # the pair of bounds refuses each one on its own: Q0 of 600 copies is kept
@@ -425,4 +427,4 @@ def test_totals_below_the_float_range_raise():
     # a certain prior makes no error at all: its P_ME is a true 0
     for eta1 in (0.0, 1.0):
         assert minerror_probability(ProblemConfig(2, 2, 1, 1, eta1)).p_me == 0.0
-        assert optimal_totals(ProblemConfig(2, 2, 1, 1, eta1))[1] == 0.0
+        assert optimal_totals(ProblemConfig(2, 2, 1, 1, eta1))[1:] == (0.0, ())

@@ -5,6 +5,7 @@ import math
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -19,6 +20,9 @@ from qudisc.spectrum import ProblemConfig, canonicalize, jordan_spectrum
 
 ALL_ONES = ProblemConfig(2, 1, 1, 1, 0.5)
 DEFAULT_GRID = list(verify.certification_grid(1024))
+# the canonical configs whose Gram counts ``verify`` checks against the site strings
+COUNTED_GRID = [cfg for cfg in DEFAULT_GRID
+                if cfg.is_canonical and cfg.n ** cfg.total_copies <= verify._COUNTED_DIM]
 
 
 def _config_id(cfg):
@@ -86,11 +90,12 @@ class TestSymmetrizer:
             swap[i * 2 + j, j * 2 + i] = 1.0
         assert np.allclose(oracle.symmetrizer(2, 2), (np.eye(4) + swap) / 2)
 
-    def test_cap_enforced(self):
-        with pytest.raises(OracleError):
-            oracle.symmetrizer(5, 4, cap=1000)
+    def test_cap_enforced(self, monkeypatch):
         with pytest.raises(OracleError):  # 2^13 over the default cap
             oracle.symmetrizer(13, 2)
+        monkeypatch.setattr(oracle, "DEFAULT_DIM_CAP", 1000)  # read at each call
+        with pytest.raises(OracleError, match="dense dimension 1024 exceeds cap 1000"):
+            oracle.symmetrizer(5, 4)
 
 
 def _sym_basis_by_permutations(m, n):
@@ -188,8 +193,9 @@ class TestHaarAverage:
             raise AssertionError("drew before the cap check")
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(oracle, "DEFAULT_DIM_CAP", 4)
         with pytest.raises(OracleError, match="exceeds cap 4"):
-            oracle.haar_average(((1, 2), (2, 2), (3, 2)), 100, seed=1, cap=4)
+            oracle.haar_average(((1, 2), (2, 2), (3, 2)), 100, seed=1)
 
     @pytest.mark.parametrize("m,n", verify.HAAR_CASES)
     def test_matches_full_space_reference(self, m, n):
@@ -223,7 +229,7 @@ class TestHaarAverage:
             assert np.abs(a - b).max() <= 1e-15
 
 
-def _real_average(cases, samples, seed, cap=None):
+def _real_average(cases, samples, seed):
     """A wrong sampler for the Haar check: real instead of complex Gaussian
     states, cut from one stream like the honest sampler's.  Its mean is
     right at m = 1 and wrong from m = 2 on."""
@@ -269,7 +275,7 @@ class TestHaarGate:
         honest = oracle.haar_average
         monkeypatch.setattr(
             oracle, "haar_average",
-            lambda cases, samples, seed, cap=None: honest(cases, samples // 2, seed, cap),
+            lambda cases, samples, seed: honest(cases, samples // 2, seed),
         )
         result = verify.check_haar(4000, seed=20260826)
         assert not result.passed
@@ -281,7 +287,7 @@ class TestHaarGate:
         # is too short: a biased mean from m = 1 on
         monkeypatch.setattr(
             oracle, "haar_average",
-            lambda cases, samples, seed, cap=None: _kron_average(cases, samples, seed, True),
+            lambda cases, samples, seed: _kron_average(cases, samples, seed, True),
         )
         result = verify.check_haar(samples, seed=20260826)
         assert not result.passed
@@ -291,9 +297,9 @@ class TestHaarGate:
         honest = oracle.haar_average
         calls = []
 
-        def counting(cases, samples, seed, cap=None):
+        def counting(cases, samples, seed):
             calls.append((tuple(cases), samples))
-            return honest(cases, samples, seed, cap)
+            return honest(cases, samples, seed)
 
         monkeypatch.setattr(oracle, "haar_average", counting)
         assert verify.check_haar(1000, seed=20260826).passed
@@ -630,6 +636,59 @@ class TestGramCounts:
         # 2^13 site strings, over the default cap: refused before any count
         with pytest.raises(OracleError, match="dense dimension 8192 exceeds cap 4096"):
             oracle.check_gram_counts(ProblemConfig(2, 5, 4, 4))
+
+    @pytest.mark.parametrize("cfg", COUNTED_GRID, ids=_config_id)
+    def test_orbit_counts_match_the_site_strings(self, cfg):
+        _check_orbit_counts(cfg)
+
+    @pytest.mark.parametrize("index", [6, 3, 5], ids=["m_b", "m_ab", "m_bc"])
+    def test_orbit_count_moved_by_one_string_fails(self, monkeypatch, index):
+        # negative control: a count moves only in the zero-dropped parts the
+        # geometry passes, never in a full n-label weight
+        honest = oracle._block_counts
+
+        def moved(weight, n_a, n_c):
+            counts = honest(weight, n_a, n_c)
+            if len(weight) < ALL_ONES.n:
+                counts[index].flat[0] += 1
+            return counts
+
+        monkeypatch.setattr(oracle, "_block_counts", moved)
+        with pytest.raises(AssertionError, match=r"parts \(3,\)"):
+            _check_orbit_counts(ALL_ONES)
+
+
+def _check_orbit_counts(cfg):
+    """The counts ``_jordan_geometry`` reads, each orbit's
+    ``_block_counts(parts)`` with the zero counts of its descending weight
+    dropped, against the n^N site strings of every weight of the orbit: a
+    weight's labels sorted by descending count map each of its (M_C, M_A)
+    cells to the representative's, which must hold |M_A| |M_B| |M_C|
+    strings, and its rows and columns the squared norms."""
+    n, total = cfg.n, cfg.total_copies
+    sites = np.indices((n,) * total).reshape(total, -1)  # a row per site, A first
+    a, b, c = ((register[:, :, None] == np.arange(n)).sum(axis=0)
+               for register in np.split(sites, [cfg.n_a, cfg.n_a + cfg.n_b]))
+    cells = Counter(zip(*(map(tuple, rows.tolist()) for rows in (a + b + c, c, a))))
+    for w in sorted({w for w, _, _ in cells}):
+        order = sorted(range(n), key=lambda label: -w[label])[:sum(map(bool, w))]
+        parts = tuple(w[label] for label in order)
+        m_c, m_a, s_c, s_ab, s_a, s_bc, s_b = oracle._block_counts(parts, cfg.n_a, cfg.n_c)
+
+        def unsorted(row):
+            full = [0] * n
+            for label, count in zip(order, row):
+                full[label] = count
+            return tuple(full)
+
+        strings = np.array([[cells.pop((w, unsorted(row), unsorted(col)), 0)
+                             for col in m_a.tolist()] for row in m_c.tolist()]).reshape(s_b.shape)
+        for name, counted, enumerated in (("cell", s_a * s_b * s_c[:, None], strings),
+                                          ("B1 column", s_ab * s_c, strings.sum(axis=1)),
+                                          ("B2 column", s_a * s_bc, strings.sum(axis=0))):
+            assert counted.tolist() == enumerated.tolist(), (
+                f"{name} counts of parts {parts} miss weight {w}'s site strings")
+    assert not cells, f"{sum(cells.values())} site strings lie outside every orbit block"
 
 
 def _count_rows(m, n):
@@ -1197,7 +1256,7 @@ class TestCertifyPovm:
                 identity_t += np.outer(fi, fi.conj())
                 continue
             block = min(spectrum.blocks, key=lambda b: abs(b.overlap - s))
-            o2 = float(block.overlap_sq)
+            o2 = float(Fraction(*block.overlap_sq_ratio))
             q1, q2 = q_by_k[block.k]
             norm = math.sqrt(1.0 - s * s)
             perp2 = (fi - s * gi) / norm

@@ -108,7 +108,7 @@ class TestOverlap:
         # denominator C(3,1)C(2,1) = 6 of every block
         assert overlap_numerators(ProblemConfig(2, 2, 1, 1, 0.5)) == ([6, 2], 6)
         assert blocks_of(2, 2, 1, 1)[1].overlap_sq_ratio == (2, 6)
-        assert blocks_of(2, 2, 1, 1)[1].overlap_sq == Fraction(1, 3)
+        assert Fraction(*blocks_of(2, 2, 1, 1)[1].overlap_sq_ratio) == Fraction(1, 3)
 
     def test_overlap_is_dimension_independent(self):
         for n in (2, 3, 7):
@@ -164,10 +164,11 @@ def test_walk_matches_direct_formulas(configs):
     for config in configs:
         cfg, _ = canonicalize(ProblemConfig(*config, 0.5))
         blocks = jordan_spectrum(cfg).blocks
-        assert [(b.overlap_sq, b.multiplicity) for b in blocks] == [
+        assert [(Fraction(*b.overlap_sq_ratio), b.multiplicity) for b in blocks] == [
             direct_block(cfg, k) for k in range(cfg.k_max + 1)
         ]
-        assert [b.overlap for b in blocks] == [math.sqrt(b.overlap_sq) for b in blocks]
+        assert [b.overlap for b in blocks] == [math.sqrt(Fraction(*b.overlap_sq_ratio))
+                                             for b in blocks]
 
 
 class TestJordanSpectrum:
@@ -186,7 +187,7 @@ class TestJordanSpectrum:
                 spec = jordan_spectrum(cfg)
                 assert sum(b.multiplicity for b in spec.blocks) == spec.d1
                 assert spec.d1 <= spec.d2
-                overlaps = [b.overlap_sq for b in spec.blocks]
+                overlaps = [Fraction(*b.overlap_sq_ratio) for b in spec.blocks]
                 assert overlaps == sorted(overlaps, reverse=True)
                 assert overlaps[0] == 1
 
