@@ -161,8 +161,8 @@ def cmd_sweep(args, out) -> int:
         errors += refused
         values = (n, args.na, args.nb, args.nc, args.eta1, q_opt, p_me, bounds.q0, bounds.p0)
         rows.append(dict(zip(_SWEEP_KEYS, values)))
-    csv = [",".join(_SWEEP_KEYS)]
-    csv += [",".join(_text(row[key]) for key in _SWEEP_KEYS) for row in rows]
+    csv = [] if args.json else [",".join(_SWEEP_KEYS)] + [
+        ",".join(_text(row[key]) for key in _SWEEP_KEYS) for row in rows]
     _emit(out, args.json, rows, footer=csv)
     for error in dict.fromkeys(errors):  # each once: its empty cells show the rows
         print(f"error: {error}", file=sys.stderr)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,12 @@ def hook_lengths(p: Partition) -> list[list[int]]:
     return grid
 
 
+@lru_cache(maxsize=256)
+def _hook_product(p: Partition) -> int:
+    """The product of the hook lengths of ``p``; it does not depend on n."""
+    return math.prod(math.prod(row) for row in hook_lengths(p))
+
+
 def unitary_dim(p: Partition, n: int) -> int:
     """Number of Weyl tableaux of shape ``p`` with entries in 1..n (Robinson
     formula); equals the U(n) irrep dimension.  Zero when the diagram has
@@ -63,13 +70,10 @@ def unitary_dim(p: Partition, n: int) -> int:
     if p.num_rows > n:
         return 0
     numerator = 1
-    hooks = 1
-    hook_grid = hook_lengths(p)
     for i, row_len in enumerate(p.rows):
         for j in range(row_len):
             numerator *= n - i + j
-            hooks *= hook_grid[i][j]
-    quotient, remainder = divmod(numerator, hooks)
+    quotient, remainder = divmod(numerator, _hook_product(p))
     assert remainder == 0, f"Robinson product not integral for {p}, n={n}"
     return quotient
 

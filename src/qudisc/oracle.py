@@ -35,26 +35,30 @@ vector per label weight, so every block has one degenerate pair (cosine
 K = [[I, G], [G^T, I]] is checked to have that rank and factored as
 C^T C: C holds both bases in an orthonormal frame of the block's joint
 span, and supports, angles, Lambda and the POVM all live in these
-frames.  Lambda and the POVM take every prior of a config in one batched
-``hermitian_eig`` call per block.
+frames.  Lambda and the POVM take any list of configs: each config
+builds its geometry, labels its cosines and solves its priors once, and
+every (config, prior) whose block shares one orbit reduction goes
+through one batched ``hermitian_eig`` call, with every gate failing on
+a NaN.
 
-``check_gram_counts`` checks the integer counts behind the entries
-exactly against the n^N site strings.  The Haar sampler's means are
-compared in the full n^m space against ``symmetrizer``, which stays an
-independent check of the multiset basis.
+``check_gram_counts`` checks the integer counts that ``_gram_block``
+rounds, one ``_block_counts`` per orbit shared with the geometry,
+exactly against the n^N site strings of every weight.  The Haar
+sampler's means are compared in the full n^m space against
+``symmetrizer``, which stays an independent check of the multiset basis.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .discrimination import total_failure
+from .discrimination import _normal, _solve_blocks
 from .errors import OracleError, PreconditionError
 from .spectrum import JordanSpectrum, ProblemConfig, canonicalize, jordan_spectrum
 
@@ -76,20 +80,24 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certified Hermitian eigendecomposition of one matrix or of a stack
     ``(..., s, s)``: ascending eigenvalues and unitary eigenvector
     matrices, with every matrix's residual and unitarity checked
-    explicitly."""
+    explicitly.  A non-finite entry, in or out, raises ``OracleError``:
+    every gate is written so that a NaN fails it."""
+    if not np.isfinite(m).all():
+        raise OracleError("matrix has a non-finite entry")
     defect = np.abs(m - _adjoint(m)).max(initial=0.0)
     if defect > 1e-12:
         raise OracleError(f"matrix not Hermitian: max asymmetry {defect:.3e}")
     values, vectors = np.linalg.eigh(m)
     scale = np.maximum(1.0, np.abs(values).max(axis=-1, initial=0.0))
     residual = np.abs(m @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1), initial=0.0)
+    # argmax picks the first NaN, which then fails the gate
     worst = np.unravel_index(np.argmax(residual - 1e-10 * scale), scale.shape)
-    if residual[worst] > 1e-10 * scale[worst]:
+    if not residual[worst] <= 1e-10 * scale[worst]:
         raise OracleError(
             f"eigensolver residual {residual[worst]:.3e} exceeds 1e-10*{scale[worst]:.3e}"
         )
     unitarity = np.abs(_adjoint(vectors) @ vectors - np.eye(m.shape[-1])).max(initial=0.0)
-    if unitarity > 1e-10:
+    if not unitarity <= 1e-10:
         raise OracleError(f"eigenvector matrix not unitary: defect {unitarity:.3e}")
     return values, vectors
 
@@ -201,6 +209,7 @@ class _Block:
     sp1: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho1 direction
     sp2: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho2 direction
     cosines: np.ndarray  # (d1_w,) descending cosines of every pair, the degenerate one first
+    key: tuple = ()  # the (parts, n_a, n_c) of the orbit reduction whose arrays it shares
 
 
 @dataclass(frozen=True)
@@ -246,14 +255,17 @@ def _orbits(n: int, total: int) -> list[tuple[tuple[int, ...], int]]:
             for w in partitions(total, n, total)]
 
 
-def _block_counts(weight: Sequence[int], n_a: int, n_c: int) -> tuple[np.ndarray, ...]:
+@lru_cache(maxsize=256)
+def _block_counts(weight: tuple[int, ...], n_a: int, n_c: int) -> tuple[np.ndarray, ...]:
     """The exact string counts of the block of G = B1^T B2 of weight w.
     B1's columns are the pairs (M_AB, M_C) and B2's the pairs (M_A, M_BC),
     of weight M_AB + M_C and M_A + M_BC.  The block's rows are the M_C <= w
     of n_c labels and its columns the M_A <= w of n_a labels, both in
     ``np.indices`` order.  Returns those count rows, |M_C| and |M_AB| per
     row, |M_A| and |M_BC| per column, and the matrix of |M_B|,
-    M_B = M_AB - M_A, 0 where M_B has a negative count."""
+    M_B = M_AB - M_A, 0 where M_B has a negative count.  ``_gram_block``
+    and ``check_gram_counts`` read the same cached arrays, so they are
+    read-only."""
     w = np.array(weight)
     below = np.indices(w + 1).reshape(len(w), -1).T  # every count row <= w
     sites = below.sum(axis=1)
@@ -261,11 +273,14 @@ def _block_counts(weight: Sequence[int], n_a: int, n_c: int) -> tuple[np.ndarray
     r, c = len(m_c), len(m_a)
     m_b = w - m_c[:, None, :] - m_a
     s = _string_counts(np.concatenate([m_c, w - m_c, m_a, w - m_a, m_b.reshape(r * c, -1)]))
-    return (m_c, m_a, s[:r], s[r:2 * r], s[2 * r:2 * r + c], s[2 * r + c:2 * (r + c)],
-            s[2 * (r + c):].reshape(r, c))
+    counts = (m_c, m_a, s[:r], s[r:2 * r], s[2 * r:2 * r + c], s[2 * r + c:2 * (r + c)],
+              s[2 * (r + c):].reshape(r, c))
+    for array in counts:
+        array.setflags(write=False)
+    return counts
 
 
-def _gram_block(weight: Sequence[int], n_a: int, n_c: int) -> np.ndarray:
+def _gram_block(weight: tuple[int, ...], n_a: int, n_c: int) -> np.ndarray:
     """The ``(d1_w, d2_w)`` block of G = B1^T B2 of weight w.  Both bases'
     columns are normalized sums of site strings, so an entry is the number
     of strings its two columns share, |M_A| |M_B| |M_C|, over their norms:
@@ -275,31 +290,65 @@ def _gram_block(weight: Sequence[int], n_a: int, n_c: int) -> np.ndarray:
     return strings_b * np.sqrt(strings_a * strings_c[:, None] / (strings_ab[:, None] * strings_bc))
 
 
+def _row_positions(rows: np.ndarray, found: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The index in ``rows`` of each row of ``found``, or -1 where it is
+    none of them; every row is a count row below ``shape``."""
+    table = np.full(math.prod(shape), -1)
+    table[np.ravel_multi_index(rows.T, shape)] = np.arange(len(rows))
+    return table[np.ravel_multi_index(found.T, shape)]
+
+
 def check_gram_counts(cfg: ProblemConfig) -> None:
-    """Check the counts behind every Gram entry of ``cfg``, for every label
-    weight, in exact integers against its n^N site strings, each in the
-    (weight, M_C, M_A) cell of its registers' label counts.  A cell must
-    hold |M_A| |M_B| |M_C| strings, a row (a B1 column) |M_AB| |M_C| and a
-    column (a B2 column) |M_A| |M_BC|, the squared norms, and no string
-    may lie outside the blocks; ``OracleError`` at the first mismatch."""
+    """Check, in exact integers against the n^N site strings, the counts
+    that ``_gram_block`` rounds for the geometry: each orbit's
+    ``_block_counts(parts)``, parts its descending weight with the zeros
+    dropped, evaluated once and shared with the geometry.  Every string
+    lies in the (weight, M_C, M_A) cell of its registers' label counts,
+    and its weight's labels sorted by descending count (ties by label)
+    carry that cell onto a cell of the orbit's block.  For every label
+    weight, a cell must hold |M_A| |M_B| |M_C| strings, a row (a B1
+    column) |M_AB| |M_C| and a column (a B2 column) |M_A| |M_BC|, the
+    squared norms, and no string may lie outside the blocks;
+    ``OracleError`` at the first mismatch."""
     n, total = cfg.n, cfg.total_copies
     _check_cap(n**total)
     sites = np.indices((n,) * total).reshape(total, -1)  # a row per site, A first
     a, b, c = ((register[:, :, None] == np.arange(n)).sum(axis=0)
                for register in np.split(sites, [cfg.n_a, cfg.n_a + cfg.n_b]))
-    cells = Counter(zip(*(map(tuple, rows.tolist()) for rows in (a + b + c, c, a))))
-    for w in sorted({w for w, _, _ in cells}):
-        m_c, m_a, s_c, s_ab, s_a, s_bc, s_b = _block_counts(w, cfg.n_a, cfg.n_c)
-        strings = np.array([[cells.pop((w, row, col), 0) for col in map(tuple, m_a.tolist())]
-                            for row in map(tuple, m_c.tolist())]).reshape(s_b.shape)
-        for name, counted, enumerated in (("cell", s_a * s_b * s_c[:, None], strings),
-                                          ("B1 column", s_ab * s_c, strings.sum(axis=1)),
-                                          ("B2 column", s_a * s_bc, strings.sum(axis=0))):
-            if counted.tolist() != enumerated.tolist():
-                raise OracleError(f"{name} string counts {counted.tolist()} of weight {w} "
-                                  f"differ from the site strings' {enumerated.tolist()}")
-    if cells:
-        raise OracleError(f"{sum(cells.values())} site strings lie outside every Gram block")
+    weight = a + b + c
+    order = np.argsort(-weight, axis=1, kind="stable")
+    descending, c, a = (np.take_along_axis(x, order, axis=1) for x in (weight, c, a))
+    # rows as base-(N+1) numbers, which order like the rows
+    radix = (total + 1) ** np.arange(n - 1, -1, -1)
+    _, first, of_weight = np.unique(weight @ radix, return_index=True, return_inverse=True)
+    _, first_of_orbit, of_orbit = np.unique(descending @ radix, return_index=True,
+                                            return_inverse=True)
+    stray = 0
+    for orbit, string in enumerate(first_of_orbit):
+        parts = tuple(int(p) for p in descending[string] if p)
+        m_c, m_a, s_c, s_ab, s_a, s_bc, s_b = _block_counts(parts, cfg.n_a, cfg.n_c)
+        own = of_orbit == orbit
+        members, local = np.unique(of_weight[own], return_inverse=True)
+        shape = tuple(p + 1 for p in parts)
+        rows, cols = (_row_positions(m, x[own, :len(parts)], shape)
+                      for m, x in ((m_c, c), (m_a, a)))
+        inside = (rows >= 0) & (cols >= 0)
+        stray += int((~inside).sum())
+        cells = (len(members), len(m_c), len(m_a))
+        index = (local * cells[1] + rows) * cells[2] + cols
+        strings = np.bincount(index[inside], minlength=math.prod(cells)).reshape(cells)
+        checks = (("cell", s_a * s_b * s_c[:, None], strings),
+                  ("B1 column", s_ab * s_c, strings.sum(axis=2)),
+                  ("B2 column", s_a * s_bc, strings.sum(axis=1)))
+        for j, member in enumerate(members):
+            for name, counted, enumerated in checks:
+                if counted.tolist() != enumerated[j].tolist():
+                    w = tuple(weight[first[member]].tolist())
+                    raise OracleError(f"{name} string counts {counted.tolist()} of weight {w} "
+                                      f"(parts {parts}) differ from the site strings' "
+                                      f"{enumerated[j].tolist()}")
+    if stray:
+        raise OracleError(f"{stray} site strings lie outside every Gram block")
 
 
 def _weight_block(g: np.ndarray) -> _Block:
@@ -346,7 +395,7 @@ def _orbit_block(gram: Callable, parts: tuple[int, ...], n_a: int, n_c: int) -> 
     counts ``parts``, at any n (zero counts add no rows or columns).  The
     key holds ``gram`` (``_gram_block``): a replacement keys its own.  Every
     config that shares the block reads its arrays, so they are read-only."""
-    block = _weight_block(gram(parts, n_a, n_c))
+    block = replace(_weight_block(gram(parts, n_a, n_c)), key=(parts, n_a, n_c))
     for array in (block.r1, block.r2, block.identity, block.unpaired, block.sp1, block.sp2,
                   block.cosines):
         array.setflags(write=False)
@@ -391,7 +440,7 @@ def block_labels(cosines: np.ndarray, spectrum: JordanSpectrum) -> np.ndarray:
     distances = np.abs(cosines[:, None] - overlaps)
     labels = distances.argmin(axis=1)
     residual = float(distances.min(axis=1).max(initial=0.0))
-    if residual >= half_gap:
+    if not residual < half_gap:  # a NaN cosine fails too
         raise OracleError(f"cosine residual {residual:.1e} "
                           f"reaches half the smallest gap {half_gap:.1e}")
     return labels
@@ -428,46 +477,89 @@ def jordan_angles(cfg: ProblemConfig, cap: int | None = None) -> list[tuple[floa
     return group_by_blocks(np.concatenate(cosines), jordan_spectrum(canonical), sizes)
 
 
-def _shared_geometry(
-    cfgs: Sequence[ProblemConfig], cap: int | None
-) -> tuple[list[ProblemConfig], bool, _Geometry, np.ndarray, np.ndarray]:
-    """The canonical forms of configs that differ only in their priors,
-    whether they were swapped, their one geometry, and their canonical
-    priors as ``(P, 1, 1)`` arrays that broadcast over a block."""
-    pairs = [canonicalize(cfg) for cfg in cfgs]
-    canonical = [c for c, _ in pairs]
-    first = canonical[0]
-    copies = (first.n, first.n_a, first.n_b, first.n_c)
-    if any((c.n, c.n_a, c.n_b, c.n_c) != copies for c in canonical):
-        raise PreconditionError("batched configs must differ only in their priors")
-    geometry = _jordan_geometry(*copies, cap)
-    eta1, eta2 = (np.array([getattr(c, eta) for c in canonical])[:, None, None]
-                  for eta in ("eta1", "eta2"))
-    return canonical, pairs[0][1], geometry, eta1, eta2
+@dataclass(frozen=True)
+class _Group:
+    """The configs that share one canonical geometry: their indices in the
+    caller's list, canonical forms and whether each was swapped, and their
+    canonical priors as ``(P, 1, 1)`` arrays that broadcast over a block."""
+
+    geometry: _Geometry
+    indices: list[int]
+    canonical: list[ProblemConfig]
+    swapped: list[bool]
+    eta1: np.ndarray
+    eta2: np.ndarray
 
 
-def lambda_spectra(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> np.ndarray:
+def _groups(cfgs: Sequence[ProblemConfig], cap: int | None) -> list[_Group]:
+    """``cfgs`` grouped by their canonical copies, in order of first
+    appearance, each group with its one geometry."""
+    members: dict[tuple[int, ...], list] = {}
+    for i, cfg in enumerate(cfgs):
+        c, swapped = canonicalize(cfg)
+        members.setdefault((c.n, c.n_a, c.n_b, c.n_c), []).append((i, c, swapped))
+    groups = []
+    for copies, group in members.items():
+        indices, canonical, swapped = map(list, zip(*group))
+        eta1, eta2 = (np.array([getattr(c, eta) for c in canonical])[:, None, None]
+                      for eta in ("eta1", "eta2"))
+        groups.append(_Group(_jordan_geometry(*copies, cap), indices, canonical, swapped,
+                             eta1, eta2))
+    return groups
+
+
+def _shared_eigvalues(groups: Sequence[_Group], operators: Callable[[int, int], np.ndarray]
+                      ) -> Iterator[tuple[int, int, np.ndarray]]:
+    """``(g, j, values)`` for every group g and block j: the eigenvalues of
+    ``operators(g, j)``, a stack of that group's operators on that block.
+    The stacks of every block that shares one orbit reduction go through
+    one ``hermitian_eig`` call, built as that call comes, so one shared
+    block's stacks are held at a time."""
+    shared: dict[tuple, list[tuple[int, int]]] = {}
+    for g, group in enumerate(groups):
+        for j, block in enumerate(group.geometry.blocks):
+            shared.setdefault(block.key, []).append((g, j))
+    for places in shared.values():
+        stacks = [operators(g, j) for g, j in places]
+        solved = hermitian_eig(np.concatenate(stacks))[0]
+        ends = np.cumsum([len(stack) for stack in stacks])
+        for (g, j), part in zip(places, np.split(solved, ends[:-1])):
+            yield g, j, part
+
+
+def lambda_spectra(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> list[np.ndarray]:
     """Eigenvalues of the weighted difference eta2*rho2 - eta1*rho1 on the
     joint support supp(rho1)+supp(rho2), ascending, ``span_rank`` per
     config; the rest of the n^N-dimensional space is its kernel.  The
-    configs differ only in their priors, so every prior's operators of
-    one block take one ``hermitian_eig`` call, and each block's
-    eigenvalues repeat once per weight of its orbit.  For n_a < n_c the
-    mirrored canonical config's operator is minus the site-reversed one,
-    so its eigenvalues are negated."""
-    _, swapped, geometry, eta1, eta2 = _shared_geometry(cfgs, cap)
-    values = np.concatenate([
-        np.tile(hermitian_eig(eta2 * (b.r2 / geometry.d2) - eta1 * (b.r1 / geometry.d1))[0], b.size)
-        for b in geometry.blocks
-    ], axis=1)
-    return np.sort(-values if swapped else values, axis=1)
+    configs may differ in anything: each builds its geometry once, and
+    every (config, prior) on one shared orbit block goes through one
+    ``hermitian_eig`` call.  Each block's eigenvalues repeat once per
+    weight of its orbit.  For n_a < n_c the mirrored canonical config's
+    operator is minus the site-reversed one, so its eigenvalues are
+    negated."""
+    groups = _groups(cfgs, cap)
+
+    def operators(g: int, j: int) -> np.ndarray:
+        group = groups[g]
+        block, geometry = group.geometry.blocks[j], group.geometry
+        return group.eta2 * (block.r2 / geometry.d2) - group.eta1 * (block.r1 / geometry.d1)
+
+    values: list[list] = [[None] * len(group.geometry.blocks) for group in groups]
+    for g, j, part in _shared_eigvalues(groups, operators):
+        values[g][j] = part
+    spectra: list[np.ndarray] = [np.empty(0)] * len(cfgs)
+    for group, parts in zip(groups, values):
+        tiled = np.concatenate([np.tile(v, b.size) for v, b in zip(parts, group.geometry.blocks)],
+                               axis=1)
+        for i, swapped, row in zip(group.indices, group.swapped, tiled):
+            spectra[i] = np.sort(-row if swapped else row)
+    return spectra
 
 
 def helstrom_probabilities(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> list[float]:
-    """Minimum-error probabilities from the dense trace norms of configs
-    that differ only in their priors."""
-    norms = np.abs(lambda_spectra(cfgs, cap)).sum(axis=1)
-    return [0.5 * (1.0 - float(norm)) for norm in norms]
+    """Minimum-error probabilities from the dense trace norms of any
+    configs."""
+    return [0.5 * (1.0 - float(np.abs(values).sum())) for values in lambda_spectra(cfgs, cap)]
 
 
 def helstrom_probability(cfg: ProblemConfig, cap: int | None = None) -> float:
@@ -511,11 +603,12 @@ def certify_povms(
     printed_high_branch: bool = False,
 ) -> list[PovmReport]:
     """Assemble the optimal unambiguous POVM from the numerically extracted
-    Jordan pairs and measure all of its required properties, for configs
-    that differ only in their priors: one spectrum for all of them, and
-    one ``hermitian_eig`` call per block for every prior's Pi0, Pi1 and
-    Pi2 together.  The errors and the failure probability of a block
-    count once per weight of its orbit.
+    Jordan pairs and measure all of its required properties, for any
+    configs.  Each canonical config takes one spectrum, one
+    ``block_labels`` call over all its live cosines and one block solve
+    per prior; every (config, prior) on one shared orbit block has its
+    Pi0, Pi1 and Pi2 go through one ``hermitian_eig`` call.  The errors and
+    the failure probability of a block count once per weight of its orbit.
 
     Pi1 weights the per-pair directions orthogonal to the state-2 vector,
     Pi2 those orthogonal to the state-1 vector plus the unpaired part of
@@ -530,50 +623,68 @@ def certify_povms(
     from the erratum q1 = O_k, which must break the failure-probability
     equality whenever a HIGH branch is active.
     """
-    canonical, _, geo, eta1, eta2 = _shared_geometry(cfgs, cap)
-    spectrum = jordan_spectrum(canonical[0])
-    results = [total_failure(c, spectrum, printed_high_branch=printed_high_branch)
-               for c in canonical]
-    # per prior and live block k, the weights of Pi1 and Pi2 on its pair
-    # directions (block 0, O_0 = 1, is the degenerate pair)
-    ratios = [b.overlap_sq_ratio for b in spectrum.blocks[1:]]
-    weights = np.array([[[(1.0 - q) / (1.0 - num / den) for q in (b.q1, b.q2)]
-                         for b, (num, den) in zip(result.blocks[1:], ratios)]
-                        for result in results])
-
-    priors = len(cfgs)
-    min_eig = np.full(priors, np.inf)
-    err12, err21, failure = np.zeros((3, priors))
-    for b in geo.blocks:
-        labels = block_labels(b.cosines[1:], spectrum)
+    groups = _groups(cfgs, cap)
+    expected, pair_weights, traces, minima = [], [], [], []
+    for group in groups:
+        spectrum = jordan_spectrum(group.canonical[0])
+        solves = [_solve_blocks(c, spectrum, printed_high_branch) for c in group.canonical]
+        # an injected fault is measured against a second, honest solve
+        honest = ([_solve_blocks(c, spectrum) for c in group.canonical] if printed_high_branch
+                  else solves)
+        expected.append([_normal("Q_opt", sum(s.q_term for s in solved)) for solved in honest])
+        # per prior and live block k, the weights of Pi1 and Pi2 on its pair
+        # directions (block 0, O_0 = 1, is the degenerate pair)
+        ratios = [b.overlap_sq_ratio for b in spectrum.blocks[1:]]
+        weights = np.array([[[(1.0 - q) / (1.0 - num / den) for q in (s.q1, s.q2)]
+                             for s, (num, den) in zip(solved[1:], ratios)]
+                            for solved in solves])
+        blocks = group.geometry.blocks
+        labels = block_labels(np.concatenate([b.cosines[1:] for b in blocks]), spectrum)
         if not labels.all():
             raise OracleError("a live pair's cosine is labelled with the degenerate block 0")
-        pair_weights = weights[:, labels - 1]
-        m1 = (b.sp2 * pair_weights[:, None, :, 0]) @ _adjoint(b.sp2)
-        m2 = (b.sp1 * pair_weights[:, None, :, 1]) @ _adjoint(b.sp1) + b.unpaired
+        ends = np.cumsum([len(b.cosines) - 1 for b in blocks])
+        pair_weights.append([weights[:, own - 1] for own in np.split(labels, ends[:-1])])
+        traces.append([None] * len(blocks))
+        minima.append([None] * len(blocks))
+
+    def operators(g: int, j: int) -> np.ndarray:
+        group = groups[g]
+        geo, b, w = group.geometry, group.geometry.blocks[j], pair_weights[g][j]
+        m1 = (b.sp2 * w[:, None, :, 0]) @ _adjoint(b.sp2)
+        m2 = (b.sp1 * w[:, None, :, 1]) @ _adjoint(b.sp1) + b.unpaired
         m0 = b.identity - m1 - m2
-        values = hermitian_eig(np.stack([m0, m1, m2], axis=1))[0]
-        min_eig = np.minimum(min_eig, values.min(axis=(1, 2)))
         r1, r2 = b.r1 / geo.d1, b.r2 / geo.d2
-        err12 += b.size * np.einsum("ij,pji->p", r1, m2).real
-        err21 += b.size * np.einsum("ij,pji->p", r2, m1).real
-        failure += b.size * np.einsum("pij,pji->p", eta1 * r1 + eta2 * r2, m0).real
-    if geo.dim > geo.span_rank:  # zero eigenvalues outside the joint span
-        min_eig = np.minimum(min_eig, 0.0)
-    reports = []
-    for i, (cfg, c, result) in enumerate(zip(cfgs, canonical, results)):
-        # an injected fault is measured against a second, honest solve
-        honest = total_failure(c, spectrum) if printed_high_branch else result
-        reports.append(PovmReport(
-            config=cfg,
-            min_eigenvalue=float(min_eig[i]),
-            completeness_residual=geo.completeness_residual,
-            error_rho1_pi2=float(err12[i]),
-            error_rho2_pi1=float(err21[i]),
-            failure_probability=float(failure[i]),
-            expected_failure=honest.q_total,
-            unpaired_rank=spectrum.d2 - spectrum.d1,
-        ))
+        traces[g][j] = (b.size * np.einsum("ij,pji->p", r1, m2).real,
+                        b.size * np.einsum("ij,pji->p", r2, m1).real,
+                        b.size * np.einsum("pij,pji->p", group.eta1 * r1 + group.eta2 * r2,
+                                           m0).real)
+        return np.stack([m0, m1, m2], axis=1)
+
+    for g, j, values in _shared_eigvalues(groups, operators):
+        minima[g][j] = values.min(axis=(1, 2))
+    reports: list[PovmReport] = [None] * len(cfgs)  # type: ignore[list-item]
+    for group, block_minima, block_traces, honest in zip(groups, minima, traces, expected):
+        geo = group.geometry
+        min_eig = np.min(block_minima, axis=0)
+        if geo.dim > geo.span_rank:  # zero eigenvalues outside the joint span
+            min_eig = np.minimum(min_eig, 0.0)
+        err12, err21, failure = np.zeros((3, len(group.indices)))
+        # summed in block order, as a call for the one config sums them
+        for e12, e21, fail in block_traces:
+            err12 += e12
+            err21 += e21
+            failure += fail
+        for p, i in enumerate(group.indices):
+            reports[i] = PovmReport(
+                config=cfgs[i],
+                min_eigenvalue=float(min_eig[p]),
+                completeness_residual=geo.completeness_residual,
+                error_rho1_pi2=float(err12[p]),
+                error_rho2_pi1=float(err21[p]),
+                failure_probability=float(failure[p]),
+                expected_failure=honest[p],
+                unpaired_rank=geo.d2 - geo.d1,
+            )
     return reports
 
 

@@ -65,6 +65,24 @@ def _config_failure(name: str, cfg: ProblemConfig, exc: Exception) -> CheckResul
     return CheckResult(name, False, 1.0, f"{where}: {exc}")
 
 
+def _first_failure(name: str, bases: list[ProblemConfig], call, exc: OracleError) -> CheckResult:
+    """A family's result when its one batched ``call`` over every base
+    config raised ``exc``: the first base whose own call raises, as a walk
+    over the grid would meet it."""
+    for base in bases:
+        try:
+            call(base)
+        except OracleError as own:
+            return _config_failure(name, base, own)
+    return CheckResult(name, False, 1.0, f"batched call: {exc}")
+
+
+def _fold(*residuals: float) -> float:
+    """The largest residual, or NaN if any is NaN, which ``max`` passes
+    over: a NaN fails every ``<=`` gate."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def check_combinatorics() -> CheckResult:
     """The spectrum's block multiplicities vs Robinson, and the rank sum
     that ``jordan_spectrum`` asserts, as exact integers over n <= 6,
@@ -101,7 +119,7 @@ def check_six_j() -> CheckResult:
         cfg = ProblemConfig(dims[0], n_a, n_b, n_c, 0.5)
         nums, den = overlap_numerators(cfg)
         for k, num in enumerate(nums):
-            worst = max(worst, abs(math.sqrt(num / den) - overlap_via_6j(k, cfg)))
+            worst = _fold(worst, abs(math.sqrt(num / den) - overlap_via_6j(k, cfg)))
         count += len(dims) * len(nums)
     return CheckResult("6j overlap cross-check", worst <= 1e-12, worst, f"{count} overlaps")
 
@@ -124,7 +142,7 @@ def check_principal_angles(max_total_dim: int) -> CheckResult:
             groups = oracle.jordan_angles(cfg, max_total_dim)
         except OracleError as exc:
             return _config_failure("principal angles", cfg, exc)
-        worst = max(worst, *(abs(c - b.overlap) for (c, _), b in zip(groups, spectrum.blocks)))
+        worst = _fold(worst, *(abs(c - b.overlap) for (c, _), b in zip(groups, spectrum.blocks)))
         count += 1
     return CheckResult("principal angles", worst <= 1e-9, worst, f"{count} configs")
 
@@ -134,55 +152,52 @@ def _priors(base: ProblemConfig, priors: tuple[float, ...]) -> list[ProblemConfi
 
 
 def check_min_error(max_total_dim: int) -> CheckResult:
-    """Dense trace-norm Helstrom value vs the closed form, every prior of
-    a config from one spectrum and one batched oracle call."""
+    """Dense trace-norm Helstrom value vs the closed form, every (config,
+    prior) of the grid from one batched oracle call."""
     from . import oracle
+    bases = list(certification_grid(max_total_dim))
+    cfgs = [cfg for base in bases for cfg in _priors(base, GRID_PRIORS)]
+    try:
+        values = iter(oracle.helstrom_probabilities(cfgs, max_total_dim))
+    except OracleError as exc:
+        return _first_failure(
+            "min-error trace norm", bases,
+            lambda base: oracle.helstrom_probabilities(_priors(base, GRID_PRIORS), max_total_dim),
+            exc)
     worst = 0.0
-    count = 0
-    for base in certification_grid(max_total_dim):
+    for base in bases:
         spectrum = jordan_spectrum(canonicalize(base)[0])
-        cfgs = _priors(base, GRID_PRIORS)
-        try:
-            values = oracle.helstrom_probabilities(cfgs, max_total_dim)
-        except OracleError as exc:
-            return _config_failure("min-error trace norm", base, exc)
-        for cfg, dense in zip(cfgs, values):
-            closed = minerror_probability(cfg, spectrum).p_me
-            worst = max(worst, abs(dense - closed))
-            count += 1
-    return CheckResult("min-error trace norm", worst <= 1e-9, worst, f"{count} cases")
+        for cfg, dense in zip(_priors(base, GRID_PRIORS), values):
+            worst = _fold(worst, abs(dense - minerror_probability(cfg, spectrum).p_me))
+    return CheckResult("min-error trace norm", worst <= 1e-9, worst, f"{len(cfgs)} cases")
 
 
 def check_povm(max_total_dim: int, inject_q_fault: bool = False) -> CheckResult:
     """Numerical POVM assembly: positivity, completeness, zero error, and
-    failure probability equal to the closed-form optimum.  Every prior of
-    a config is certified by one batched oracle call; the first failing
-    (config, prior) is reported."""
+    failure probability equal to the closed-form optimum.  Every (config,
+    prior) of the grid is certified by one batched oracle call; the first
+    failing one in grid order is reported."""
     from . import oracle
+    bases = list(certification_grid(max_total_dim))
+    cfgs = [cfg for base in bases for cfg in _priors(base, POVM_PRIORS)]
+    try:
+        reports = oracle.certify_povms(cfgs, max_total_dim, printed_high_branch=inject_q_fault)
+    except OracleError as exc:
+        return _first_failure(
+            "POVM certification", bases,
+            lambda base: oracle.certify_povms(_priors(base, POVM_PRIORS), max_total_dim,
+                                              printed_high_branch=inject_q_fault),
+            exc)
     worst = 0.0
-    count = 0
-    for base in certification_grid(max_total_dim):
-        cfgs = _priors(base, POVM_PRIORS)
-        try:
-            reports = oracle.certify_povms(cfgs, max_total_dim, printed_high_branch=inject_q_fault)
-        except OracleError as exc:
-            return _config_failure("POVM certification", base, exc)
-        for cfg, report in zip(cfgs, reports):
-            worst = max(
-                worst,
-                -report.min_eigenvalue,
-                report.completeness_residual,
-                report.error_rho1_pi2,
-                report.error_rho2_pi1,
-                report.failure_residual,
+    for cfg, report in zip(cfgs, reports):
+        worst = _fold(worst, -report.min_eigenvalue, report.completeness_residual,
+                      report.error_rho1_pi2, report.error_rho2_pi1, report.failure_residual)
+        if not report.passed():
+            return CheckResult(
+                "POVM certification", False, worst,
+                f"failed at n={cfg.n} copies=({cfg.n_a},{cfg.n_b},{cfg.n_c}) eta1={cfg.eta1}",
             )
-            count += 1
-            if not report.passed():
-                return CheckResult(
-                    "POVM certification", False, worst,
-                    f"failed at n={cfg.n} copies=({cfg.n_a},{cfg.n_b},{cfg.n_c}) eta1={cfg.eta1}",
-                )
-    return CheckResult("POVM certification", True, worst, f"{count} cases")
+    return CheckResult("POVM certification", True, worst, f"{len(cfgs)} cases")
 
 
 def _chi2_quantile(k: float, z: float) -> float:
@@ -242,10 +257,10 @@ def check_haar(samples: int, seed: int) -> CheckResult:
         t_mean = sum(t_stat(stream, samples) for stream in streams) / HAAR_STREAMS
         pooled.append(t_pool)
         means.append(t_mean)
-        worst = max(worst, abs(t_pool - 1), abs(t_mean - 1))
+        worst = _fold(worst, abs(t_pool - 1), abs(t_mean - 1))
         bound = _chi2_quantile(dof(HAAR_STREAMS * samples), HAAR_Z)
         low, high = (_chi2_quantile(HAAR_STREAMS * dof(samples), z) for z in (-HAAR_Z, HAAR_Z))
-        if t_pool > bound:
+        if not t_pool <= bound:
             return CheckResult("Haar-average lemma", False, worst,
                                f"bias at m={m}, n={n}: pooled T {t_pool:.2f} > {bound:.2f}")
         if not low <= t_mean <= high:
@@ -272,7 +287,7 @@ def check_asymptotics() -> CheckResult:
         p_res = abs(minerror_probability(cfg).p_me - bound_p0(cfg))
         if n_a == n_c:
             q_res = abs(total_failure(cfg).q_total - bound_q0(cfg))
-            worst = max(worst, q_res, p_res)
+            worst = _fold(worst, q_res, p_res)
         else:
             info.append(f"({n_a},{n_b},{n_c}):{p_res:.1e}")
     detail = f"equal-copies gate at 2e-3; P0 residuals for n_a!=n_c: {'; '.join(info)}"

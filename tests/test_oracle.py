@@ -469,7 +469,7 @@ class TestCanonicalGeometry:
         geometry = oracle._jordan_geometry(
             canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
         )
-        assert batched.shape == (len(priors), geometry.span_rank)
+        assert [row.shape for row in batched] == [(geometry.span_rank,)] * len(priors)
         for prior, row in zip(priors, batched):
             expected = np.linalg.eigvalsh(prior.eta2 * rho2 - prior.eta1 * rho1)
             for observed in (oracle.lambda_spectra([prior])[0], row):
@@ -501,6 +501,44 @@ class TestDenseFamiliesAtCap:
             oracle._jordan_geometry.cache_clear()
         assert result.passed
         assert result.detail == detail
+
+
+class TestNanResiduals:
+    # negative controls: a NaN residual is greater than no bound, so each
+    # dense family must fold and gate its residuals to fail on one
+    def test_min_error_fails_on_nan(self, monkeypatch):
+        monkeypatch.setattr(oracle, "helstrom_probabilities",
+                            lambda cfgs, cap=None: [math.nan] * len(cfgs))
+        result = verify.check_min_error(1024)
+        assert not result.passed
+        assert result.line() == "FAIL min-error trace norm: max residual nan (162 cases)"
+
+    def test_principal_angles_fail_on_nan(self, monkeypatch):
+        honest = oracle.jordan_angles
+
+        def poisoned(cfg, cap=None):
+            return [(math.nan, m) for _, m in honest(cfg, cap)]
+
+        monkeypatch.setattr(oracle, "jordan_angles", poisoned)
+        result = verify.check_principal_angles(64)
+        assert result.line() == "FAIL principal angles: max residual nan (19 configs)"
+
+    def test_povm_fails_on_nan(self, monkeypatch):
+        honest = oracle.certify_povms
+
+        def poisoned(cfgs, cap=None, **kwargs):
+            return [dataclasses.replace(r, error_rho1_pi2=math.nan)
+                    for r in honest(cfgs, cap, **kwargs)]
+
+        monkeypatch.setattr(oracle, "certify_povms", poisoned)
+        result = verify.check_povm(1024)
+        assert result.line() == ("FAIL POVM certification: max residual nan "
+                                 "(failed at n=2 copies=(1,1,1) eta1=0.1)")
+
+    def test_nan_cosine_gets_no_label(self):
+        spectrum = jordan_spectrum(ALL_ONES)
+        with pytest.raises(OracleError, match="cosine residual nan"):
+            oracle.block_labels(np.array([1.0, math.nan]), spectrum)
 
 
 class TestGramBlocks:
@@ -585,33 +623,45 @@ class TestGramCounts:
             oracle.check_gram_counts(oriented)
 
     def test_every_weight_is_counted(self, monkeypatch):
-        # all C(N + n - 1, n - 1) label weights, not one per orbit
-        honest, weights = oracle._block_counts, []
+        # the counts are those of one block per orbit, the zero-dropped
+        # parts the geometry rounds, each asked for once; a count moved in
+        # the orbit of (2, 1, 1) fails at the first of its three weights,
+        # and each of the C(N + n - 1, n - 1) weights' strings is counted
+        cfg = ProblemConfig(3, 2, 1, 1)
+        honest, asked = oracle._block_counts, []
 
-        def recording(weight, n_a, n_c):
-            weights.append(weight)
-            return honest(weight, n_a, n_c)
+        def recording(parts, n_a, n_c):
+            asked.append(parts)
+            return honest(parts, n_a, n_c)
 
         monkeypatch.setattr(oracle, "_block_counts", recording)
-        oracle.check_gram_counts(ProblemConfig(3, 2, 1, 1))
-        assert len(weights) == len(set(weights)) == math.comb(4 + 2, 2)
+        oracle.check_gram_counts(cfg)
+        orbits = oracle._orbits(cfg.n, cfg.total_copies)
+        assert asked == sorted(tuple(p for p in w if p) for w, _ in orbits)
+        assert len(asked) == 4
+        assert sum(size for _, size in orbits) == math.comb(4 + 2, 2)
+
+        def moved(parts, n_a, n_c):
+            counts = list(recording(parts, n_a, n_c))
+            if parts == (2, 1, 1):
+                counts[6] = counts[6].copy()
+                counts[6].flat[0] += 1
+            return tuple(counts)
+
+        monkeypatch.setattr(oracle, "_block_counts", moved)
+        with pytest.raises(OracleError,
+                           match=r"^cell .* of weight \(1, 1, 2\) \(parts \(2, 1, 1\)\)"):
+            oracle.check_gram_counts(cfg)
 
     @pytest.mark.parametrize("index,name", [(6, "cell"), (3, "B1 column"), (5, "B2 column")],
                              ids=["m_b", "m_ab", "m_bc"])
     def test_count_moved_by_one_string_fails(self, monkeypatch, fresh_oracle_caches,
                                              index, name):
-        # negative control: one integer count of one weight of (2; 1,1,1)
-        # moves by one string, |M_B| of a Gram entry or one factor of a
-        # squared norm
-        honest = oracle._block_counts
-
-        def moved(weight, n_a, n_c):
-            counts = honest(weight, n_a, n_c)
-            if (tuple(weight), n_a, n_c) == ((1, 2), 1, 1):
-                counts[index].flat[0] += 1
-            return counts
-
-        monkeypatch.setattr(oracle, "_block_counts", moved)
+        # negative control: one integer count of the orbit block of the
+        # weights (1, 2) and (2, 1) of (2; 1,1,1) moves by one string, |M_B|
+        # of a Gram entry or one factor of a squared norm; the first weight
+        # of the orbit reports it
+        monkeypatch.setattr(oracle, "_block_counts", _moved_count(index, (2, 1)))
         with pytest.raises(OracleError, match=f"^{name} string counts .* of weight \\(1, 2\\)"):
             oracle.check_gram_counts(ALL_ONES)
         result = verify.check_principal_angles(64)
@@ -624,12 +674,14 @@ class TestGramCounts:
         # to match, leaves that row's strings in no block
         honest = oracle._block_counts
 
-        def short(weight, n_a, n_c):
-            m_c, m_a, s_c, s_ab, s_a, s_bc, s_b = honest(weight, n_a, n_c)
+        def short(parts, n_a, n_c):
+            m_c, m_a, s_c, s_ab, s_a, s_bc, s_b = honest(parts, n_a, n_c)
             return m_c[1:], m_a, s_c[1:], s_ab[1:], s_a, s_bc - s_b[0] * s_c[0], s_b[1:]
 
+        # the orbit (3,) loses its one row, "000" and "111"; the orbit
+        # (2, 1) its row M_C = (0, 1), C on the minority label: "001", "110"
         monkeypatch.setattr(oracle, "_block_counts", short)
-        with pytest.raises(OracleError, match="^5 site strings lie outside every Gram block$"):
+        with pytest.raises(OracleError, match="^4 site strings lie outside every Gram block$"):
             oracle.check_gram_counts(ALL_ONES)
 
     def test_cap_enforced(self):
@@ -641,21 +693,55 @@ class TestGramCounts:
     def test_orbit_counts_match_the_site_strings(self, cfg):
         _check_orbit_counts(cfg)
 
-    @pytest.mark.parametrize("index", [6, 3, 5], ids=["m_b", "m_ab", "m_bc"])
-    def test_orbit_count_moved_by_one_string_fails(self, monkeypatch, index):
-        # negative control: a count moves only in the zero-dropped parts the
-        # geometry passes, never in a full n-label weight
-        honest = oracle._block_counts
-
-        def moved(weight, n_a, n_c):
-            counts = honest(weight, n_a, n_c)
-            if len(weight) < ALL_ONES.n:
-                counts[index].flat[0] += 1
-            return counts
-
-        monkeypatch.setattr(oracle, "_block_counts", moved)
+    @pytest.mark.parametrize("index,name", [(6, "cell"), (3, "B1 column"), (5, "B2 column")],
+                             ids=["m_b", "m_ab", "m_bc"])
+    def test_orbit_count_moved_by_one_string_fails(self, monkeypatch, fresh_oracle_caches,
+                                                   index, name):
+        # negative control: a count moves only in the zero-dropped parts
+        # (3,) the geometry passes for the weights (0, 3) and (3, 0), never
+        # in a full n-label weight; both the check and the reference fail
+        monkeypatch.setattr(oracle, "_block_counts", _moved_count(index, (3,)))
+        with pytest.raises(OracleError, match=f"^{name} string counts .* of weight "
+                                              r"\(0, 3\) \(parts \(3,\)\)"):
+            oracle.check_gram_counts(ALL_ONES)
         with pytest.raises(AssertionError, match=r"parts \(3,\)"):
             _check_orbit_counts(ALL_ONES)
+
+    def test_one_count_per_distinct_orbit_block(self):
+        # a default verify evaluates _block_counts once per distinct
+        # (parts, n_a, n_c), for the geometry and the exact check alike:
+        # the 96 distinct orbit blocks of the 36 canonical configs
+        canonical = {canonicalize(cfg)[0] for cfg in DEFAULT_GRID}
+        keys = {(tuple(p for p in w if p), c.n_a, c.n_c)
+                for c in canonical for w, _ in oracle._orbits(c.n, c.total_copies)}
+        caches = (oracle._block_counts, oracle._orbit_block, oracle._jordan_geometry)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            assert [r.passed for r in verify.run_all(max_total_dim=1024, samples=1000,
+                                                     seed=1)] == [True] * 7
+            info = oracle._block_counts.cache_info()
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert len(keys) == 96
+        assert info.misses == info.currsize == len(keys) < info.maxsize
+
+
+def _moved_count(index, moved_parts):
+    """A ``_block_counts`` whose count array ``index`` of the block of
+    ``moved_parts`` has its first entry moved by one string, in a copy:
+    the honest arrays are cached and read-only."""
+    honest = oracle._block_counts
+
+    def moved(parts, n_a, n_c):
+        counts = list(honest(parts, n_a, n_c))
+        if parts == moved_parts:
+            counts[index] = counts[index].copy()
+            counts[index].flat[0] += 1
+        return tuple(counts)
+
+    return moved
 
 
 def _check_orbit_counts(cfg):
@@ -786,9 +872,26 @@ class TestStackedGeometry:
             span = sum(size * (sum(g.shape) - 1) for size, g in orbits)
             assert geometry.span_rank == span
 
-    def test_mixed_copies_rejected(self):
-        with pytest.raises(PreconditionError, match="only in their priors"):
-            oracle.lambda_spectra([ALL_ONES, ProblemConfig(2, 2, 1, 1, 0.5)])
+    def test_mixed_configs_match_per_config_calls(self):
+        # one call over every config and prior of the whole 4^9 grid,
+        # mirrored pairs included, gives bit for bit what each config's
+        # own call gives
+        cap = 4**9
+        cfgs = [ProblemConfig(base.n, base.n_a, base.n_b, base.n_c, eta1)
+                for base in verify.certification_grid(cap)
+                for eta1 in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0)]
+        assert len(cfgs) == 81 * 6
+        oracle._jordan_geometry.cache_clear()
+        try:
+            spectra = oracle.lambda_spectra(cfgs, cap)
+            helstrom = oracle.helstrom_probabilities(cfgs, cap)
+            reports = oracle.certify_povms(cfgs, cap)
+            for cfg, values, dense, report in zip(cfgs, spectra, helstrom, reports):
+                assert values.tobytes() == oracle.lambda_spectra([cfg], cap)[0].tobytes()
+                assert dense.hex() == oracle.helstrom_probability(cfg, cap).hex()
+                assert report == oracle.certify_povm(cfg, cap)
+        finally:
+            oracle._jordan_geometry.cache_clear()
 
 
 class TestBatchedPriors:
@@ -801,9 +904,13 @@ class TestBatchedPriors:
         return total
 
     def test_one_eigh_per_block_and_one_spectrum_per_config(self, monkeypatch):
+        # one eigensolve per distinct orbit block of the grid, 96 of its
+        # 249 (config, block) pairs, each stacking every prior of every
+        # config that shares the block; one spectrum per canonical config
         cap = 1024
         blocks = self._blocks(cap)
         configs = len(DEFAULT_GRID)
+        canonical = len({canonicalize(cfg)[0] for cfg in DEFAULT_GRID})
         eighs, spectra = [], []
         honest_eig, honest_spectrum = oracle.hermitian_eig, oracle.jordan_spectrum
 
@@ -824,10 +931,13 @@ class TestBatchedPriors:
             eighs.clear()
             spectra.clear()
             assert check(cap).passed
-            # every call stacks all of one config's priors
-            assert len(eighs) == blocks and set(eighs) == {len(priors)}
-            assert len(spectra) == configs
-        assert set(spectra) == {"qudisc.oracle"}  # the POVM family's one per config
+            assert (blocks, len(eighs)) == (249, 96)
+            assert sum(eighs) == blocks * len(priors)
+            assert {size % len(priors) for size in eighs} == {0}
+            # the min-error family's closed forms take one per config, the
+            # POVM family's oracle call one per canonical config
+            assert len(spectra) == (configs if check is verify.check_min_error else canonical)
+        assert set(spectra) == {"qudisc.oracle"}
 
     def test_first_failing_case_in_grid_order(self):
         # the first (config, prior) whose one-prior certification fails
@@ -846,6 +956,28 @@ class TestBatchedPriors:
         assert result.detail == (
             f"failed at n={cfg.n} copies=({cfg.n_a},{cfg.n_b},{cfg.n_c}) eta1={eta1}"
         )
+
+    @pytest.mark.parametrize("check,name", [(verify.check_min_error, "min-error trace norm"),
+                                            (verify.check_povm, "POVM certification")],
+                             ids=["min-error", "povm"])
+    def test_batched_failure_names_the_first_failing_config(self, monkeypatch,
+                                                            fresh_oracle_caches, check, name):
+        # a broken orbit block first met at n = 3: the one batched call
+        # raises, and the family names the config a walk over the grid
+        # meets first, the mirrored (3; 1,1,2) of (3; 2,1,1)
+        honest = oracle._gram_block
+
+        def nudged(parts, n_a, n_c):
+            g = honest(parts, n_a, n_c)
+            if (parts, n_a, n_c) == ((2, 1, 1), 2, 1):
+                g = g.copy()
+                g[0, 0] -= 1e-6
+            return g
+
+        monkeypatch.setattr(oracle, "_gram_block", nudged)
+        result = check(1024)
+        assert result.line().startswith(f"FAIL {name}: max residual 1.000e+00 "
+                                        "(n=3 copies=(1,1,2): weight block spans")
 
     def test_default_grid_reduces_each_distinct_orbit_block_once(self):
         # the 36 canonical configs of the default grid have 163 orbit
@@ -933,6 +1065,24 @@ class TestEigensolver:
         stack[2, 0, 1] += 1e-6
         with pytest.raises(OracleError, match="not Hermitian"):
             oracle.hermitian_eig(stack)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_input(self, entry):
+        # negative control: each gate compared against a NaN would pass it
+        with pytest.raises(OracleError, match="non-finite entry"):
+            oracle.hermitian_eig(np.array([[1.0, entry], [entry, 1.0]]))
+
+    def test_rejects_non_finite_output(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+
+        def poisoned(m):
+            values, vectors = real_eigh(m)
+            values[1, 0] = math.nan  # one eigenvalue of one member
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        with pytest.raises(OracleError, match="residual nan"):
+            oracle.hermitian_eig(self._stack())
 
     def test_stack_rejects_one_corrupted_decomposition(self, monkeypatch):
         real_eigh = np.linalg.eigh
@@ -1210,13 +1360,13 @@ class TestCertifyPovm:
 
     @pytest.mark.parametrize("inject,solves", [(False, 1), (True, 2)])
     def test_one_solve_unless_injecting(self, monkeypatch, inject, solves):
-        calls = []
+        calls, honest = [], oracle._solve_blocks
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("printed_high_branch", False))
-            return total_failure(*args, **kwargs)
+        def counting(canonical, spectrum, printed_high_branch=False):
+            calls.append(printed_high_branch)
+            return honest(canonical, spectrum, printed_high_branch)
 
-        monkeypatch.setattr(oracle, "total_failure", counting)
+        monkeypatch.setattr(oracle, "_solve_blocks", counting)
         report = oracle.certify_povm(ProblemConfig(2, 2, 1, 1, 0.9), printed_high_branch=inject)
         assert len(calls) == solves
         assert report.passed() != inject
@@ -1228,7 +1378,7 @@ class TestCertifyPovm:
             oracle.certify_povm(ProblemConfig(2, 3, 3, 3, 0.5), cap=256)
 
     def test_ambiguous_pair_label_raises(self):
-        # at (2; 40,40,40) the smallest gap between the O_k is 3.8e-22, far
+        # at (2; 40,40,40) the smallest gap between the O_k is 3.7e-22, far
         # below float resolution: float noise would pick each pair's block
         with pytest.raises(OracleError, match="reaches half the smallest gap"):
             oracle.certify_povm(ProblemConfig(2, 40, 40, 40, 0.3), 2**121)
@@ -1296,7 +1446,7 @@ class TestTwentyQubitCopies:
         assert max(abs(c - b.overlap) for (c, _), b in zip(groups, blocks)) <= 1e-9
 
     def test_forty_copies_are_below_float_resolution(self):
-        # (2; 40,40,40): the overlaps' smallest gap, 3.8e-22, is far below
+        # (2; 40,40,40): the overlaps' smallest gap, 3.7e-22, is far below
         # the cosines' float error, so no cosine's label can be certified
         with pytest.raises(OracleError, match="reaches half the smallest gap 1.9e-22"):
             oracle.jordan_angles(ProblemConfig(2, 40, 40, 40, 0.5), 2**121)
