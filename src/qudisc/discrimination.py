@@ -194,23 +194,14 @@ class UnambiguousResult:
     swapped: bool
 
 
-def total_failure(
-    cfg: ProblemConfig,
-    spectrum: JordanSpectrum | None = None,
-    *,
-    printed_high_branch: bool = False,
-) -> UnambiguousResult:
+def total_failure(cfg: ProblemConfig) -> UnambiguousResult:
     """Optimal total inconclusive probability Q and the per-block strategy.
 
     Accepts any config; canonicalizes internally and maps the report back
-    to the caller's labeling.  A given ``spectrum`` must be that of the
-    canonical config.  ``printed_high_branch`` builds the strategy from
-    the erratum q1 = O_k (negative control only).
+    to the caller's labeling.
     """
     canonical, swapped = canonicalize(cfg)
-    if spectrum is None:
-        spectrum = jordan_spectrum(canonical)
-    solved = _solve_blocks(canonical, spectrum, printed_high_branch)
+    solved = _solve_blocks(canonical, jordan_spectrum(canonical))
     blocks = []
     for s in solved:
         branch, q1, q2 = s.branch, s.q1, s.q2
@@ -285,18 +276,14 @@ def minerror_probability(
     )
 
 
-def optimal_totals(
-    cfg: ProblemConfig, spectrum: JordanSpectrum | None = None
-) -> tuple[float | None, float | None, tuple[str, ...]]:
+def optimal_totals(cfg: ProblemConfig) -> tuple[float | None, float | None, tuple[str, ...]]:
     """(Q_opt, P_ME, refused) from one block solve: the same floats, summed
     in the same order, as ``total_failure(cfg).q_total`` and
     ``minerror_probability(cfg).p_me``.  A total below the normal float
     range is None, its error in ``refused``, so the other one is still
-    given.  A given ``spectrum`` must be that of the canonical config."""
+    given."""
     canonical, _ = canonicalize(cfg)
-    if spectrum is None:
-        spectrum = jordan_spectrum(canonical)
-    solved, refused = _solve_blocks(canonical, spectrum), []
+    solved, refused = _solve_blocks(canonical, jordan_spectrum(canonical)), []
     q_opt = refused_as_none(lambda: _normal("Q_opt", sum(s.q_term for s in solved)), refused)
     p_me = refused_as_none(
         lambda: _normal("P_ME", sum(s.p_term for s in solved), canonical), refused)

@@ -37,9 +37,9 @@ C^T C: C holds both bases in an orthonormal frame of the block's joint
 span, and supports, angles, Lambda and the POVM all live in these
 frames.  Lambda and the POVM take any list of configs: each config
 builds its geometry, labels its cosines and solves its priors once, and
-every (config, prior) whose block shares one orbit reduction goes
-through one batched ``hermitian_eig`` call, with every gate failing on
-a NaN.
+``_batched_eigvalues`` puts the operator stacks of every (config, prior)
+whose block shares one orbit reduction through one ``hermitian_eig``
+call, with every gate failing on a NaN.
 
 ``check_gram_counts`` checks the integer counts that ``_gram_block``
 rounds, one ``_block_counts`` per orbit shared with the geometry,
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -508,23 +508,20 @@ def _groups(cfgs: Sequence[ProblemConfig], cap: int | None) -> list[_Group]:
     return groups
 
 
-def _shared_eigvalues(groups: Sequence[_Group], operators: Callable[[int, int], np.ndarray]
-                      ) -> Iterator[tuple[int, int, np.ndarray]]:
-    """``(g, j, values)`` for every group g and block j: the eigenvalues of
-    ``operators(g, j)``, a stack of that group's operators on that block.
-    The stacks of every block that shares one orbit reduction go through
-    one ``hermitian_eig`` call, built as that call comes, so one shared
-    block's stacks are held at a time."""
-    shared: dict[tuple, list[tuple[int, int]]] = {}
-    for g, group in enumerate(groups):
-        for j, block in enumerate(group.geometry.blocks):
-            shared.setdefault(block.key, []).append((g, j))
-    for places in shared.values():
-        stacks = [operators(g, j) for g, j in places]
-        solved = hermitian_eig(np.concatenate(stacks))[0]
-        ends = np.cumsum([len(stack) for stack in stacks])
-        for (g, j), part in zip(places, np.split(solved, ends[:-1])):
-            yield g, j, part
+def _batched_eigvalues(stacks: Sequence[tuple[tuple, np.ndarray]]) -> list[np.ndarray]:
+    """The eigenvalues of every ``(key, stack)``, in input order.  The
+    stacks of one key (one orbit reduction) go through one
+    ``hermitian_eig`` call, concatenated in input order."""
+    places: dict[tuple, list[int]] = {}
+    for i, (key, _) in enumerate(stacks):
+        places.setdefault(key, []).append(i)
+    values: list[np.ndarray] = [np.empty(0)] * len(stacks)
+    for indices in places.values():
+        parts = [stacks[i][1] for i in indices]
+        solved = hermitian_eig(np.concatenate(parts))[0]
+        for i, part in zip(indices, np.split(solved, np.cumsum([len(p) for p in parts])[:-1])):
+            values[i] = part
+    return values
 
 
 def lambda_spectra(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> list[np.ndarray]:
@@ -538,18 +535,12 @@ def lambda_spectra(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> lis
     operator is minus the site-reversed one, so its eigenvalues are
     negated."""
     groups = _groups(cfgs, cap)
-
-    def operators(g: int, j: int) -> np.ndarray:
-        group = groups[g]
-        block, geometry = group.geometry.blocks[j], group.geometry
-        return group.eta2 * (block.r2 / geometry.d2) - group.eta1 * (block.r1 / geometry.d1)
-
-    values: list[list] = [[None] * len(group.geometry.blocks) for group in groups]
-    for g, j, part in _shared_eigvalues(groups, operators):
-        values[g][j] = part
+    values = iter(_batched_eigvalues([
+        (b.key, group.eta2 * (b.r2 / group.geometry.d2) - group.eta1 * (b.r1 / group.geometry.d1))
+        for group in groups for b in group.geometry.blocks]))
     spectra: list[np.ndarray] = [np.empty(0)] * len(cfgs)
-    for group, parts in zip(groups, values):
-        tiled = np.concatenate([np.tile(v, b.size) for v, b in zip(parts, group.geometry.blocks)],
+    for group in groups:
+        tiled = np.concatenate([np.tile(next(values), b.size) for b in group.geometry.blocks],
                                axis=1)
         for i, swapped, row in zip(group.indices, group.swapped, tiled):
             spectra[i] = np.sort(-row if swapped else row)
@@ -624,56 +615,46 @@ def certify_povms(
     equality whenever a HIGH branch is active.
     """
     groups = _groups(cfgs, cap)
-    expected, pair_weights, traces, minima = [], [], [], []
+    stacks, totals = [], []
     for group in groups:
+        geo = group.geometry
         spectrum = jordan_spectrum(group.canonical[0])
         solves = [_solve_blocks(c, spectrum, printed_high_branch) for c in group.canonical]
         # an injected fault is measured against a second, honest solve
         honest = ([_solve_blocks(c, spectrum) for c in group.canonical] if printed_high_branch
                   else solves)
-        expected.append([_normal("Q_opt", sum(s.q_term for s in solved)) for solved in honest])
+        expected = [_normal("Q_opt", sum(s.q_term for s in solved)) for solved in honest]
         # per prior and live block k, the weights of Pi1 and Pi2 on its pair
         # directions (block 0, O_0 = 1, is the degenerate pair)
         ratios = [b.overlap_sq_ratio for b in spectrum.blocks[1:]]
         weights = np.array([[[(1.0 - q) / (1.0 - num / den) for q in (s.q1, s.q2)]
                              for s, (num, den) in zip(solved[1:], ratios)]
                             for solved in solves])
-        blocks = group.geometry.blocks
-        labels = block_labels(np.concatenate([b.cosines[1:] for b in blocks]), spectrum)
+        labels = block_labels(np.concatenate([b.cosines[1:] for b in geo.blocks]), spectrum)
         if not labels.all():
             raise OracleError("a live pair's cosine is labelled with the degenerate block 0")
-        ends = np.cumsum([len(b.cosines) - 1 for b in blocks])
-        pair_weights.append([weights[:, own - 1] for own in np.split(labels, ends[:-1])])
-        traces.append([None] * len(blocks))
-        minima.append([None] * len(blocks))
-
-    def operators(g: int, j: int) -> np.ndarray:
-        group = groups[g]
-        geo, b, w = group.geometry, group.geometry.blocks[j], pair_weights[g][j]
-        m1 = (b.sp2 * w[:, None, :, 0]) @ _adjoint(b.sp2)
-        m2 = (b.sp1 * w[:, None, :, 1]) @ _adjoint(b.sp1) + b.unpaired
-        m0 = b.identity - m1 - m2
-        r1, r2 = b.r1 / geo.d1, b.r2 / geo.d2
-        traces[g][j] = (b.size * np.einsum("ij,pji->p", r1, m2).real,
-                        b.size * np.einsum("ij,pji->p", r2, m1).real,
-                        b.size * np.einsum("pij,pji->p", group.eta1 * r1 + group.eta2 * r2,
-                                           m0).real)
-        return np.stack([m0, m1, m2], axis=1)
-
-    for g, j, values in _shared_eigvalues(groups, operators):
-        minima[g][j] = values.min(axis=(1, 2))
-    reports: list[PovmReport] = [None] * len(cfgs)  # type: ignore[list-item]
-    for group, block_minima, block_traces, honest in zip(groups, minima, traces, expected):
-        geo = group.geometry
-        min_eig = np.min(block_minima, axis=0)
-        if geo.dim > geo.span_rank:  # zero eigenvalues outside the joint span
-            min_eig = np.minimum(min_eig, 0.0)
+        ends = np.cumsum([len(b.cosines) - 1 for b in geo.blocks])
         err12, err21, failure = np.zeros((3, len(group.indices)))
         # summed in block order, as a call for the one config sums them
-        for e12, e21, fail in block_traces:
-            err12 += e12
-            err21 += e21
-            failure += fail
+        for b, own in zip(geo.blocks, np.split(labels, ends[:-1])):
+            w = weights[:, own - 1]
+            m1 = (b.sp2 * w[:, None, :, 0]) @ _adjoint(b.sp2)
+            m2 = (b.sp1 * w[:, None, :, 1]) @ _adjoint(b.sp1) + b.unpaired
+            m0 = b.identity - m1 - m2
+            r1, r2 = b.r1 / geo.d1, b.r2 / geo.d2
+            err12 += b.size * np.einsum("ij,pji->p", r1, m2).real
+            err21 += b.size * np.einsum("ij,pji->p", r2, m1).real
+            failure += b.size * np.einsum("pij,pji->p", group.eta1 * r1 + group.eta2 * r2,
+                                          m0).real
+            stacks.append((b.key, np.stack([m0, m1, m2], axis=1)))
+        totals.append((expected, err12, err21, failure))
+    minima = (values.min(axis=(1, 2)) for values in _batched_eigvalues(stacks))
+    reports: list[PovmReport] = [None] * len(cfgs)  # type: ignore[list-item]
+    for group, (expected, err12, err21, failure) in zip(groups, totals):
+        geo = group.geometry
+        min_eig = np.min([next(minima) for _ in geo.blocks], axis=0)
+        if geo.dim > geo.span_rank:  # zero eigenvalues outside the joint span
+            min_eig = np.minimum(min_eig, 0.0)
         for p, i in enumerate(group.indices):
             reports[i] = PovmReport(
                 config=cfgs[i],
@@ -682,7 +663,7 @@ def certify_povms(
                 error_rho1_pi2=float(err12[p]),
                 error_rho2_pi1=float(err21[p]),
                 failure_probability=float(failure[p]),
-                expected_failure=honest[p],
+                expected_failure=expected[p],
                 unpaired_rank=geo.d2 - geo.d1,
             )
     return reports

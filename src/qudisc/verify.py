@@ -134,7 +134,6 @@ def check_principal_angles(max_total_dim: int) -> CheckResult:
     worst = 0.0
     count = 0
     for cfg in certification_grid(max_total_dim):
-        spectrum = jordan_spectrum(canonicalize(cfg)[0])
         try:
             # a mirrored config has its canonical mirror's blocks, which the grid holds too
             if cfg.is_canonical and cfg.n ** cfg.total_copies <= _COUNTED_DIM:
@@ -142,7 +141,8 @@ def check_principal_angles(max_total_dim: int) -> CheckResult:
             groups = oracle.jordan_angles(cfg, max_total_dim)
         except OracleError as exc:
             return _config_failure("principal angles", cfg, exc)
-        worst = _fold(worst, *(abs(c - b.overlap) for (c, _), b in zip(groups, spectrum.blocks)))
+        nums, den = overlap_numerators(cfg)  # O_k as JordanBlock.overlap has it
+        worst = _fold(worst, *(abs(c - math.sqrt(num / den)) for (c, _), num in zip(groups, nums)))
         count += 1
     return CheckResult("principal angles", worst <= 1e-9, worst, f"{count} configs")
 
@@ -153,7 +153,8 @@ def _priors(base: ProblemConfig, priors: tuple[float, ...]) -> list[ProblemConfi
 
 def check_min_error(max_total_dim: int) -> CheckResult:
     """Dense trace-norm Helstrom value vs the closed form, every (config,
-    prior) of the grid from one batched oracle call."""
+    prior) of the grid from one batched oracle call, and one spectrum per
+    canonical config."""
     from . import oracle
     bases = list(certification_grid(max_total_dim))
     cfgs = [cfg for base in bases for cfg in _priors(base, GRID_PRIORS)]
@@ -164,9 +165,10 @@ def check_min_error(max_total_dim: int) -> CheckResult:
             "min-error trace norm", bases,
             lambda base: oracle.helstrom_probabilities(_priors(base, GRID_PRIORS), max_total_dim),
             exc)
+    spectra = {c: jordan_spectrum(c) for c in {canonicalize(base)[0] for base in bases}}
     worst = 0.0
     for base in bases:
-        spectrum = jordan_spectrum(canonicalize(base)[0])
+        spectrum = spectra[canonicalize(base)[0]]
         for cfg, dense in zip(_priors(base, GRID_PRIORS), values):
             worst = _fold(worst, abs(dense - minerror_probability(cfg, spectrum).p_me))
     return CheckResult("min-error trace norm", worst <= 1e-9, worst, f"{len(cfgs)} cases")

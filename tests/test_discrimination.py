@@ -10,6 +10,7 @@ import pytest
 from qudisc import oracle
 from qudisc.discrimination import (
     Branch,
+    _solve_blocks,
     asymptotic_bounds,
     bound_p0,
     bound_q0,
@@ -77,7 +78,7 @@ class TestBranchAtThresholds:
             for threshold in (float(c_k), float(d_k)):
                 for eta1 in (math.nextafter(threshold, 0.0), threshold,
                              math.nextafter(threshold, 1.0)):
-                    block = total_failure(ProblemConfig(n, *copies, eta1), spec).blocks[k]
+                    block = total_failure(ProblemConfig(n, *copies, eta1)).blocks[k]
                     assert block.branch is exact_branch(eta1, c_k, d_k), (k, eta1)
 
     def test_all_ones_at_its_exact_half(self):
@@ -93,8 +94,8 @@ class TestBranchAtThresholds:
     def test_reported_thresholds_are_the_rounded_rationals(self, n, copies):
         canonical, spec = spectrum_of(ProblemConfig(n, *copies, 0.3))
         n_a, n_b, n_c = copies
-        forward = total_failure(canonical, spec)
-        mirrored = total_failure(ProblemConfig(n, n_c, n_b, n_a, 0.7), spec)
+        forward = total_failure(canonical)
+        mirrored = total_failure(ProblemConfig(n, n_c, n_b, n_a, 0.7))
         assert mirrored.swapped or n_a == n_c
         for k, fwd, mir in zip(range(canonical.k_max + 1), forward.blocks, mirrored.blocks):
             c_k, d_k = boundaries(k, spec)
@@ -123,7 +124,7 @@ class TestOptimalQ:
 
     def test_printed_high_branch_is_different(self):
         cfg = ProblemConfig(2, 1, 1, 1, 0.9)
-        block = total_failure(cfg, printed_high_branch=True).blocks[1]
+        block = _solve_blocks(cfg, jordan_spectrum(cfg), printed_high_branch=True)[1]
         assert block.q1 == pytest.approx(0.5)  # the inconsistent table value
         assert block.q2 == pytest.approx(0.5)
 
@@ -131,7 +132,7 @@ class TestOptimalQ:
         for eta1 in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
             for copies in product((1, 2, 3), repeat=3):
                 cfg, spec = spectrum_of(ProblemConfig(3, *copies, eta1))
-                for block in total_failure(cfg, spec).blocks:
+                for block in total_failure(cfg).blocks:
                     q1, q2 = block.q1, block.q2
                     o2 = float(Fraction(*spec.blocks[block.k].overlap_sq_ratio))
                     assert q1 * q2 == pytest.approx(o2, abs=1e-12)
@@ -389,11 +390,12 @@ def test_closed_form_solve_does_no_fraction_arithmetic(monkeypatch):
     for name in FRACTION_OPERATORS:
         monkeypatch.setattr(Fraction, name, forbidden)
     for cfg in cases:
-        spec = jordan_spectrum(canonicalize(cfg)[0])
-        total_failure(cfg, spec)
-        total_failure(cfg, spec, printed_high_branch=True)
+        canonical, _ = canonicalize(cfg)
+        spec = jordan_spectrum(canonical)
+        total_failure(cfg)
+        _solve_blocks(canonical, spec, printed_high_branch=True)
         minerror_probability(cfg, spec)
-        optimal_totals(cfg, spec)
+        optimal_totals(cfg)
         asymptotic_bounds(cfg)
     for n, copies in ((2, (1, 1, 1)), (3, (2, 1, 1)), (2, (1, 2, 3))):
         for inject in (False, True):

@@ -909,7 +909,6 @@ class TestBatchedPriors:
         # config that shares the block; one spectrum per canonical config
         cap = 1024
         blocks = self._blocks(cap)
-        configs = len(DEFAULT_GRID)
         canonical = len({canonicalize(cfg)[0] for cfg in DEFAULT_GRID})
         eighs, spectra = [], []
         honest_eig, honest_spectrum = oracle.hermitian_eig, oracle.jordan_spectrum
@@ -934,9 +933,9 @@ class TestBatchedPriors:
             assert (blocks, len(eighs)) == (249, 96)
             assert sum(eighs) == blocks * len(priors)
             assert {size % len(priors) for size in eighs} == {0}
-            # the min-error family's closed forms take one per config, the
-            # POVM family's oracle call one per canonical config
-            assert len(spectra) == (configs if check is verify.check_min_error else canonical)
+            # one spectrum per canonical config: the min-error family's closed
+            # forms, the POVM family's oracle call
+            assert len(spectra) == canonical == 36
         assert set(spectra) == {"qudisc.oracle"}
 
     def test_first_failing_case_in_grid_order(self):
@@ -1024,6 +1023,34 @@ class TestBatchedPriors:
             oracle._jordan_geometry.cache_clear()
         assert info.maxsize == 64
         assert info.misses == info.currsize == len(canonical) <= info.maxsize
+
+
+class TestBatchedEigvalues:
+    def test_interleaved_keys_come_back_in_input_order(self, monkeypatch):
+        # five stacks of three keys, each key's own matrix size, interleaved:
+        # one hermitian_eig call per key, and every stack's eigenvalues
+        # bitwise those of its own call
+        rng = np.random.default_rng(7)
+
+        def stack(count, size):
+            m = rng.standard_normal((count, size, size))
+            return m + m.swapaxes(-1, -2)
+
+        stacks = [("a", stack(2, 3)), ("b", stack(1, 5)), ("a", stack(3, 3)),
+                  ("c", stack(2, 1)), ("b", stack(4, 5))]
+        calls = []
+        honest = oracle.hermitian_eig
+
+        def counting(m):
+            calls.append(m.shape)
+            return honest(m)
+
+        monkeypatch.setattr(oracle, "hermitian_eig", counting)
+        values = oracle._batched_eigvalues(stacks)
+        assert calls == [(5, 3, 3), (5, 5, 5), (2, 1, 1)]
+        assert len(values) == len(stacks)
+        for (_, m), observed in zip(stacks, values):
+            assert observed.tobytes() == honest(m)[0].tobytes()
 
 
 class TestEigensolver:
@@ -1395,7 +1422,7 @@ class TestCertifyPovm:
         u, sigma, vh = np.linalg.svd(b1.conj().T @ b2)
         f, g = b1 @ u, b2 @ vh.conj().T
         spectrum = jordan_spectrum(cfg)
-        q_by_k = {b.k: (b.q1, b.q2) for b in total_failure(cfg, spectrum).blocks}
+        q_by_k = {b.k: (b.q1, b.q2) for b in total_failure(cfg).blocks}
         dim = rho1.shape[0]
         pi1 = np.zeros((dim, dim), dtype=complex)
         pi2 = g[:, len(sigma):] @ g[:, len(sigma):].conj().T
