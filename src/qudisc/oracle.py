@@ -154,10 +154,13 @@ def mean_states(cfg: ProblemConfig) -> tuple[np.ndarray, np.ndarray]:
 def haar_average(cases: Sequence[tuple[int, int]], samples: int, seed: int) -> list[np.ndarray]:
     """Empirical means of the m-fold tensor power projectors, one per case
     (m, n), over one stream of Haar-random pure states; deterministic for a
-    fixed (seed, largest n, samples).  Each draw is 2N real normals read as
-    N complex numbers, N the largest n, and each n normalizes the first n
-    of them: a slice of a standard complex Gaussian vector is again one,
-    so every dimension sees exact Haar draws.
+    fixed (seed, largest n, samples).  The stream is an SFC64 generator
+    seeded with (seed, N), N the largest n.  Each draw is 2N real normals
+    read as N complex numbers, and each n normalizes the first n of them: a
+    slice of a standard complex Gaussian vector is again one, so every
+    dimension sees exact Haar draws.  One product per chunk with a fixed
+    0/1 matrix gives every prefix's squared norm at once, and each n reads
+    its own.
 
     Every entry of psi^(x)m is the monomial of its site string's multiset,
     so each n accumulates its top order on one sorted string per multiset,
@@ -175,15 +178,18 @@ def haar_average(cases: Sequence[tuple[int, int]], samples: int, seed: int) -> l
         keys, columns = np.unique(_multiset_keys(m, n), return_inverse=True)
         digits = keys // n ** np.arange(m - 1, -1, -1)[:, None] % n
         parts.append((n, digits, columns, np.zeros((len(keys),) * 2, dtype=complex)))
-    rng = np.random.default_rng((seed, max(tops)))
-    chunk = np.empty((_HAAR_CHUNK, 2 * max(tops)))
+    size = max(tops)
+    rng = np.random.Generator(np.random.SFC64((seed, size)))
+    # cum[i, j] = 1 where real coordinate i belongs to the first j + 1 complex ones
+    cum = (np.arange(2 * size)[:, None] // 2 <= np.arange(size)).astype(float)
+    chunk = np.empty((_HAAR_CHUNK, 2 * size))
     for start in range(0, samples, _HAAR_CHUNK):
         real = chunk[: min(_HAAR_CHUNK, samples - start)]
         rng.standard_normal(out=real)
         draws = real.view(complex).T.copy()  # contiguous: a row per coordinate
+        scale = (1 / np.sqrt((real * real) @ cum)).T  # row n - 1: 1 / |first n coordinates|
         for n, digits, _, acc in parts:
-            head = real[:, : 2 * n]
-            psi = draws[:n] * (1 / np.sqrt(np.einsum("ij,ij->i", head, head)))
+            psi = draws[:n] * scale[n - 1]
             cols = psi[digits[0]]
             for site in digits[1:]:
                 cols *= psi[site]

@@ -231,7 +231,8 @@ def check_haar(samples: int, seed: int) -> CheckResult:
     2e-6 to 8e-6 per case.  The max residual is the largest |T - 1| over
     the cases and both statistics.
 
-    Stream i is one ``oracle.haar_average`` call for every case: each n
+    Stream i is one ``oracle.haar_average`` call for every case, an SFC64
+    stream seeded with (seed + i, 3) that draws 6 normals per state: each n
     renormalizes the first n coordinates of the same draws in C^3.  Each
     case still sees 16 independent streams of N iid Haar draws, so its T
     keeps exactly the law above; the cases are dependent, but the family's

@@ -155,7 +155,7 @@ def _kron_average(cases, samples, seed, whole_norm=False):
     space by repeated Kronecker products along the draws.  ``whole_norm``
     divides every cut by the draw's full norm instead: a wrong sampler."""
     size = max(n for _, n in cases)
-    rng = np.random.default_rng((seed, size))
+    rng = np.random.Generator(np.random.SFC64((seed, size)))
     accs = [np.zeros((n**m, n**m), dtype=complex) for m, n in cases]
     for start in range(0, samples, oracle._HAAR_CHUNK):
         count = min(oracle._HAAR_CHUNK, samples - start)
@@ -179,10 +179,13 @@ class TestHaarAverage:
         assert not np.array_equal(a[0], c[0])
 
     def test_single_sample_is_pure_power(self):
-        (avg,) = oracle.haar_average(((3, 2),), 1, seed=1)
-        values = np.linalg.eigvalsh(avg)
-        assert values[-1] == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(values[:-1]).max() < 1e-12
+        # one draw of every case from the shared norm pass: each mean is a
+        # rank-one projector, so every dimension read its own norm
+        for (m, n), avg in zip(verify.HAAR_CASES, oracle.haar_average(verify.HAAR_CASES, 1, 1)):
+            values = np.linalg.eigvalsh(avg)
+            assert values[-1] == pytest.approx(1.0, abs=1e-12), (m, n)
+            assert np.abs(values[:-1]).max() < 1e-12, (m, n)
+            assert np.trace(avg).real == pytest.approx(1.0, abs=1e-12), (m, n)
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
@@ -192,7 +195,7 @@ class TestHaarAverage:
         def no_draws(*args):
             raise AssertionError("drew before the cap check")
 
-        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(np.random, "SFC64", no_draws)
         monkeypatch.setattr(oracle, "DEFAULT_DIM_CAP", 4)
         with pytest.raises(OracleError, match="exceeds cap 4"):
             oracle.haar_average(((1, 2), (2, 2), (3, 2)), 100, seed=1)
@@ -233,7 +236,7 @@ def _real_average(cases, samples, seed):
     """A wrong sampler for the Haar check: real instead of complex Gaussian
     states, cut from one stream like the honest sampler's.  Its mean is
     right at m = 1 and wrong from m = 2 on."""
-    rng = np.random.default_rng((seed, max(n for _, n in cases)))
+    rng = np.random.Generator(np.random.SFC64((seed, max(n for _, n in cases))))
     draws = rng.standard_normal((samples, max(n for _, n in cases)))
     means = []
     for m, n in cases:
@@ -295,15 +298,30 @@ class TestHaarGate:
 
     def test_one_call_per_stream(self, monkeypatch):
         honest = oracle.haar_average
-        calls = []
+        generator = np.random.Generator
+        calls, drawn = [], []
 
         def counting(cases, samples, seed):
             calls.append((tuple(cases), samples))
             return honest(cases, samples, seed)
 
+        class CountingGenerator:
+            # the stream's normals, counted; any other draw has no method
+            def __init__(self, bits):
+                self.rng = generator(bits)
+                drawn.append(0)
+
+            def standard_normal(self, *args, **kwargs):
+                normals = self.rng.standard_normal(*args, **kwargs)
+                drawn[-1] += normals.size
+                return normals
+
         monkeypatch.setattr(oracle, "haar_average", counting)
+        monkeypatch.setattr(np.random, "Generator", CountingGenerator)
         assert verify.check_haar(1000, seed=20260826).passed
         assert calls == [(verify.HAAR_CASES, 1000)] * verify.HAAR_STREAMS
+        size = max(n for _, n in verify.HAAR_CASES)
+        assert drawn == [1000 * 2 * size] * verify.HAAR_STREAMS
 
     def test_honest_sampler_passes(self):
         result = verify.check_haar(4000, seed=20260826)
