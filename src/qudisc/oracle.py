@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -245,20 +245,26 @@ def _string_counts(counts: np.ndarray) -> np.ndarray:
     return np.where(valid, table[sites] // table[safe].prod(axis=1), 0)
 
 
-def _orbits(n: int, total: int) -> list[tuple[tuple[int, ...], int]]:
+def _orbits(n: int, total: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The orbits of the label weights of ``total`` sites under the label
-    permutations: each orbit's descending weight, a partition of total
-    into at most n parts padded with zeros, in reverse-lexicographic order,
-    and its number of weights, n! over the factorials of the multiplicities
-    of the parts, zeros included."""
-    def partitions(rest: int, parts: int, largest: int) -> list[tuple[int, ...]]:
-        if parts == 0:
-            return [()] if rest == 0 else []
-        return [(first, *tail) for first in range(min(rest, largest), -1, -1)
-                for tail in partitions(rest - first, parts - 1, first)]
+    permutations, one at a time: each orbit's nonzero counts, a partition
+    of total into at most n parts, descending, in reverse-lexicographic
+    order, and its number of weights, n!/((n - l)! prod mult!) for l parts
+    of those multiplicities, a Python int."""
+    parts = [total]
+    while parts:
+        yield tuple(parts), (math.perm(n, len(parts))
+                             // math.prod(map(math.factorial, Counter(parts).values())))
+        # next: shrink the last part that can, refill the rest greedily below it
+        for i in reversed(range(len(parts))):
+            top, rest = parts[i] - 1, sum(parts[i:])
+            if top and rest - top <= top * (n - i - 1):
+                full, last = divmod(rest - top, top)
+                parts[i:] = [top] * (full + 1) + [last] * bool(last)
+                break
+        else:
+            parts = []
 
-    return [(w, math.factorial(n) // math.prod(map(math.factorial, Counter(w).values())))
-            for w in partitions(total, n, total)]
 
 
 @lru_cache(maxsize=256)
@@ -414,16 +420,22 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     configuration (n_a >= n_c) from the weight blocks of G = B1^T B2, one
     block per orbit of weights (of its descending weight: permuting the
     labels permutes a block's rows and columns), each total weighted by
-    the orbit's size."""
+    the orbit's size.  The cap bounds sum d1_w + d2_w - 1 over the orbits,
+    which is counted first and refused as soon as it passes the cap."""
     cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
     if not cfg.is_canonical:
         raise PreconditionError("_jordan_geometry expects n_a >= n_c; canonicalize first")
-    dim = n ** cfg.total_copies
-    _check_cap(dim, cap)
-    blocks = []
-    for weight, size in _orbits(n, cfg.total_copies):
-        unit = _orbit_block(_gram_block, tuple(p for p in weight if p), n_a, n_c)
-        blocks.append(replace(unit, size=size))
+    built = 0
+    for parts, _ in _orbits(n, cfg.total_copies):
+        # d1_w and d2_w count the rows x <= parts with |x| = n_c and n_a:
+        # coefficients of prod_i (1 + x + ... + x^parts_i), as Python ints
+        rows = np.ones(1, dtype=object)
+        for part in parts:
+            rows = np.convolve(rows, np.ones(part + 1, dtype=object))[:n_a + 1]
+        built += rows[n_c] + rows[n_a] - 1
+        _check_cap(built, cap)
+    blocks = [replace(_orbit_block(_gram_block, parts, n_a, n_c), size=size)
+              for parts, size in _orbits(n, cfg.total_copies)]
     # a block spans d1_w + d2_w - 1 directions and holds d1_w pairs
     columns = [sum(b.size * len(b.cosines) for b in blocks),
                sum(b.size * (len(b.identity) + 1 - len(b.cosines)) for b in blocks)]
@@ -433,7 +445,7 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     # the POVM elements always sum to the identity on the joint support by
     # construction, so the completeness residual is prior-independent
     completeness = max(float(np.abs(b.identity - np.eye(len(b.identity))).max()) for b in blocks)
-    return _Geometry(dim, span, tuple(blocks), completeness, cfg.d1, cfg.d2)
+    return _Geometry(n ** cfg.total_copies, span, tuple(blocks), completeness, cfg.d1, cfg.d2)
 
 
 def block_labels(cosines: np.ndarray, spectrum: JordanSpectrum) -> np.ndarray:
@@ -455,8 +467,8 @@ def block_labels(cosines: np.ndarray, spectrum: JordanSpectrum) -> np.ndarray:
 def group_by_blocks(cosines: np.ndarray, spectrum: JordanSpectrum,
                     weights: np.ndarray | int = 1) -> list[tuple[float, int]]:
     """Count the cosines of each closed-form Jordan block, each labelled
-    by ``block_labels`` and counted ``weights`` times (the size of the
-    orbit it stands for), and certify every count against d^k exactly.
+    by ``block_labels`` and counted ``weights`` times (its orbit's size,
+    exact as Python ints), and certify every count against d^k exactly.
     Per block, returns its cosine farthest from O_k and d^k; raises
     ``OracleError`` on an uncertified label or a wrong count."""
     labels = block_labels(cosines, spectrum)
@@ -478,21 +490,20 @@ def jordan_angles(cfg: ProblemConfig, cap: int | None = None) -> list[tuple[floa
     block's cosines counted once per weight of its orbit; orientation-free."""
     canonical, _ = canonicalize(cfg)
     geometry = _jordan_geometry(canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, cap)
-    cosines = [b.cosines for b in geometry.blocks]
-    sizes = np.repeat([b.size for b in geometry.blocks], [len(c) for c in cosines])
-    return group_by_blocks(np.concatenate(cosines), jordan_spectrum(canonical), sizes)
+    cosines = np.concatenate([b.cosines for b in geometry.blocks])
+    sizes = np.array([b.size for b in geometry.blocks for _ in b.cosines], dtype=object)
+    return group_by_blocks(cosines, jordan_spectrum(canonical), sizes)
 
 
 @dataclass(frozen=True)
 class _Group:
     """The configs that share one canonical geometry: their indices in the
-    caller's list, canonical forms and whether each was swapped, and their
-    canonical priors as ``(P, 1, 1)`` arrays that broadcast over a block."""
+    caller's list and canonical forms, and their canonical priors as
+    ``(P, 1, 1)`` arrays that broadcast over a block."""
 
     geometry: _Geometry
     indices: list[int]
     canonical: list[ProblemConfig]
-    swapped: list[bool]
     eta1: np.ndarray
     eta2: np.ndarray
 
@@ -502,15 +513,14 @@ def _groups(cfgs: Sequence[ProblemConfig], cap: int | None) -> list[_Group]:
     appearance, each group with its one geometry."""
     members: dict[tuple[int, ...], list] = {}
     for i, cfg in enumerate(cfgs):
-        c, swapped = canonicalize(cfg)
-        members.setdefault((c.n, c.n_a, c.n_b, c.n_c), []).append((i, c, swapped))
+        c, _ = canonicalize(cfg)
+        members.setdefault((c.n, c.n_a, c.n_b, c.n_c), []).append((i, c))
     groups = []
     for copies, group in members.items():
-        indices, canonical, swapped = map(list, zip(*group))
+        indices, canonical = map(list, zip(*group))
         eta1, eta2 = (np.array([getattr(c, eta) for c in canonical])[:, None, None]
                       for eta in ("eta1", "eta2"))
-        groups.append(_Group(_jordan_geometry(*copies, cap), indices, canonical, swapped,
-                             eta1, eta2))
+        groups.append(_Group(_jordan_geometry(*copies, cap), indices, canonical, eta1, eta2))
     return groups
 
 
@@ -530,33 +540,21 @@ def _batched_eigvalues(stacks: Sequence[tuple[tuple, np.ndarray]]) -> list[np.nd
     return values
 
 
-def lambda_spectra(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> list[np.ndarray]:
-    """Eigenvalues of the weighted difference eta2*rho2 - eta1*rho1 on the
-    joint support supp(rho1)+supp(rho2), ascending, ``span_rank`` per
-    config; the rest of the n^N-dimensional space is its kernel.  The
-    configs may differ in anything: each builds its geometry once, and
-    every (config, prior) on one shared orbit block goes through one
-    ``hermitian_eig`` call.  Each block's eigenvalues repeat once per
-    weight of its orbit.  For n_a < n_c the mirrored canonical config's
-    operator is minus the site-reversed one, so its eigenvalues are
-    negated."""
+def helstrom_probabilities(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> list[float]:
+    """Minimum-error probabilities from the dense trace norms of any
+    configs: the trace norm of eta2*rho2 - eta1*rho1 sums each orbit
+    block's absolute eigenvalues times the orbit's size, every (config,
+    prior) on one shared orbit block in one ``hermitian_eig`` call."""
     groups = _groups(cfgs, cap)
     values = iter(_batched_eigvalues([
         (b.key, group.eta2 * (b.r2 / group.geometry.d2) - group.eta1 * (b.r1 / group.geometry.d1))
         for group in groups for b in group.geometry.blocks]))
-    spectra: list[np.ndarray] = [np.empty(0)] * len(cfgs)
+    probabilities = [0.0] * len(cfgs)
     for group in groups:
-        tiled = np.concatenate([np.tile(next(values), b.size) for b in group.geometry.blocks],
-                               axis=1)
-        for i, swapped, row in zip(group.indices, group.swapped, tiled):
-            spectra[i] = np.sort(-row if swapped else row)
-    return spectra
-
-
-def helstrom_probabilities(cfgs: Sequence[ProblemConfig], cap: int | None = None) -> list[float]:
-    """Minimum-error probabilities from the dense trace norms of any
-    configs."""
-    return [0.5 * (1.0 - float(np.abs(values).sum())) for values in lambda_spectra(cfgs, cap)]
+        norms = sum(b.size * np.abs(next(values)).sum(axis=1) for b in group.geometry.blocks)
+        for i, norm in zip(group.indices, norms):
+            probabilities[i] = 0.5 * (1.0 - float(norm))
+    return probabilities
 
 
 def helstrom_probability(cfg: ProblemConfig, cap: int | None = None) -> float:

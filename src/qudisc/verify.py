@@ -138,7 +138,7 @@ def check_principal_angles(max_total_dim: int) -> CheckResult:
             # a mirrored config has its canonical mirror's blocks, which the grid holds too
             if cfg.is_canonical and cfg.n ** cfg.total_copies <= _COUNTED_DIM:
                 oracle.check_gram_counts(cfg)
-            groups = oracle.jordan_angles(cfg, max_total_dim)
+            groups = oracle.jordan_angles(cfg)
         except OracleError as exc:
             return _config_failure("principal angles", cfg, exc)
         nums, den = overlap_numerators(cfg)  # O_k as JordanBlock.overlap has it
@@ -159,11 +159,11 @@ def check_min_error(max_total_dim: int) -> CheckResult:
     bases = list(certification_grid(max_total_dim))
     cfgs = [cfg for base in bases for cfg in _priors(base, GRID_PRIORS)]
     try:
-        values = iter(oracle.helstrom_probabilities(cfgs, max_total_dim))
+        values = iter(oracle.helstrom_probabilities(cfgs))
     except OracleError as exc:
         return _first_failure(
             "min-error trace norm", bases,
-            lambda base: oracle.helstrom_probabilities(_priors(base, GRID_PRIORS), max_total_dim),
+            lambda base: oracle.helstrom_probabilities(_priors(base, GRID_PRIORS)),
             exc)
     spectra = {c: jordan_spectrum(c) for c in {canonicalize(base)[0] for base in bases}}
     worst = 0.0
@@ -183,11 +183,11 @@ def check_povm(max_total_dim: int, inject_q_fault: bool = False) -> CheckResult:
     bases = list(certification_grid(max_total_dim))
     cfgs = [cfg for base in bases for cfg in _priors(base, POVM_PRIORS)]
     try:
-        reports = oracle.certify_povms(cfgs, max_total_dim, printed_high_branch=inject_q_fault)
+        reports = oracle.certify_povms(cfgs, printed_high_branch=inject_q_fault)
     except OracleError as exc:
         return _first_failure(
             "POVM certification", bases,
-            lambda base: oracle.certify_povms(_priors(base, POVM_PRIORS), max_total_dim,
+            lambda base: oracle.certify_povms(_priors(base, POVM_PRIORS),
                                               printed_high_branch=inject_q_fault),
             exc)
     worst = 0.0

@@ -1,10 +1,13 @@
 """The register route to the principal angles: a generic certified
 eigensolve of two dense density matrices, an independent reference for
-the oracle's counted geometry in the tests."""
+the oracle's counted geometry in the tests.  Also the tiled views of that
+geometry, each orbit block's values repeated once per weight of its
+orbit, which the tests compare with whole-space references."""
 
 import numpy as np
 
 from qudisc import oracle
+from qudisc.spectrum import canonicalize
 
 SUPPORT_TOL = 1e-9
 
@@ -55,3 +58,31 @@ def principal_angles(rho1: np.ndarray, rho2: np.ndarray) -> np.ndarray:
     unpaired = ranks.sum(axis=1).min() - ranks.min(axis=0).sum()
     cosines = np.concatenate([*cosines, np.zeros(unpaired)])
     return -np.sort(-np.clip(cosines, 0.0, 1.0))
+
+
+def tiled_cosines(geometry):
+    """The d1 paired cosines of every weight block, descending: each orbit
+    block's cosines repeated once per weight of its orbit."""
+    return -np.sort(-np.concatenate([np.tile(b.cosines, b.size) for b in geometry.blocks]))
+
+
+def lambda_spectra(cfgs, cap=None):
+    """Eigenvalues of the weighted difference eta2*rho2 - eta1*rho1 on the
+    joint support supp(rho1)+supp(rho2), ascending, ``span_rank`` per
+    config; the rest of the n^N-dimensional space is its kernel.  They come
+    from the oracle's geometry and its batched eigensolve, one
+    ``hermitian_eig`` call per shared orbit block, and each block's
+    eigenvalues repeat once per weight of its orbit.  For n_a < n_c the
+    mirrored canonical config's operator is minus the site-reversed one,
+    so its eigenvalues are negated."""
+    groups = oracle._groups(cfgs, cap)
+    values = iter(oracle._batched_eigvalues([
+        (b.key, group.eta2 * (b.r2 / group.geometry.d2) - group.eta1 * (b.r1 / group.geometry.d1))
+        for group in groups for b in group.geometry.blocks]))
+    spectra = [None] * len(cfgs)
+    for group in groups:
+        tiled = np.concatenate([np.tile(next(values), b.size) for b in group.geometry.blocks],
+                               axis=1)
+        for i, row in zip(group.indices, tiled):
+            spectra[i] = np.sort(-row if canonicalize(cfgs[i])[1] else row)
+    return spectra

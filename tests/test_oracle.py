@@ -6,13 +6,14 @@ import re
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 from sympy.utilities.iterables import multiset_permutations
 
-from dense_route import SUPPORT_TOL, components, principal_angles
+from dense_route import (SUPPORT_TOL, components, lambda_spectra, principal_angles,
+                         tiled_cosines)
 from qudisc import discrimination, oracle, verify
 from qudisc.discrimination import total_failure
 from qudisc.errors import OracleError, PreconditionError
@@ -65,12 +66,6 @@ def _gram_blocks(cfg):
     weights and ``oracle._gram_block`` of its descending weight."""
     return [(size, oracle._gram_block(weight, cfg.n_a, cfg.n_c))
             for weight, size in oracle._orbits(cfg.n, cfg.total_copies)]
-
-
-def _tiled_cosines(geometry):
-    """The d1 paired cosines of every weight block, descending: each orbit
-    block's cosines repeated once per weight of its orbit."""
-    return -np.sort(-np.concatenate([np.tile(b.cosines, b.size) for b in geometry.blocks]))
 
 
 class TestSymmetrizer:
@@ -345,7 +340,7 @@ class TestRealOracle:
         )
         return (
             geometry.blocks[0].r1.dtype,
-            oracle.lambda_spectra([cfg])[0],
+            lambda_spectra([cfg])[0],
             oracle.certify_povm(cfg).min_eigenvalue,
         )
 
@@ -404,7 +399,7 @@ class TestCanonicalGeometry:
         cfg = self.SWAPPED
         rho1, rho2 = oracle.mean_states(cfg)
         expected = np.sort(np.linalg.eigvalsh(cfg.eta2 * rho2 - cfg.eta1 * rho1))
-        observed = oracle.lambda_spectra([cfg])[0]
+        observed = lambda_spectra([cfg])[0]
         assert observed.shape == (oracle._jordan_geometry(2, 3, 2, 1, None).span_rank,)
         assert np.abs(_with_kernel(observed, cfg) - expected).max() <= 1e-12
 
@@ -425,10 +420,10 @@ class TestCanonicalGeometry:
     def _nudged_entry(cls, monkeypatch, delta, block=0, entry=(0, 0)):
         """Move one entry of the all-ones config's orbit block ``block`` by
         delta."""
-        weight, _ = oracle._orbits(ALL_ONES.n, ALL_ONES.total_copies)[block]
+        weight, _ = list(oracle._orbits(ALL_ONES.n, ALL_ONES.total_copies))[block]
 
         def nudge(parts, g):
-            if parts == tuple(p for p in weight if p):
+            if parts == weight:
                 g[entry] += delta
 
         cls._nudged(monkeypatch, nudge)
@@ -482,7 +477,7 @@ class TestCanonicalGeometry:
         rho1, rho2 = oracle.mean_states(cfg)
         priors = [ProblemConfig(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, eta1)
                   for eta1 in verify.GRID_PRIORS]
-        batched = oracle.lambda_spectra(priors)
+        batched = lambda_spectra(priors)
         canonical, _ = canonicalize(cfg)
         geometry = oracle._jordan_geometry(
             canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, None
@@ -490,7 +485,7 @@ class TestCanonicalGeometry:
         assert [row.shape for row in batched] == [(geometry.span_rank,)] * len(priors)
         for prior, row in zip(priors, batched):
             expected = np.linalg.eigvalsh(prior.eta2 * rho2 - prior.eta1 * rho1)
-            for observed in (oracle.lambda_spectra([prior])[0], row):
+            for observed in (lambda_spectra([prior])[0], row):
                 assert np.abs(_with_kernel(observed, cfg) - expected).max() <= 1e-12
 
 
@@ -599,7 +594,8 @@ class TestGramBlocks:
         for total in range(1, 13):
             counted = Counter(tuple(sorted(row.tolist(), reverse=True))
                               for row in _count_rows(total, n))
-            assert oracle._orbits(n, total) == list(counted.items())
+            assert list(oracle._orbits(n, total)) == [(tuple(p for p in w if p), size)
+                                                      for w, size in counted.items()]
 
     def test_scale_without_register_bases(self, monkeypatch):
         # (4; 3,3,3) has n^N = 262 144 site strings; its register route
@@ -616,7 +612,7 @@ class TestGramBlocks:
             oracle._jordan_geometry.cache_clear()
         blocks = jordan_spectrum(ProblemConfig(4, 3, 3, 3)).blocks
         expected = np.sort(np.concatenate([np.full(b.multiplicity, b.overlap) for b in blocks]))
-        cosines = _tiled_cosines(geometry)
+        cosines = tiled_cosines(geometry)
         assert cosines.shape == expected.shape == (1680,)
         assert np.abs(np.sort(cosines) - expected).max() <= 1e-12
 
@@ -654,8 +650,8 @@ class TestGramCounts:
 
         monkeypatch.setattr(oracle, "_block_counts", recording)
         oracle.check_gram_counts(cfg)
-        orbits = oracle._orbits(cfg.n, cfg.total_copies)
-        assert asked == sorted(tuple(p for p in w if p) for w, _ in orbits)
+        orbits = list(oracle._orbits(cfg.n, cfg.total_copies))
+        assert asked == sorted(w for w, _ in orbits)
         assert len(asked) == 4
         assert sum(size for _, size in orbits) == math.comb(4 + 2, 2)
 
@@ -730,8 +726,8 @@ class TestGramCounts:
         # (parts, n_a, n_c), for the geometry and the exact check alike:
         # the 96 distinct orbit blocks of the 36 canonical configs
         canonical = {canonicalize(cfg)[0] for cfg in DEFAULT_GRID}
-        keys = {(tuple(p for p in w if p), c.n_a, c.n_c)
-                for c in canonical for w, _ in oracle._orbits(c.n, c.total_copies)}
+        keys = {(parts, c.n_a, c.n_c)
+                for c in canonical for parts, _ in oracle._orbits(c.n, c.total_copies)}
         caches = (oracle._block_counts, oracle._orbit_block, oracle._jordan_geometry)
         for cache in caches:
             cache.cache_clear()
@@ -843,13 +839,13 @@ class TestStackedGeometry:
         )
         assert geometry.span_rank == sum(len(r1) for r1, _, _ in blocks)
         cosines = -np.sort(-np.concatenate([sigma for *_, sigma in blocks]))
-        tiled = _tiled_cosines(geometry)
+        tiled = tiled_cosines(geometry)
         assert tiled.shape == cosines.shape
         assert np.abs(tiled - cosines).max() <= 1e-15
 
         priors = [ProblemConfig(cfg.n, cfg.n_a, cfg.n_b, cfg.n_c, eta1)
                   for eta1 in verify.GRID_PRIORS]
-        for prior, observed in zip(priors, oracle.lambda_spectra(priors)):
+        for prior, observed in zip(priors, lambda_spectra(priors)):
             flipped, _ = canonicalize(prior)
             values = np.concatenate([
                 np.linalg.eigh(flipped.eta2 * r2 - flipped.eta1 * r1)[0] for r1, r2, _ in blocks
@@ -901,11 +897,13 @@ class TestStackedGeometry:
         assert len(cfgs) == 81 * 6
         oracle._jordan_geometry.cache_clear()
         try:
-            spectra = oracle.lambda_spectra(cfgs, cap)
+            spectra = lambda_spectra(cfgs, cap)
             helstrom = oracle.helstrom_probabilities(cfgs, cap)
             reports = oracle.certify_povms(cfgs, cap)
             for cfg, values, dense, report in zip(cfgs, spectra, helstrom, reports):
-                assert values.tobytes() == oracle.lambda_spectra([cfg], cap)[0].tobytes()
+                assert values.tobytes() == lambda_spectra([cfg], cap)[0].tobytes()
+                # the size-weighted trace norm is that of the tiled spectrum
+                assert abs(dense - 0.5 * (1.0 - np.abs(values).sum())) <= 1e-15
                 assert dense.hex() == oracle.helstrom_probability(cfg, cap).hex()
                 assert report == oracle.certify_povm(cfg, cap)
         finally:
@@ -1001,7 +999,7 @@ class TestBatchedPriors:
         # blocks, 96 of them distinct: a block depends only on its weight's
         # nonzero counts and on (n_a, n_c)
         canonical = {canonicalize(cfg)[0] for cfg in DEFAULT_GRID}
-        orbits = sum(len(oracle._orbits(c.n, c.total_copies)) for c in canonical)
+        orbits = sum(len(list(oracle._orbits(c.n, c.total_copies))) for c in canonical)
         for cache in (oracle._orbit_block, oracle._jordan_geometry):
             cache.cache_clear()
         try:
@@ -1228,7 +1226,7 @@ class TestGroupByBlocks:
         spectrum = jordan_spectrum(canonical)
         position = np.repeat([b.k for b in spectrum.blocks],
                              [b.multiplicity for b in spectrum.blocks])
-        assert np.array_equal(oracle.block_labels(_tiled_cosines(geometry), spectrum), position)
+        assert np.array_equal(oracle.block_labels(tiled_cosines(geometry), spectrum), position)
 
     @staticmethod
     def _with_moved_cosine(monkeypatch, cfg, pick):
@@ -1348,7 +1346,7 @@ class TestLambdaSpectrum:
         return cfg.d1 + cfg.d2 - math.comb(cfg.n + cfg.total_copies - 1, cfg.total_copies)
 
     def test_all_ones_nonzero_values(self):
-        values = oracle.lambda_spectra([ALL_ONES])[0]
+        values = lambda_spectra([ALL_ONES])[0]
         target = math.sqrt(3) / 24
         assert int(np.sum(np.abs(values - target) < 1e-12)) == 2
         assert int(np.sum(np.abs(values + target) < 1e-12)) == 2
@@ -1356,7 +1354,7 @@ class TestLambdaSpectrum:
 
     def test_residual_direction_eigenvalue(self):
         cfg = ProblemConfig(2, 2, 1, 1, 0.5)
-        values = oracle.lambda_spectra([cfg])[0]
+        values = lambda_spectra([cfg])[0]
         assert int(np.sum(np.abs(values - 1 / 18) < 1e-12)) == 1
         assert len(values) == self._span_rank(cfg) == 12  # of 16 dimensions
 
@@ -1419,8 +1417,10 @@ class TestCertifyPovm:
         assert report.expected_failure == total_failure(ProblemConfig(2, 2, 1, 1, 0.9)).q_total
 
     def test_cap_exceeded(self):
-        with pytest.raises(OracleError):
-            oracle.certify_povm(ProblemConfig(2, 3, 3, 3, 0.5), cap=256)
+        # the orbit blocks of (2; 3,3,3) span 23 directions
+        with pytest.raises(OracleError, match="exceeds cap 22"):
+            oracle.certify_povm(ProblemConfig(2, 3, 3, 3, 0.5), cap=22)
+        assert oracle.certify_povm(ProblemConfig(2, 3, 3, 3, 0.5), cap=23).passed()
 
     def test_ambiguous_pair_label_raises(self):
         # at (2; 40,40,40) the smallest gap between the O_k is 3.7e-22, far
@@ -1525,3 +1525,90 @@ class TestSixQuditCopies:
 
     def test_povm_certifies(self):
         assert oracle.certify_povm(self.CFG, self.CAP).passed()
+
+
+class TestEveryN:
+    # the geometry depends on n only through its orbit sizes, so the
+    # default cap admits these copies at every n; the multiplicity count is
+    # a polynomial identity in n of degree at most N, which n = 2 ... N + 2
+    # cover. Every copy triple with copies <= 2, and (3, 3, 3).
+    COPIES = [*product((1, 2), repeat=3), (3, 3, 3)]
+
+    @staticmethod
+    def _assert_angles(cfg):
+        blocks = jordan_spectrum(canonicalize(cfg)[0]).blocks
+        groups = oracle.jordan_angles(cfg)
+        assert [m for _, m in groups] == [b.multiplicity for b in blocks]
+        assert max(abs(c - b.overlap) for (c, _), b in zip(groups, blocks)) <= 1e-9
+
+    @pytest.mark.parametrize("copies", COPIES, ids=lambda c: "".join(map(str, c)))
+    def test_multiplicities_at_every_n(self, copies):
+        for n in range(2, sum(copies) + 3):
+            self._assert_angles(ProblemConfig(n, *copies))
+
+    @pytest.mark.parametrize("n", [10**3, 10**6])
+    def test_large_n_matches_the_closed_forms(self, n):
+        for copies in self.COPIES:
+            self._assert_angles(ProblemConfig(n, *copies))
+            for eta1 in (0.1, 0.5, 0.9):
+                cfg = ProblemConfig(n, *copies, eta1)
+                dense = oracle.helstrom_probability(cfg)
+                assert abs(dense - discrimination.minerror_probability(cfg).p_me) <= 1e-9
+                report = oracle.certify_povm(cfg)
+                assert report.passed()
+                assert abs(report.failure_probability - total_failure(cfg).q_total) <= 1e-9
+
+    def test_orbit_size_off_by_one_fails_at_its_n(self, monkeypatch, fresh_oracle_caches):
+        # negative control: one orbit's size moves by one at n = 5 only
+        honest = oracle._orbits
+
+        def off(n, total):
+            for i, (parts, size) in enumerate(honest(n, total)):
+                yield parts, size + (n == 5 and i == 2)
+
+        monkeypatch.setattr(oracle, "_orbits", off)
+        for n in range(2, 8):
+            cfg = ProblemConfig(n, 2, 1, 2)
+            if n == 5:
+                with pytest.raises(OracleError, match="support bases have"):
+                    oracle.jordan_angles(cfg)
+            else:
+                oracle.jordan_angles(cfg)
+
+    @pytest.mark.parametrize("copies", [(8, 4, 4, 4), (30, 10, 10, 10), (10**6, 60, 60, 60)],
+                             ids=["8-444", "30-101010", "1e6-606060"])
+    def test_over_cap_refused_before_any_block(self, monkeypatch, fresh_oracle_caches, copies):
+        # the running span passes the cap after a few orbits, before any
+        # count array or block is formed: (30; 10,10,10)'s last orbit alone
+        # would make np.indices form 2^30 rows
+        def refuse(*args):
+            raise AssertionError("a block was built past the cap")
+
+        monkeypatch.setattr(oracle, "_block_counts", refuse)
+        monkeypatch.setattr(oracle, "_weight_block", refuse)
+        start = time.perf_counter()
+        with pytest.raises(OracleError, match="exceeds cap 4096"):
+            oracle.jordan_angles(ProblemConfig(*copies))
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_counts_the_spans_built(self):
+        # the counted spans, sum d1_w + d2_w - 1 over the distinct blocks,
+        # are those the blocks span: each canonical config of the 4^9 grid
+        # passes at its own sum and is refused one below, and the sum never
+        # passes span_rank or n^N, so the grid is admitted at every
+        # --max-total-dim
+        sums = {}
+        for cfg in verify.certification_grid(4**9):
+            c, _ = canonicalize(cfg)
+            geometry = oracle._jordan_geometry(c.n, c.n_a, c.n_b, c.n_c, None)
+            spans = sum(len(b.identity) for b in geometry.blocks)
+            assert spans <= geometry.span_rank <= c.n ** c.total_copies
+            assert oracle._jordan_geometry(c.n, c.n_a, c.n_b, c.n_c, spans).blocks
+            with pytest.raises(OracleError, match=f"exceeds cap {spans - 1}$"):
+                oracle._jordan_geometry(c.n, c.n_a, c.n_b, c.n_c, spans - 1)
+            sums[cfg] = spans
+        assert max(sums[cfg] for cfg in DEFAULT_GRID) == 44
+        assert sums[ProblemConfig(4, 3, 3, 3)] == 266
+        for n in (9, 10**6):  # every n >= N has the same 30 blocks
+            blocks = oracle._jordan_geometry(n, 3, 3, 3, None).blocks
+            assert (len(blocks), sum(len(b.identity) for b in blocks)) == (30, 1116)
