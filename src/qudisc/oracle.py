@@ -37,9 +37,9 @@ C^T C: C holds both bases in an orthonormal frame of the block's joint
 span, and supports, angles, Lambda and the POVM all live in these
 frames.  Lambda and the POVM take any list of configs: each config
 builds its geometry, labels its cosines and solves its priors once, and
-``_batched_eigvalues`` puts the operator stacks of every (config, prior)
-whose block shares one orbit reduction through one ``hermitian_eig``
-call, with every gate failing on a NaN.
+``_batched_eigvalues`` puts the operator stacks of every (config, prior,
+block) of one matrix size through one ``hermitian_eig`` call, with every
+gate failing on a NaN.
 
 ``check_gram_counts`` checks the integer counts that ``_gram_block``
 rounds, one ``_block_counts`` per orbit shared with the geometry,
@@ -215,7 +215,6 @@ class _Block:
     sp1: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho1 direction
     sp2: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho2 direction
     cosines: np.ndarray  # (d1_w,) descending cosines of every pair, the degenerate one first
-    key: tuple = ()  # the (parts, n_a, n_c) of the orbit reduction whose arrays it shares
 
 
 @dataclass(frozen=True)
@@ -405,9 +404,10 @@ def _weight_block(g: np.ndarray) -> _Block:
 def _orbit_block(gram: Callable, parts: tuple[int, ...], n_a: int, n_c: int) -> _Block:
     """The reduced block of every orbit whose weights have the nonzero
     counts ``parts``, at any n (zero counts add no rows or columns).  The
-    key holds ``gram`` (``_gram_block``): a replacement keys its own.  Every
-    config that shares the block reads its arrays, so they are read-only."""
-    block = replace(_weight_block(gram(parts, n_a, n_c)), key=(parts, n_a, n_c))
+    cache key holds ``gram`` (``_gram_block``): a replacement keys its
+    own.  Every config that shares the block reads its arrays, so they are
+    read-only."""
+    block = _weight_block(gram(parts, n_a, n_c))
     for array in (block.r1, block.r2, block.identity, block.unpaired, block.sp1, block.sp2,
                   block.cosines):
         array.setflags(write=False)
@@ -524,16 +524,17 @@ def _groups(cfgs: Sequence[ProblemConfig], cap: int | None) -> list[_Group]:
     return groups
 
 
-def _batched_eigvalues(stacks: Sequence[tuple[tuple, np.ndarray]]) -> list[np.ndarray]:
-    """The eigenvalues of every ``(key, stack)``, in input order.  The
-    stacks of one key (one orbit reduction) go through one
-    ``hermitian_eig`` call, concatenated in input order."""
-    places: dict[tuple, list[int]] = {}
-    for i, (key, _) in enumerate(stacks):
-        places.setdefault(key, []).append(i)
+def _batched_eigvalues(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The eigenvalues of every stack ``(count, ..., s, s)``, in input
+    order.  The stacks of one size s go through one ``hermitian_eig`` call,
+    concatenated in input order; ``eigh`` solves each matrix on its own,
+    so a stack's eigenvalues are bitwise those of its own call."""
+    places: dict[int, list[int]] = {}
+    for i, stack in enumerate(stacks):
+        places.setdefault(stack.shape[-1], []).append(i)
     values: list[np.ndarray] = [np.empty(0)] * len(stacks)
     for indices in places.values():
-        parts = [stacks[i][1] for i in indices]
+        parts = [stacks[i] for i in indices]
         solved = hermitian_eig(np.concatenate(parts))[0]
         for i, part in zip(indices, np.split(solved, np.cumsum([len(p) for p in parts])[:-1])):
             values[i] = part
@@ -544,10 +545,10 @@ def helstrom_probabilities(cfgs: Sequence[ProblemConfig], cap: int | None = None
     """Minimum-error probabilities from the dense trace norms of any
     configs: the trace norm of eta2*rho2 - eta1*rho1 sums each orbit
     block's absolute eigenvalues times the orbit's size, every (config,
-    prior) on one shared orbit block in one ``hermitian_eig`` call."""
+    prior, block) of one matrix size in one ``hermitian_eig`` call."""
     groups = _groups(cfgs, cap)
     values = iter(_batched_eigvalues([
-        (b.key, group.eta2 * (b.r2 / group.geometry.d2) - group.eta1 * (b.r1 / group.geometry.d1))
+        group.eta2 * (b.r2 / group.geometry.d2) - group.eta1 * (b.r1 / group.geometry.d1)
         for group in groups for b in group.geometry.blocks]))
     probabilities = [0.0] * len(cfgs)
     for group in groups:
@@ -573,7 +574,6 @@ class PovmReport:
     error_rho2_pi1: float
     failure_probability: float
     expected_failure: float
-    unpaired_rank: int
 
     @property
     def failure_residual(self) -> float:
@@ -601,8 +601,8 @@ def certify_povms(
     Jordan pairs and measure all of its required properties, for any
     configs.  Each canonical config takes one spectrum, one
     ``block_labels`` call over all its live cosines and one block solve
-    per prior; every (config, prior) on one shared orbit block has its
-    Pi0, Pi1 and Pi2 go through one ``hermitian_eig`` call.  The errors and
+    per prior; the Pi0, Pi1 and Pi2 of every (config, prior, block) of one
+    matrix size go through one ``hermitian_eig`` call.  The errors and
     the failure probability of a block count once per weight of its orbit.
 
     Pi1 weights the per-pair directions orthogonal to the state-2 vector,
@@ -650,7 +650,7 @@ def certify_povms(
             err21 += b.size * np.einsum("ij,pji->p", r2, m1).real
             failure += b.size * np.einsum("pij,pji->p", group.eta1 * r1 + group.eta2 * r2,
                                           m0).real
-            stacks.append((b.key, np.stack([m0, m1, m2], axis=1)))
+            stacks.append(np.stack([m0, m1, m2], axis=1))
         totals.append((expected, err12, err21, failure))
     minima = (values.min(axis=(1, 2)) for values in _batched_eigvalues(stacks))
     reports: list[PovmReport] = [None] * len(cfgs)  # type: ignore[list-item]
@@ -668,7 +668,6 @@ def certify_povms(
                 error_rho2_pi1=float(err21[p]),
                 failure_probability=float(failure[p]),
                 expected_failure=expected[p],
-                unpaired_rank=geo.d2 - geo.d1,
             )
     return reports
 

@@ -136,7 +136,6 @@ class JordanSpectrum:
     blocks: tuple[JordanBlock, ...]
     d1: int
     d2: int
-    k_max: int
 
 
 def jordan_spectrum(cfg: ProblemConfig) -> JordanSpectrum:
@@ -167,7 +166,7 @@ def jordan_spectrum(cfg: ProblemConfig) -> JordanSpectrum:
         raise AssertionError(f"block multiplicities sum to {rank}, not d1 = {d1}")
     if d1 > d2:
         raise AssertionError(f"d1 = {d1} exceeds d2 = {d2}")
-    return JordanSpectrum(blocks=blocks, d1=d1, d2=d2, k_max=cfg.k_max)
+    return JordanSpectrum(blocks=blocks, d1=d1, d2=d2)
 
 
 # --- Racah 6j evaluation (exact integer internals) --------------------------

@@ -71,13 +71,13 @@ def lambda_spectra(cfgs, cap=None):
     joint support supp(rho1)+supp(rho2), ascending, ``span_rank`` per
     config; the rest of the n^N-dimensional space is its kernel.  They come
     from the oracle's geometry and its batched eigensolve, one
-    ``hermitian_eig`` call per shared orbit block, and each block's
+    ``hermitian_eig`` call per matrix size, and each block's
     eigenvalues repeat once per weight of its orbit.  For n_a < n_c the
     mirrored canonical config's operator is minus the site-reversed one,
     so its eigenvalues are negated."""
     groups = oracle._groups(cfgs, cap)
     values = iter(oracle._batched_eigvalues([
-        (b.key, group.eta2 * (b.r2 / group.geometry.d2) - group.eta1 * (b.r1 / group.geometry.d1))
+        group.eta2 * (b.r2 / group.geometry.d2) - group.eta1 * (b.r1 / group.geometry.d1)
         for group in groups for b in group.geometry.blocks]))
     spectra = [None] * len(cfgs)
     for group in groups:

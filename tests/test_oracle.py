@@ -920,17 +920,18 @@ class TestBatchedPriors:
         return total
 
     def test_one_eigh_per_block_and_one_spectrum_per_config(self, monkeypatch):
-        # one eigensolve per distinct orbit block of the grid, 96 of its
-        # 249 (config, block) pairs, each stacking every prior of every
-        # config that shares the block; one spectrum per canonical config
+        # one eigensolve per distinct matrix size of the grid's 249 (config,
+        # block) pairs, 1 and 3..13, each stacking every prior of every
+        # config whose block has that size; one spectrum per canonical config
         cap = 1024
         blocks = self._blocks(cap)
         canonical = len({canonicalize(cfg)[0] for cfg in DEFAULT_GRID})
-        eighs, spectra = [], []
+        eighs, sizes, spectra = [], [], []
         honest_eig, honest_spectrum = oracle.hermitian_eig, oracle.jordan_spectrum
 
         def counting_eig(m):
             eighs.append(m.shape[0])
+            sizes.append(m.shape[-1])
             return honest_eig(m)
 
         monkeypatch.setattr(oracle, "hermitian_eig", counting_eig)
@@ -944,9 +945,11 @@ class TestBatchedPriors:
         for check, priors in ((verify.check_min_error, verify.GRID_PRIORS),
                               (verify.check_povm, verify.POVM_PRIORS)):
             eighs.clear()
+            sizes.clear()
             spectra.clear()
             assert check(cap).passed
-            assert (blocks, len(eighs)) == (249, 96)
+            assert (blocks, len(eighs)) == (249, 12)
+            assert sorted(sizes) == [1, *range(3, 14)]
             assert sum(eighs) == blocks * len(priors)
             assert {size % len(priors) for size in eighs} == {0}
             # one spectrum per canonical config: the min-error family's closed
@@ -1042,18 +1045,21 @@ class TestBatchedPriors:
 
 
 class TestBatchedEigvalues:
-    def test_interleaved_keys_come_back_in_input_order(self, monkeypatch):
-        # five stacks of three keys, each key's own matrix size, interleaved:
-        # one hermitian_eig call per key, and every stack's eigenvalues
-        # bitwise those of its own call
+    @staticmethod
+    def _stacks(*shapes):
         rng = np.random.default_rng(7)
-
-        def stack(count, size):
+        stacks = []
+        for count, size in shapes:
             m = rng.standard_normal((count, size, size))
-            return m + m.swapaxes(-1, -2)
+            stacks.append(m + m.swapaxes(-1, -2))
+        return stacks
 
-        stacks = [("a", stack(2, 3)), ("b", stack(1, 5)), ("a", stack(3, 3)),
-                  ("c", stack(2, 1)), ("b", stack(4, 5))]
+    def test_interleaved_keys_come_back_in_input_order(self, monkeypatch):
+        # seven stacks of three matrix sizes, interleaved, two or three per
+        # size: one hermitian_eig call per size, in order of first
+        # appearance, and every stack's eigenvalues bitwise those of its
+        # own call
+        stacks = self._stacks((2, 3), (1, 5), (3, 3), (2, 1), (4, 5), (1, 1), (2, 3))
         calls = []
         honest = oracle.hermitian_eig
 
@@ -1063,10 +1069,25 @@ class TestBatchedEigvalues:
 
         monkeypatch.setattr(oracle, "hermitian_eig", counting)
         values = oracle._batched_eigvalues(stacks)
-        assert calls == [(5, 3, 3), (5, 5, 5), (2, 1, 1)]
+        assert calls == [(7, 3, 3), (5, 5, 5), (3, 1, 1)]
         assert len(values) == len(stacks)
-        for (_, m), observed in zip(stacks, values):
+        for m, observed in zip(stacks, values):
             assert observed.tobytes() == honest(m)[0].tobytes()
+
+    @pytest.mark.parametrize("entry,message", [(np.nan, "non-finite entry"),
+                                               (1e-11, "not Hermitian")],
+                             ids=["nan", "asymmetric"])
+    def test_one_bad_matrix_in_a_shared_size_batch_raises(self, entry, message):
+        # negative control: the bad matrix is the middle one of the five
+        # 3x3 matrices, from the second of three same-size stacks, after a
+        # stack of another size; its neighbours are good, and the batch
+        # must still fail every gate the matrix alone would fail
+        stacks = self._stacks((2, 3), (1, 5), (1, 3), (2, 3))
+        stacks[2][0, 0, 1] += entry  # eigh reads the lower triangle only
+        with pytest.raises(OracleError, match=message):
+            oracle.hermitian_eig(stacks[2])
+        with pytest.raises(OracleError, match=message):
+            oracle._batched_eigvalues(stacks)
 
 
 class TestEigensolver:
@@ -1256,7 +1277,7 @@ class TestGroupByBlocks:
         spectrum = jordan_spectrum(cfg)
         label, size = self._with_moved_cosine(
             monkeypatch, cfg, lambda k, spectrum: spectrum.blocks[k + 1].overlap)
-        assert size > 1 and label < spectrum.k_max
+        assert size > 1 and label < len(spectrum.blocks) - 1
         d_k = spectrum.blocks[label].multiplicity
         with pytest.raises(OracleError, match=rf"block {label} holds {d_k - size} cosines, "
                                               rf"expected d\^k = {d_k}"):
@@ -1375,12 +1396,10 @@ class TestCertifyPovm:
         report = oracle.certify_povm(ALL_ONES)
         assert report.passed()
         assert report.failure_probability == pytest.approx(5 / 6, abs=1e-9)
-        assert report.unpaired_rank == 0
 
     def test_2211_report(self):
         report = oracle.certify_povm(ProblemConfig(2, 2, 1, 1, 0.5))
         assert report.passed()
-        assert report.unpaired_rank == 1
         assert report.failure_probability == pytest.approx(
             85 / 144 + 0.5 / math.sqrt(6), abs=1e-9
         )
