@@ -30,7 +30,6 @@ from .spectrum import (
     canonicalize,
     jordan_spectrum,
     overlap_via_6j,
-    wigner_6j,
 )
 
 __version__ = "0.1.0"
@@ -41,5 +40,5 @@ __all__ = [
     "ProblemConfig", "QudiscError", "UnambiguousResult", "asymptotic_bounds",
     "binomial", "bound_p0", "bound_q0", "canonicalize", "hook_lengths",
     "jordan_spectrum", "minerror_probability", "overlap_via_6j",
-    "total_failure", "unitary_dim", "wigner_6j",
+    "total_failure", "unitary_dim",
 ]

@@ -171,14 +171,6 @@ def jordan_spectrum(cfg: ProblemConfig) -> JordanSpectrum:
 
 # --- Racah 6j evaluation (exact integer internals) --------------------------
 
-def _as_twice(j) -> int:
-    """Half-integer -> doubled integer; rejects anything else."""
-    twice = Fraction(j) * 2
-    if twice.denominator != 1 or twice < 0:
-        raise ValueError(f"expected a nonnegative half-integer, got {j!r}")
-    return int(twice)
-
-
 def _triad_ok(a: int, b: int, c: int) -> bool:
     # doubled notation: perimeter even <=> integer sum of the j's
     return (a + b + c) % 2 == 0 and abs(a - b) <= c <= a + b
@@ -207,12 +199,6 @@ def _racah_6j(a: int, b: int, c: int, d: int, e: int, f: int) -> float:
                              for x, y, z in triads)
     radicand_den = math.prod(fac((x + y + z) // 2 + 1) for x, y, z in triads)
     return series / den * math.sqrt(radicand_num / radicand_den)
-
-
-def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
-    """Racah single-sum 6j symbol; 0 on any non-coupling triad.  Exact
-    integer internals, with a single square root at the float boundary."""
-    return _racah_6j(*(_as_twice(j) for j in (j1, j2, j3, j4, j5, j6)))
 
 
 def overlap_via_6j(k: int, cfg: ProblemConfig) -> float:

@@ -245,6 +245,18 @@ class TestVerify:
         assert err.startswith(f"error: {flag} ")
 
 
+# a valid call of each subcommand
+COPIES = ["--na", "1", "--nb", "1", "--nc", "1"]
+EVERY_COMMAND = {
+    "spectrum": ["spectrum", "-n", "2", *COPIES],
+    "unambiguous": ["unambiguous", "-n", "2", *COPIES],
+    "minerror": ["minerror", "-n", "2", *COPIES],
+    "bounds": ["bounds", *COPIES],
+    "verify": ["verify", "--max-total-dim", "64", "--samples", "4000"],
+    "sweep": ["sweep", "--dim-max", "3", *COPIES],
+}
+
+
 class TestSweep:
     def test_csv_shape_and_values(self, capsys):
         code, out, _ = run(
@@ -374,10 +386,17 @@ class TestSweep:
     @pytest.mark.parametrize("name", ["missing/f", "."], ids=["missing-dir", "directory"])
     def test_unwritable_out_fails_before_work(self, tmp_path, monkeypatch, capsys, name):
         called = []
-        monkeypatch.setitem(cli._HANDLERS, "verify", lambda args, out: called.append(args))
+        monkeypatch.setattr(cli.verify_mod, "run_all", lambda **kwargs: called.append(kwargs) or [])
         code, out, err = run(["verify", "--out", str(tmp_path / name)], capsys)
         assert (code, out, called) == (4, "", [])
         assert err.startswith("error: cannot open output file: ")
+
+    @pytest.mark.parametrize("command", list(EVERY_COMMAND))
+    def test_empty_out_exits_4(self, capsys, command):
+        # an empty path names no file: it is refused, not taken for stdout
+        code, out, err = run(EVERY_COMMAND[command] + ["--out", ""], capsys)
+        assert (code, out) == (4, "")
+        assert err == "error: cannot open output file: [Errno 2] No such file or directory: ''\n"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--dim-max", "1", "--na", "1", "--nb", "1", "--nc", "1"],
@@ -504,6 +523,31 @@ class TestRendering:
         code, out, _ = run(["unambiguous", "-n", "2", "--na", "1", "--nb", "1", "--nc", "1"], capsys)
         assert code == 0
         assert f"Q_opt = {5 / 6:.12g}" in out
+
+
+USAGE = {
+    "spectrum": "[-h] --dim DIM --na NA --nb NB --nc NC [--json] [--out OUT]",
+    "unambiguous": "[-h] --dim DIM --na NA --nb NB --nc NC [--eta1 ETA1] [--json] [--out OUT]",
+    "minerror": "[-h] --dim DIM --na NA --nb NB --nc NC [--eta1 ETA1] [--json] [--out OUT]",
+    "bounds": "[-h] [--dim DIM] --na NA --nb NB --nc NC [--json] [--out OUT]",
+    "verify": "[-h] [--max-total-dim MAX_TOTAL_DIM] [--samples SAMPLES] [--seed SEED] "
+              "[--inject-q-fault] [--out OUT]",
+    "sweep": "[-h] [--dim-min DIM_MIN] --dim-max DIM_MAX --na NA --nb NB --nc NC [--eta1 ETA1] "
+             "[--json] [--out OUT]",
+}
+
+
+def test_usage_lines_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "500")  # one line each, whatever the terminal
+    assert list(cli._SUBPARSERS) == list(EVERY_COMMAND) == list(USAGE)
+    for name, parser in cli._SUBPARSERS.items():
+        assert parser.format_usage() == f"usage: qudisc {name} {USAGE[name]}\n"
+
+
+def test_every_option_has_help():
+    bare = [f"{name} {action.option_strings[0]}" for name, parser in cli._SUBPARSERS.items()
+            for action in parser._actions if action.option_strings and not action.help]
+    assert bare == []
 
 
 def test_unknown_flag_raises_system_exit():
