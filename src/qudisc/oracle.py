@@ -5,10 +5,10 @@ first.  The geometry is built without the block formulas it checks: the
 supports are products of symmetric-subspace bases built from multisets,
 principal angles come from an SVD, the Helstrom value from diagonalizing
 the weighted difference operator, and the unambiguous POVM is assembled
-vector by vector from the Jordan pairs.  The closed forms only label,
-by one rule: ``block_labels`` gives a cosine the block of its nearest O_k,
-nearer than half the smallest gap between the O_k.  ``group_by_blocks``
-counts the labels by orbit weight against d^k exactly, and the POVM
+vector by vector from the Jordan pairs.  Weight w holds K_k(w) pairs of
+Jordan block k, a Kostka number, which labels the cosines and must sum
+to d^k exactly.  The closed forms only check: each cosine must lie nearer
+its label's O_k than half the smallest gap between the O_k, and the POVM
 weighs each live pair by its label's optimum, measuring the rest densely.
 
 The Haar-averaged states are real symmetric: the symmetrizer is a mean
@@ -58,6 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .combinatorics import Partition, unitary_dim
 from .discrimination import _normal, _solve_blocks
 from .errors import OracleError, PreconditionError
 from .spectrum import JordanSpectrum, ProblemConfig, canonicalize, jordan_spectrum
@@ -215,6 +216,7 @@ class _Block:
     sp1: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho1 direction
     sp2: np.ndarray  # (s, p) per-pair unit vectors orthogonal to the rho2 direction
     cosines: np.ndarray  # (d1_w,) descending cosines of every pair, the degenerate one first
+    labels: np.ndarray  # (d1_w,) the Jordan block k of each cosine, ascending
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,7 @@ class _Geometry:
     completeness_residual: float
     d1: int  # the ranks that scale every block's r1 and r2 to rho1 and rho2
     d2: int
+    multiplicities: tuple[int, ...]  # d^k, each the orbits' Kostka numbers K_k(w) summed by size
 
 
 def _string_counts(counts: np.ndarray) -> np.ndarray:
@@ -242,6 +245,16 @@ def _string_counts(counts: np.ndarray) -> np.ndarray:
     sites = safe.sum(axis=1)
     table = np.array([math.factorial(m) for m in range(sites.max(initial=0) + 1)], dtype=object)
     return np.where(valid, table[sites] // table[safe].prod(axis=1), 0)
+
+
+def _weight_counts(parts: tuple[int, ...], top: int) -> np.ndarray:
+    """c_0 ... c_top of a weight with the nonzero counts ``parts``: c_j
+    counts the count rows x <= w with |x| = j, the coefficients of
+    prod_i (1 + x + ... + x^parts_i), as Python ints (an object array)."""
+    rows = np.ones(1, dtype=object)
+    for part in parts:
+        rows = np.convolve(rows, np.ones(part + 1, dtype=object))[:top + 1]
+    return rows
 
 
 def _orbits(n: int, total: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -263,7 +276,6 @@ def _orbits(n: int, total: int) -> Iterator[tuple[tuple[int, ...], int]]:
                 break
         else:
             parts = []
-
 
 
 @lru_cache(maxsize=256)
@@ -362,16 +374,17 @@ def check_gram_counts(cfg: ProblemConfig) -> None:
         raise OracleError(f"{stray} site strings lie outside every Gram block")
 
 
-def _weight_block(g: np.ndarray) -> _Block:
-    """Certify and reduce the weight block ``g`` of G = B1^T B2, as one
-    weight's block.  Its basis columns [B1_w B2_w] have
-    the Gram matrix K = [[I, G], [G^T, I]].  The supports share exactly the
-    block's symmetric vector, so K must have rank s = d1_w + d2_w - 1
-    (eigenvalues above 1e-12); it is factored as C^T C on its top s
-    eigenpairs, C holding the bases in an orthonormal frame of their joint
-    span, and C^T C must match K to 1e-10.  The rank check leaves SVD pair
-    0, at cosine 1, the only degenerate pair."""
+def _weight_block(g: np.ndarray, labels: np.ndarray) -> _Block:
+    """Certify and reduce the weight block ``g`` of G = B1^T B2, a label
+    per row.  Its columns [B1_w B2_w] have the Gram matrix K = [[I, G],
+    [G^T, I]].  The supports share exactly the block's symmetric vector,
+    so K must have rank s = d1_w + d2_w - 1 (eigenvalues above 1e-12); it
+    is factored as C^T C on its top s eigenpairs, C holding the bases in an
+    orthonormal frame of their joint span, and C^T C must match K to 1e-10.
+    The rank check leaves SVD pair 0, at cosine 1, the only degenerate pair."""
     size1, size2 = g.shape
+    if len(labels) != size1:
+        raise OracleError(f"weight block holds {size1} pairs, its weight counts {len(labels)}")
     span = size1 + size2 - 1
     gram = np.block([[np.eye(size1), g], [_adjoint(g), np.eye(size2)]])
     values, vectors = np.linalg.eigh(gram)
@@ -397,7 +410,8 @@ def _weight_block(g: np.ndarray) -> _Block:
     sp2 = (f_live - g_live * cos) / norm
     unpaired = g_extra @ _adjoint(g_extra)
     identity = f @ _adjoint(f) + sp1 @ _adjoint(sp1) + unpaired
-    return _Block(1, b1 @ _adjoint(b1), b2 @ _adjoint(b2), identity, unpaired, sp1, sp2, sigma)
+    return _Block(1, b1 @ _adjoint(b1), b2 @ _adjoint(b2), identity, unpaired, sp1, sp2, sigma,
+                  labels)
 
 
 @lru_cache(maxsize=256)
@@ -406,10 +420,12 @@ def _orbit_block(gram: Callable, parts: tuple[int, ...], n_a: int, n_c: int) -> 
     counts ``parts``, at any n (zero counts add no rows or columns).  The
     cache key holds ``gram`` (``_gram_block``): a replacement keys its
     own.  Every config that shares the block reads its arrays, so they are
-    read-only."""
-    block = _weight_block(gram(parts, n_a, n_c))
+    read-only.  The weight holds K_k(w) = c_k(w) - c_{k-1}(w) pairs of
+    block k (K_0 = 1, the degenerate pair), in the SVD's descending order."""
+    kostka = np.diff(_weight_counts(parts, n_c), prepend=0).astype(int)
+    block = _weight_block(gram(parts, n_a, n_c), np.repeat(np.arange(n_c + 1), kostka))
     for array in (block.r1, block.r2, block.identity, block.unpaired, block.sp1, block.sp2,
-                  block.cosines):
+                  block.cosines, block.labels):
         array.setflags(write=False)
     return block
 
@@ -421,78 +437,60 @@ def _jordan_geometry(n: int, n_a: int, n_b: int, n_c: int, cap: int | None) -> _
     block per orbit of weights (of its descending weight: permuting the
     labels permutes a block's rows and columns), each total weighted by
     the orbit's size.  The cap bounds sum d1_w + d2_w - 1 over the orbits,
-    which is counted first and refused as soon as it passes the cap."""
+    which is counted first and refused as soon as it passes the cap; the
+    Kostka numbers K_k(w) summed by size must equal d^k exactly."""
     cfg = ProblemConfig(n, n_a, n_b, n_c, 0.5)  # priors do not enter here
     if not cfg.is_canonical:
         raise PreconditionError("_jordan_geometry expects n_a >= n_c; canonicalize first")
-    built = 0
-    for parts, _ in _orbits(n, cfg.total_copies):
-        # d1_w and d2_w count the rows x <= parts with |x| = n_c and n_a:
-        # coefficients of prod_i (1 + x + ... + x^parts_i), as Python ints
-        rows = np.ones(1, dtype=object)
-        for part in parts:
-            rows = np.convolve(rows, np.ones(part + 1, dtype=object))[:n_a + 1]
+    built, pairs = 0, np.zeros(n_c + 1, dtype=object)
+    for parts, size in _orbits(n, cfg.total_copies):
+        rows = _weight_counts(parts, n_a)  # d1_w = c_{n_c} and d2_w = c_{n_a}
         built += rows[n_c] + rows[n_a] - 1
         _check_cap(built, cap)
+        pairs += size * np.diff(rows[:n_c + 1], prepend=0)
+    d_k = [unitary_dim(Partition.two_row(cfg.total_copies, k), n) for k in range(n_c + 1)]
+    if pairs.tolist() != d_k:
+        raise OracleError(f"orbits hold {pairs.tolist()} pairs per block k, expected d^k = {d_k}")
     blocks = [replace(_orbit_block(_gram_block, parts, n_a, n_c), size=size)
               for parts, size in _orbits(n, cfg.total_copies)]
     # a block spans d1_w + d2_w - 1 directions and holds d1_w pairs
-    columns = [sum(b.size * len(b.cosines) for b in blocks),
-               sum(b.size * (len(b.identity) + 1 - len(b.cosines)) for b in blocks)]
-    if columns != [cfg.d1, cfg.d2]:
-        raise OracleError(f"support bases have {columns} columns, expected {cfg.d1}, {cfg.d2}")
+    columns = sum(b.size * (len(b.identity) + 1 - len(b.cosines)) for b in blocks)
+    if columns != cfg.d2:
+        raise OracleError(f"supp(rho2) basis has {columns} columns, expected d2 = {cfg.d2}")
     span = sum(b.size * len(b.identity) for b in blocks)
     # the POVM elements always sum to the identity on the joint support by
     # construction, so the completeness residual is prior-independent
     completeness = max(float(np.abs(b.identity - np.eye(len(b.identity))).max()) for b in blocks)
-    return _Geometry(n ** cfg.total_copies, span, tuple(blocks), completeness, cfg.d1, cfg.d2)
+    return _Geometry(n ** cfg.total_copies, span, tuple(blocks), completeness, cfg.d1, cfg.d2,
+                     tuple(d_k))
 
 
-def block_labels(cosines: np.ndarray, spectrum: JordanSpectrum) -> np.ndarray:
-    """The Jordan block k of each cosine: the block of its nearest O_k.  A
-    label is certified only if the cosine lies closer to that O_k than half
-    the smallest gap between the O_k, so that float noise cannot pick it;
-    otherwise ``OracleError`` is raised."""
+def _labelled_cosines(blocks: Sequence[_Block], spectrum: JordanSpectrum) -> tuple[np.ndarray, ...]:
+    """The blocks' cosines and labels, end to end, once every cosine lies
+    closer to its label's O_k than half the smallest gap between the O_k,
+    so that float noise cannot have moved it; else ``OracleError``."""
+    cosines, labels = map(np.concatenate, zip(*((b.cosines, b.labels) for b in blocks)))
     overlaps = np.array([b.overlap for b in spectrum.blocks])
     half_gap = float((overlaps[:-1] - overlaps[1:]).min()) / 2
-    distances = np.abs(cosines[:, None] - overlaps)
-    labels = distances.argmin(axis=1)
-    residual = float(distances.min(axis=1).max(initial=0.0))
+    residual = float(np.abs(cosines - overlaps[labels]).max(initial=0.0))
     if not residual < half_gap:  # a NaN cosine fails too
         raise OracleError(f"cosine residual {residual:.1e} "
                           f"reaches half the smallest gap {half_gap:.1e}")
-    return labels
-
-
-def group_by_blocks(cosines: np.ndarray, spectrum: JordanSpectrum,
-                    weights: np.ndarray | int = 1) -> list[tuple[float, int]]:
-    """Count the cosines of each closed-form Jordan block, each labelled
-    by ``block_labels`` and counted ``weights`` times (its orbit's size,
-    exact as Python ints), and certify every count against d^k exactly.
-    Per block, returns its cosine farthest from O_k and d^k; raises
-    ``OracleError`` on an uncertified label or a wrong count."""
-    labels = block_labels(cosines, spectrum)
-    groups = []
-    for block in spectrum.blocks:
-        own = labels == block.k
-        count = int((own * weights).sum())
-        if count != block.multiplicity:
-            raise OracleError(f"block {block.k} holds {count} cosines, "
-                              f"expected d^k = {block.multiplicity}")
-        farthest = cosines[own][np.abs(cosines[own] - block.overlap).argmax()]
-        groups.append((float(farthest), block.multiplicity))
-    return groups
+    return cosines, labels
 
 
 def jordan_angles(cfg: ProblemConfig, cap: int | None = None) -> list[tuple[float, int]]:
     """Principal angles between the supports of the two dense mean states,
-    via the certified support bases, as ``group_by_blocks`` pairs, each orbit
-    block's cosines counted once per weight of its orbit; orientation-free."""
+    via the certified support bases: per Jordan block k, its cosine
+    farthest from O_k and its count d^k, certified exactly by the
+    geometry; orientation-free."""
     canonical, _ = canonicalize(cfg)
     geometry = _jordan_geometry(canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, cap)
-    cosines = np.concatenate([b.cosines for b in geometry.blocks])
-    sizes = np.array([b.size for b in geometry.blocks for _ in b.cosines], dtype=object)
-    return group_by_blocks(cosines, jordan_spectrum(canonical), sizes)
+    spectrum = jordan_spectrum(canonical)
+    cosines, labels = _labelled_cosines(geometry.blocks, spectrum)
+    owns = ((cosines[labels == b.k], b) for b in spectrum.blocks)
+    return [(float(own[np.abs(own - b.overlap).argmax()]), geometry.multiplicities[b.k])
+            for own, b in owns]
 
 
 @dataclass(frozen=True)
@@ -599,20 +597,19 @@ def certify_povms(
 ) -> list[PovmReport]:
     """Assemble the optimal unambiguous POVM from the numerically extracted
     Jordan pairs and measure all of its required properties, for any
-    configs.  Each canonical config takes one spectrum, one
-    ``block_labels`` call over all its live cosines and one block solve
-    per prior; the Pi0, Pi1 and Pi2 of every (config, prior, block) of one
-    matrix size go through one ``hermitian_eig`` call.  The errors and
-    the failure probability of a block count once per weight of its orbit.
+    configs.  Each canonical config takes one spectrum, one label check
+    over all its cosines and one block solve per prior; the Pi0, Pi1 and
+    Pi2 of every (config, prior, block) of one matrix size go through one
+    ``hermitian_eig`` call.  The errors and the failure probability of a
+    block count once per weight of its orbit.
 
     Pi1 weights the per-pair directions orthogonal to the state-2 vector,
     Pi2 those orthogonal to the state-1 vector plus the unpaired part of
     supp(rho2); Pi0 is the remainder of the joint-support identity.
     Each block's degenerate pair (cosine 1) carries no unambiguous
     information and falls entirely into Pi0.  Each live pair takes the
-    block that ``block_labels`` certifies for its cosine; an uncertified
-    label, or a live pair labelled with the degenerate block 0, raises
-    ``OracleError``.
+    block of its exact label (K_0 = 1 keeps block 0 for the degenerate
+    pair); a cosine off its O_k by half the smallest gap raises.
 
     ``printed_high_branch`` is the negative control: it builds the POVM
     from the erratum q1 = O_k, which must break the failure-probability
@@ -634,14 +631,11 @@ def certify_povms(
         weights = np.array([[[(1.0 - q) / (1.0 - num / den) for q in (s.q1, s.q2)]
                              for s, (num, den) in zip(solved[1:], ratios)]
                             for solved in solves])
-        labels = block_labels(np.concatenate([b.cosines[1:] for b in geo.blocks]), spectrum)
-        if not labels.all():
-            raise OracleError("a live pair's cosine is labelled with the degenerate block 0")
-        ends = np.cumsum([len(b.cosines) - 1 for b in geo.blocks])
+        _labelled_cosines(geo.blocks, spectrum)
         err12, err21, failure = np.zeros((3, len(group.indices)))
         # summed in block order, as a call for the one config sums them
-        for b, own in zip(geo.blocks, np.split(labels, ends[:-1])):
-            w = weights[:, own - 1]
+        for b in geo.blocks:
+            w = weights[:, b.labels[1:] - 1]
             m1 = (b.sp2 * w[:, None, :, 0]) @ _adjoint(b.sp2)
             m2 = (b.sp1 * w[:, None, :, 1]) @ _adjoint(b.sp1) + b.unpaired
             m0 = b.identity - m1 - m2

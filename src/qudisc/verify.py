@@ -126,10 +126,10 @@ def check_six_j() -> CheckResult:
 
 def check_principal_angles(max_total_dim: int) -> CheckResult:
     """Dense principal angles vs the closed-form (O_k, d^k) spectrum: the
-    cosines are labelled with their nearest blocks and counted
-    (``oracle.group_by_blocks``, which certifies the multiplicities), and
-    every cosine must lie within 1e-9 of its O_k.  Up to n^N = 256 the
-    Gram counts of the canonical configs are first checked exactly."""
+    cosines carry the exact Kostka labels, whose orbit totals the geometry
+    certifies against d^k, and every cosine must lie within 1e-9 of its
+    label's O_k.  Up to n^N = 256 the Gram counts of the canonical configs
+    are first checked exactly."""
     from . import oracle
     worst = 0.0
     count = 0

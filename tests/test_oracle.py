@@ -549,9 +549,12 @@ class TestNanResiduals:
                                  "(failed at n=2 copies=(1,1,1) eta1=0.1)")
 
     def test_nan_cosine_gets_no_label(self):
-        spectrum = jordan_spectrum(ALL_ONES)
+        # a live cosine of (2; 1,1,1)'s second orbit block turned NaN
+        block = oracle._orbit_block(oracle._gram_block, (2, 1), 1, 1)
+        assert block.labels.tolist() == [0, 1]
+        poisoned = dataclasses.replace(block, cosines=np.array([1.0, math.nan]))
         with pytest.raises(OracleError, match="cosine residual nan"):
-            oracle.block_labels(np.array([1.0, math.nan]), spectrum)
+            oracle._labelled_cosines([poisoned], jordan_spectrum(ALL_ONES))
 
 
 class TestGramBlocks:
@@ -859,8 +862,8 @@ class TestStackedGeometry:
         # pair at cosine 1/sqrt(2) would span two; no weight block lacks
         # its symmetric vector
         with pytest.raises(OracleError, match="weight block spans 2 directions, expected 1"):
-            oracle._weight_block(np.array([[1 / math.sqrt(2)]]))
-        block = oracle._weight_block(np.array([[1.0]]))
+            oracle._weight_block(np.array([[1 / math.sqrt(2)]]), np.array([0]))
+        block = oracle._weight_block(np.array([[1.0]]), np.array([0]))
         assert block.size == 1  # one weight; _jordan_geometry sets the orbit's size
         assert block.cosines.shape == (1,) and abs(block.cosines[0] - 1.0) <= 1e-15
         assert block.sp1.shape == block.sp2.shape == (1, 0)
@@ -974,6 +977,13 @@ class TestBatchedPriors:
         assert result.detail == (
             f"failed at n={cfg.n} copies=({cfg.n_a},{cfg.n_b},{cfg.n_c}) eta1={eta1}"
         )
+
+    def test_injected_fault_fails_the_povm_family_only(self):
+        # the --inject-q-fault control of a default verify: every other
+        # family, the principal angles' exact labels included, still passes
+        results = verify.run_all(max_total_dim=1024, samples=20_000, seed=20260826,
+                                 inject_q_fault=True)
+        assert [r.name for r in results if not r.passed] == ["POVM certification"]
 
     @pytest.mark.parametrize("check,name", [(verify.check_min_error, "min-error trace norm"),
                                             (verify.check_povm, "POVM certification")],
@@ -1185,69 +1195,124 @@ class TestPrincipalAngles:
 
 
 class TestGroupByBlocks:
-    # (2; 3,1,3): overlaps 1, 3/4, 1/2, 1/4 with multiplicities 8, 6, 4, 2,
-    # all exact in binary, and so is half the smallest gap, 1/8
-    SPECTRUM = jordan_spectrum(ProblemConfig(2, 3, 1, 3, 0.5))
+    # each cosine's Jordan block comes from the exact Kostka counts, by its
+    # position in its orbit block; jordan_angles groups the cosines by
+    # those labels, and a cosine no nearer its label's O_k than half the
+    # smallest gap is refused.  (2; 3,1,3): overlaps 1, 3/4, 1/2, 1/4 with
+    # multiplicities 8, 6, 4, 2, all exact in binary, and so is half the
+    # smallest gap, 1/8
+    CFG = ProblemConfig(2, 3, 1, 3, 0.5)
+    SPECTRUM = jordan_spectrum(CFG)
     HALF_GAP = 0.125
 
     @classmethod
     def _cosines(cls, counts=(8, 6, 4, 2)):
         return np.repeat([b.overlap for b in cls.SPECTRUM.blocks], counts)
 
-    def test_exact_cosines_give_the_closed_form(self):
-        groups = oracle.group_by_blocks(self._cosines(), self.SPECTRUM)
+    @classmethod
+    def _angles(cls, monkeypatch, cosines):
+        """``jordan_angles`` of (2; 3,1,3) served one block of size 1
+        holding ``cosines``, labelled by position: 8 of block 0, then 6 of
+        block 1, 4 of block 2 and 2 of block 3."""
+        geometry = oracle._jordan_geometry(2, 3, 1, 3, None)
+        block = dataclasses.replace(geometry.blocks[0], cosines=cosines,
+                                    labels=np.repeat(np.arange(4), (8, 6, 4, 2)))
+        served = dataclasses.replace(geometry, blocks=(block,))
+        monkeypatch.setattr(oracle, "_jordan_geometry", lambda *args: served)
+        return oracle.jordan_angles(cls.CFG)
+
+    def test_exact_cosines_give_the_closed_form(self, monkeypatch):
+        groups = self._angles(monkeypatch, self._cosines())
         assert groups == [(1.0, 8), (0.75, 6), (0.5, 4), (0.25, 2)]
 
-    def test_reports_each_blocks_farthest_cosine(self):
+    def test_reports_each_blocks_farthest_cosine(self, monkeypatch):
         cosines = self._cosines()
         cosines[8] += 0.5 * self.HALF_GAP  # block 1, first place
         cosines[13] -= 0.9 * self.HALF_GAP  # block 1, last place
-        groups = oracle.group_by_blocks(cosines, self.SPECTRUM)
+        groups = self._angles(monkeypatch, cosines)
         assert groups[1] == (0.75 - 0.9 * self.HALF_GAP, 6)
         assert groups[::2] == [(1.0, 8), (0.5, 4)]
 
     @pytest.mark.parametrize("index,shift", [(7, -1), (8, 1), (13, -1), (19, -1)],
                              ids=["block-0-down", "block-1-up", "block-1-down", "block-3-down"])
-    def test_cosine_moved_by_half_the_gap(self, index, shift):
+    def test_cosine_moved_by_half_the_gap(self, monkeypatch, index, shift):
         cosines = self._cosines()
         cosines[index] += shift * self.HALF_GAP
         with pytest.raises(OracleError, match="reaches half the smallest gap 1.2e-01"):
-            oracle.group_by_blocks(cosines, self.SPECTRUM)
+            self._angles(monkeypatch, cosines)
 
-    def test_cosine_moved_to_the_next_block(self):
-        # one cosine of block 1 sits at O_2, so it is labelled 2:
-        # multiplicities 8, 5, 5, 2
-        with pytest.raises(OracleError, match=r"block 1 holds 5 cosines, expected d\^k = 6"):
-            oracle.group_by_blocks(self._cosines((8, 5, 5, 2)), self.SPECTRUM)
+    def test_cosine_moved_to_the_next_block(self, monkeypatch):
+        # the last cosine of block 1 sits at O_2: its label stays 1, a
+        # quarter away
+        with pytest.raises(OracleError, match="cosine residual 2.5e-01 reaches half the "
+                                              "smallest gap 1.2e-01"):
+            self._angles(monkeypatch, self._cosines((8, 5, 5, 2)))
 
-    @pytest.mark.parametrize("counts", [(8, 6, 4, 1), (8, 6, 4, 3)], ids=["short", "long"])
-    def test_wrong_length(self, counts):
-        with pytest.raises(OracleError,
-                           match=rf"block 3 holds {counts[3]} cosines, expected d\^k = 2"):
-            oracle.group_by_blocks(self._cosines(counts), self.SPECTRUM)
+    @staticmethod
+    def _moved_counts(monkeypatch, parts, j, delta):
+        """Serve ``_weight_counts`` with c_j of the weight ``parts`` moved
+        by ``delta``; every other weight keeps its counts."""
+        honest = oracle._weight_counts
 
-    def test_weights_count_each_cosine(self):
-        # one cosine per block, counted d^k times, is the whole spectrum
-        overlaps = self._cosines((1, 1, 1, 1))
-        groups = oracle.group_by_blocks(overlaps, self.SPECTRUM, np.array([8, 6, 4, 2]))
-        assert groups == [(1.0, 8), (0.75, 6), (0.5, 4), (0.25, 2)]
-        with pytest.raises(OracleError, match=r"block 2 holds 3 cosines, expected d\^k = 4"):
-            oracle.group_by_blocks(overlaps, self.SPECTRUM, np.array([8, 6, 3, 2]))
+        def moved(weight, top):
+            rows = honest(weight, top)
+            if weight == parts:
+                rows[j] += delta
+            return rows
 
-    @pytest.mark.parametrize("cfg", [*DEFAULT_GRID, ProblemConfig(2, 20, 20, 20)],
-                             ids=_config_id)
+        monkeypatch.setattr(oracle, "_weight_counts", moved)
+
+    @pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+    def test_wrong_length(self, monkeypatch, fresh_oracle_caches, delta):
+        # (2; 3,1,3)'s orbit (4,3) holds d1_w = c_3 = 4 pairs, one of each
+        # block; c_3 moved by one gives it one label too few or too many
+        self._moved_counts(monkeypatch, (4, 3), 3, delta)
+        with pytest.raises(OracleError, match=f"weight block holds 4 pairs, "
+                                              f"its weight counts {4 + delta}"):
+            oracle._orbit_block(oracle._gram_block, (4, 3), 3, 3)
+
+    def test_weights_count_each_cosine(self, monkeypatch, fresh_oracle_caches):
+        # every orbit of (2; 3,1,3) has 2 weights: its Kostka numbers count
+        # twice, and sum to d^k exactly
+        geometry = oracle._jordan_geometry(2, 3, 1, 3, None)
+        assert [b.size for b in geometry.blocks] == [2, 2, 2, 2]
+        pairs = sum(b.size * np.bincount(b.labels, minlength=4) for b in geometry.blocks)
+        assert pairs.tolist() == [8, 6, 4, 2]
+        # negative control: c_1 of the orbit (4,3) moved by one moves one of
+        # its pairs from block 2 to block 1, twice over, at the same length
+        self._moved_counts(monkeypatch, (4, 3), 1, 1)
+        oracle._jordan_geometry.cache_clear()
+        with pytest.raises(OracleError, match=r"orbits hold \[8, 8, 2, 2\] pairs per block k, "
+                                              r"expected d\^k = \[8, 6, 4, 2\]"):
+            oracle._jordan_geometry(2, 3, 1, 3, None)
+
+    def test_multiplicities_come_from_the_geometry(self, monkeypatch):
+        # jordan_angles reports the d^k its exact counts certified, so a
+        # closed-form multiplicity off by one shows against the dense one
+        honest = oracle.jordan_spectrum
+
+        def inflated(cfg):
+            spectrum = honest(cfg)
+            blocks = list(spectrum.blocks)
+            blocks[1] = dataclasses.replace(blocks[1], multiplicity=blocks[1].multiplicity + 1)
+            return dataclasses.replace(spectrum, blocks=tuple(blocks))
+
+        monkeypatch.setattr(oracle, "jordan_spectrum", inflated)
+        assert [m for _, m in oracle.jordan_angles(self.CFG)] == [8, 6, 4, 2]
+
+    @pytest.mark.parametrize("cfg", [*verify.certification_grid(4**9),
+                                     ProblemConfig(2, 20, 20, 20)], ids=_config_id)
     def test_labels_match_the_position_split(self, cfg):
-        # the d1 descending cosines, labelled one by one, fall into the
-        # blocks by position: the first d^0 into block 0, the next d^1
-        # into block 1, and so on
+        # evidence for the exact labels: on every orbit block, each cosine
+        # lies nearest the O_k of its stored label
         canonical, _ = canonicalize(cfg)
         geometry = oracle._jordan_geometry(
             canonical.n, canonical.n_a, canonical.n_b, canonical.n_c, 2**61
         )
-        spectrum = jordan_spectrum(canonical)
-        position = np.repeat([b.k for b in spectrum.blocks],
-                             [b.multiplicity for b in spectrum.blocks])
-        assert np.array_equal(oracle.block_labels(tiled_cosines(geometry), spectrum), position)
+        overlaps = np.array([b.overlap for b in jordan_spectrum(canonical).blocks])
+        for block in geometry.blocks:
+            nearest = np.abs(block.cosines[:, None] - overlaps).argmin(axis=1)
+            assert np.array_equal(block.labels, nearest)
 
     @staticmethod
     def _with_moved_cosine(monkeypatch, cfg, pick):
@@ -1261,7 +1326,7 @@ class TestGroupByBlocks:
         )
         index, block = next((i, b) for i, b in enumerate(geometry.blocks)
                             if b.size > 1 and len(b.cosines) > 1)
-        label = int(oracle.block_labels(block.cosines, spectrum)[1])
+        label = int(block.labels[1])
         cosines = block.cosines.copy()
         cosines[1] = pick(label, spectrum)
         blocks = list(geometry.blocks)
@@ -1272,23 +1337,22 @@ class TestGroupByBlocks:
 
     def test_orbit_cosine_moved_to_the_next_block(self, monkeypatch):
         # negative control: one cosine of an orbit block moves onto the
-        # next O_k, so its block loses the orbit's size in its count
+        # next O_k, a whole gap from the O_k of its label
         cfg = ProblemConfig(3, 2, 1, 2, 0.5)
         spectrum = jordan_spectrum(cfg)
         label, size = self._with_moved_cosine(
             monkeypatch, cfg, lambda k, spectrum: spectrum.blocks[k + 1].overlap)
         assert size > 1 and label < len(spectrum.blocks) - 1
-        d_k = spectrum.blocks[label].multiplicity
-        with pytest.raises(OracleError, match=rf"block {label} holds {d_k - size} cosines, "
-                                              rf"expected d\^k = {d_k}"):
+        with pytest.raises(OracleError, match="reaches half the smallest gap"):
             oracle.jordan_angles(cfg)
 
     def test_live_pair_labelled_degenerate_raises(self, monkeypatch):
-        # a live pair's cosine moved onto O_0 = 1 carries no unambiguous
-        # information: the POVM cannot weigh it
+        # a live pair's cosine moved onto O_0 = 1 keeps its live label, and
+        # the POVM refuses it as a whole gap from that label's O_k
         cfg = ProblemConfig(3, 2, 1, 2, 0.5)
-        self._with_moved_cosine(monkeypatch, cfg, lambda k, spectrum: 1.0)
-        with pytest.raises(OracleError, match="labelled with the degenerate block 0"):
+        label, _ = self._with_moved_cosine(monkeypatch, cfg, lambda k, spectrum: 1.0)
+        assert label > 0
+        with pytest.raises(OracleError, match="reaches half the smallest gap"):
             oracle.certify_povm(cfg)
 
     def test_geometry_holds_no_array_of_d1_entries(self):
@@ -1589,7 +1653,7 @@ class TestEveryN:
         for n in range(2, 8):
             cfg = ProblemConfig(n, 2, 1, 2)
             if n == 5:
-                with pytest.raises(OracleError, match="support bases have"):
+                with pytest.raises(OracleError, match="orbits hold"):
                     oracle.jordan_angles(cfg)
             else:
                 oracle.jordan_angles(cfg)
